@@ -227,20 +227,17 @@ func BenchmarkCheckOpacity(b *testing.B) {
 // corpora: the sequential baseline (one core.Check after another on a
 // per-corpus-pass SearchContext — the intended batch shape), the same
 // work through internal/checkpool at several widths (the
-// `opacheck -parallel` path, one context per worker), the shared-table
-// variants (`opacheck -parallel -shared`, every worker on one pool-wide
-// core.SharedTables), and the per-completion reference engine
-// (core.Config.DisableMemo) to expose what the unified interned-state
-// search buys. Each run reports nodes/corpus — the search nodes one pass
+// `opacheck -parallel` path, every worker on the run's one table set),
+// and the per-completion reference engine (core.Config.DisableMemo) to
+// expose what the unified interned-state search buys. Each run reports nodes/corpus — the search nodes one pass
 // over the corpus explores — plus states-interned and memo-hit-rate for
 // the context-backed runs, and allocations (b.ReportAllocs, so allocs/op
 // appears without -benchmem), making the interning payoff visible
 // directly in the bench output: the reduction from lazy commit/abort
 // branching, the shared memo, the partial-order reduction, and the
-// allocation-free memo/transition keys. The shared-vs-parallel contrast
-// at equal widths shows what pooling the tables buys: states-interned
-// drops from ~×workers back to the single-context count. The
-// "commitpending" corpus (most transactions left commit-pending) is the
+// allocation-free memo/transition keys. Because the workers of a run
+// share one table set, states-interned stays at the sequential count at
+// every width instead of growing ×workers. The "commitpending" corpus (most transactions left commit-pending) is the
 // regime the unified engine targets: the reference pays for 2^k
 // completions there. Sequential must report strictly fewer nodes than
 // reference at far lower time; see README.md's Performance section for
@@ -327,29 +324,6 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					stats = core.Stats{}
 					p := checkpool.New(checkpool.Options{Workers: workers, Stats: &stats})
-					nodes = 0
-					for _, v := range p.CheckAll(hs) {
-						if v.Err != nil {
-							b.Fatal(v.Err)
-						}
-						nodes += v.Result.Nodes
-					}
-				}
-				b.ReportMetric(float64(nodes), "nodes/corpus")
-				b.ReportMetric(float64(stats.States), "states-interned")
-				b.ReportMetric(memoHitRate(stats), "memo-hit-rate")
-			})
-			b.Run(fmt.Sprintf("%s/shared%d", corpus.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				nodes := 0
-				var stats core.Stats
-				for i := 0; i < b.N; i++ {
-					stats = core.Stats{}
-					p := checkpool.New(checkpool.Options{
-						Workers:       workers,
-						SharedContext: core.NewSharedTables(),
-						Stats:         &stats,
-					})
 					nodes = 0
 					for _, v := range p.CheckAll(hs) {
 						if v.Err != nil {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	opacheck [-counter obj] [-graph] [-demo name] [history...]
-//	opacheck -parallel N [-shared] [-counter obj] [-maxnodes B] [file...]
+//	opacheck -parallel N [-counter obj] [-maxnodes B] [file...]
 //	opacheck -replay URI
 //
 // -replay re-checks a violation artifact captured by the monitoring
@@ -47,19 +47,16 @@
 //	opacheck -parallel 8 corpus.txt            # nodes= from the unified engine
 //	opacheck -parallel 8 -reference corpus.txt # nodes= from the reference
 //
-// -shared (batch mode, unified engine only) backs every worker by one
-// pool-wide set of concurrent search tables instead of a private table
-// set per worker: each distinct state is interned once for the whole
-// batch and memo/transition entries are reused across workers. It is
-// incompatible with -reference, which uses no search context at all.
+// All workers of a batch share one set of search tables: each distinct
+// state is interned once for the whole batch and transition entries are
+// reused across workers.
 //
-// A summary — the total node count, plus the engine's table counters:
-// per-worker search contexts by default, the pool-wide shared tables
-// under -shared, and an explicit "no context counters" note under
-// -reference — goes to stderr. Context-backed modes add a reductions
-// line counting the symmetry classes the searches detected and the
-// candidate placements skipped by the symmetry and incremental-legality
-// reductions. The exit status is 1 if any line
+// A summary goes to stderr: the totals and node count, then the search
+// tables' counters and the reductions — the symmetry classes the
+// searches detected and the candidate placements skipped by the
+// symmetry and incremental-legality reductions — or, under -reference,
+// which runs without search tables, an explicit "no context counters"
+// note. The exit status is 1 if any line
 // errored (parse failure, malformed history, search-budget exhaustion),
 // else 0; non-opaque is a verdict, not an error. SIGINT/SIGTERM cancel
 // the batch gracefully: already-admitted histories still get their
@@ -117,7 +114,6 @@ func run() int {
 	parallel := flag.Int("parallel", 0, "batch mode: check histories from files/stdin with N concurrent workers")
 	maxNodes := flag.Int("maxnodes", 0, "batch mode: per-history search-node budget (0 = checker default)")
 	reference := flag.Bool("reference", false, "batch mode: use the per-completion reference engine instead of the unified search (for node-count comparisons)")
-	shared := flag.Bool("shared", false, "batch mode: share one pool-wide set of search tables across all workers (default: one private table set per worker)")
 	verdicts := flag.String("verdicts", "", "batch mode: write the verdict stream to this storage URI (file:// or mem://) instead of stdout, committed atomically")
 	replay := flag.String("replay", "", "re-check a violation artifact captured by the monitoring control plane (a path or storage URI) and confirm its verdict offline")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -154,14 +150,6 @@ func run() int {
 		}()
 	}
 
-	if *shared && *parallel <= 0 {
-		fmt.Fprintln(os.Stderr, "opacheck: -shared requires -parallel")
-		return 2
-	}
-	if *shared && *reference {
-		fmt.Fprintln(os.Stderr, "opacheck: -shared is incompatible with -reference (the reference engine uses no search context)")
-		return 2
-	}
 	if *replay != "" {
 		if *parallel > 0 || *graph || *explain || *demo != "" {
 			fmt.Fprintln(os.Stderr, "opacheck: -replay is incompatible with -parallel, -graph, -explain and -demo")
@@ -175,7 +163,7 @@ func run() int {
 			return 2
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		code := runBatch(ctx, os.Stdout, os.Stderr, *parallel, *maxNodes, *reference, *shared, *counterObjs, *verdicts, flag.Args())
+		code := runBatch(ctx, os.Stdout, os.Stderr, *parallel, *maxNodes, *reference, *counterObjs, *verdicts, flag.Args())
 		stop()
 		return code
 	}
@@ -238,7 +226,7 @@ func runReplay(uri, counterObjs string, maxNodes int) int {
 	}
 	fmt.Println()
 	out, err := a.Replay(core.Config{
-		Objects:  counterObjects(counterObjs),
+		Objects:  spec.ParseCounters(counterObjs),
 		MaxNodes: maxNodes,
 	})
 	if err != nil {
@@ -273,19 +261,6 @@ func txids(txs []history.TxID) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// counterObjects builds the object environment implied by the -counter
-// flag: the named objects are counters; everything else defaults to a
-// register initialized to 0 inside the checkers.
-func counterObjects(counterObjs string) spec.Objects {
-	objs := spec.Objects{}
-	for _, name := range strings.Split(counterObjs, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			objs[history.ObjID(name)] = spec.NewCounter(0)
-		}
-	}
-	return objs
-}
-
 // runBatch is the -parallel mode: stream histories from the given files
 // (paths or storage URIs; "-" or no arguments reads stdin), check them
 // on a checkpool of the given width, and print one verdict line per
@@ -297,21 +272,17 @@ func counterObjects(counterObjs string) spec.Objects {
 // and the error is reported. Cancelling ctx (SIGINT / SIGTERM) stops
 // admission; verdicts for already-admitted histories are still written.
 // It returns the process exit code.
-func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, reference, shared bool, counterObjs, verdicts string, paths []string) int {
+func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, reference bool, counterObjs, verdicts string, paths []string) int {
 	var stats core.Stats
-	opts := checkpool.Options{
+	pool := checkpool.New(checkpool.Options{
 		Workers: workers,
 		Config: core.Config{
-			Objects:     counterObjects(counterObjs),
+			Objects:     spec.ParseCounters(counterObjs),
 			MaxNodes:    maxNodes,
 			DisableMemo: reference,
 		},
 		Stats: &stats,
-	}
-	if shared {
-		opts.SharedContext = core.NewSharedTables()
-	}
-	pool := checkpool.New(opts)
+	})
 
 	in := make(chan checkpool.Item)
 	go func() {
@@ -376,22 +347,12 @@ func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, r
 	}
 	fmt.Fprintf(errW, "opacheck: %d histories: %d opaque, %d non-opaque, %d errors; %d search nodes\n",
 		opaque+nonOpaque+errored, opaque, nonOpaque, errored, totalNodes)
-	// The counter line names the tables it reports on. The reference
-	// engine runs without search contexts, so it gets an explicit note
-	// instead of a zeroed counter line mislabeled as context stats.
-	switch {
-	case reference:
+	// The reference engine runs without search tables, so it gets an
+	// explicit note instead of a zeroed counter line.
+	if reference {
 		fmt.Fprintln(errW, "opacheck: reference engine: no search contexts (context counters not collected)")
-	case shared:
-		fmt.Fprintf(errW, "opacheck: shared tables: %d states interned (%d object atoms), %d memo entries (%d hits, %d misses), %d transitions cached (%d hits), %d rebuilds\n",
-			stats.States, stats.Atoms, stats.MemoEntries, stats.MemoHits, stats.MemoMisses, stats.TransMisses, stats.TransHits, stats.Flushes)
-		fmt.Fprintf(errW, "opacheck: reductions: %d symmetry classes, %d sym prunes, %d legality skips\n",
-			stats.SymClasses, stats.SymPrunes, stats.LegalSkips)
-	default:
-		fmt.Fprintf(errW, "opacheck: contexts: %d states interned (%d object atoms), %d memo entries (%d hits), %d transitions cached (%d hits)\n",
-			stats.States, stats.Atoms, stats.MemoEntries, stats.MemoHits, stats.TransMisses, stats.TransHits)
-		fmt.Fprintf(errW, "opacheck: reductions: %d symmetry classes, %d sym prunes, %d legality skips\n",
-			stats.SymClasses, stats.SymPrunes, stats.LegalSkips)
+	} else {
+		fmt.Fprintf(errW, "opacheck: %s\n", checkpool.Summary(stats))
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintln(errW, "opacheck: interrupted; remaining input skipped")
@@ -440,7 +401,7 @@ func checkOne(src, counterObjs string, graph, explain bool) error {
 	}
 	fmt.Println(h.Format())
 
-	objs := counterObjects(counterObjs)
+	objs := spec.ParseCounters(counterObjs)
 	for _, ob := range h.Objects() {
 		if _, ok := objs[ob]; !ok {
 			objs[ob] = spec.NewRegister(0)

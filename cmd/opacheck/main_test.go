@@ -88,11 +88,11 @@ func TestRunBatch(t *testing.T) {
 	}
 
 	for _, mode := range []struct {
-		name              string
-		reference, shared bool
-	}{{name: "default"}, {name: "reference", reference: true}, {name: "shared", shared: true}} {
+		name      string
+		reference bool
+	}{{name: "default"}, {name: "reference", reference: true}} {
 		var out, errOut strings.Builder
-		code := runBatch(context.Background(), &out, &errOut, 4, 0, mode.reference, mode.shared, "", "", []string{path})
+		code := runBatch(context.Background(), &out, &errOut, 4, 0, mode.reference, "", "", []string{path})
 		if code != 1 {
 			t.Errorf("%s: exit code %d, want 1 (one line fails to parse)", mode.name, code)
 		}
@@ -114,78 +114,50 @@ func TestRunBatch(t *testing.T) {
 }
 
 // TestRunBatchSummaries pins the stderr summary of each engine mode: the
-// default and shared modes report their (nonzero) table counters under
-// the right label, and the reference mode — which runs without search
+// default mode reports its (nonzero) table and reduction counters on the
+// one summary line, and the reference mode — which runs without search
 // contexts — says so explicitly instead of printing a zeroed counter
 // line (the -parallel -reference mislabeling bug).
 func TestRunBatchSummaries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "histories.txt")
 	// The last line holds two interchangeable readers, so the symmetry
-	// counters of the reductions line are exercised, not just printed.
+	// counters of the reductions are exercised, not just printed.
 	content := demos["h4"] + "\n" + demos["fig1"] + "\n" + demos["writers"] + "\n" +
 		"r1(x)->0 r2(x)->0 tryC1 C1 tryC2 C2\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(reference, shared bool) string {
+	run := func(reference bool) string {
 		t.Helper()
 		var out, errOut strings.Builder
-		if code := runBatch(context.Background(), &out, &errOut, 4, 0, reference, shared, "", "", []string{path}); code != 0 {
-			t.Fatalf("reference=%v shared=%v: exit code %d, stderr:\n%s", reference, shared, code, errOut.String())
+		if code := runBatch(context.Background(), &out, &errOut, 4, 0, reference, "", "", []string{path}); code != 0 {
+			t.Fatalf("reference=%v: exit code %d, stderr:\n%s", reference, code, errOut.String())
 		}
 		return errOut.String()
 	}
 
-	def := run(false, false)
+	def := run(false)
 	if !strings.Contains(def, "opacheck: 4 histories:") {
 		t.Errorf("default summary lacks the totals line:\n%s", def)
 	}
-	if !strings.Contains(def, "opacheck: contexts: ") || strings.Contains(def, "contexts: 0 states interned") {
-		t.Errorf("default summary must report nonzero per-worker context counters:\n%s", def)
+	if !strings.Contains(def, "opacheck: search tables: ") || strings.Contains(def, "search tables: 0 states interned") {
+		t.Errorf("default summary must report nonzero table counters:\n%s", def)
 	}
-	if !strings.Contains(def, "opacheck: reductions: ") || strings.Contains(def, "reductions: 0 symmetry classes") {
+	if !strings.Contains(def, "rebuilds") {
+		t.Errorf("default summary must report the generation rebuild count:\n%s", def)
+	}
+	if !strings.Contains(def, "; reductions: ") || strings.Contains(def, "reductions: 0 symmetry classes") {
 		t.Errorf("default summary must report the symmetry class count of the clone input:\n%s", def)
 	}
 
-	ref := run(true, false)
+	ref := run(true)
 	if !strings.Contains(ref, "opacheck: reference engine: no search contexts") {
 		t.Errorf("reference summary must say no context counters were collected:\n%s", ref)
 	}
-	if strings.Contains(ref, "opacheck: contexts:") || strings.Contains(ref, "states interned") ||
-		strings.Contains(ref, "opacheck: reductions:") {
+	if strings.Contains(ref, "search tables:") || strings.Contains(ref, "states interned") ||
+		strings.Contains(ref, "reductions:") {
 		t.Errorf("reference summary must not print context counter lines:\n%s", ref)
-	}
-
-	sh := run(false, true)
-	if !strings.Contains(sh, "opacheck: shared tables: ") || strings.Contains(sh, "shared tables: 0 states interned") {
-		t.Errorf("shared summary must report nonzero pool-wide counters:\n%s", sh)
-	}
-	if !strings.Contains(sh, "rebuilds") {
-		t.Errorf("shared summary must report the generation rebuild count:\n%s", sh)
-	}
-	if !strings.Contains(sh, "opacheck: reductions: ") || strings.Contains(sh, "reductions: 0 symmetry classes") {
-		t.Errorf("shared summary must report the symmetry class count of the clone input:\n%s", sh)
-	}
-}
-
-// TestRunBatchSharedMatchesDefault: the -shared engine yields verdict
-// lines identical to the per-worker default on the same input.
-func TestRunBatchSharedMatchesDefault(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "histories.txt")
-	content := strings.Join([]string{demos["h4"], demos["fig1"], demos["counter"], demos["writers"], demos["fig2"]}, "\n")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var def, sh, errOut strings.Builder
-	if code := runBatch(context.Background(), &def, &errOut, 4, 0, false, false, "", "", []string{path}); code != 0 {
-		t.Fatalf("default: exit code %d", code)
-	}
-	if code := runBatch(context.Background(), &sh, &errOut, 4, 0, false, true, "", "", []string{path}); code != 0 {
-		t.Fatalf("shared: exit code %d", code)
-	}
-	if def.String() != sh.String() {
-		t.Errorf("shared verdict lines differ from default:\n--- default ---\n%s--- shared ---\n%s", def.String(), sh.String())
 	}
 }
 
@@ -199,7 +171,7 @@ func TestRunBatchCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out, errOut strings.Builder
-	if code := runBatch(ctx, &out, &errOut, 2, 0, false, false, "", "", []string{path}); code != 1 {
+	if code := runBatch(ctx, &out, &errOut, 2, 0, false, "", "", []string{path}); code != 1 {
 		t.Errorf("exit code %d, want 1 for a cancelled batch", code)
 	}
 	if out.Len() != 0 {
@@ -215,7 +187,7 @@ func TestRunBatchBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
-	if code := runBatch(context.Background(), &out, &errOut, 2, 1, false, false, "", "", []string{path}); code != 1 {
+	if code := runBatch(context.Background(), &out, &errOut, 2, 1, false, "", "", []string{path}); code != 1 {
 		t.Errorf("exit code %d, want 1 under a 1-node budget", code)
 	}
 	if !strings.Contains(out.String(), "error") {
@@ -225,7 +197,7 @@ func TestRunBatchBudget(t *testing.T) {
 
 func TestRunBatchMissingFile(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := runBatch(context.Background(), &out, &errOut, 2, 0, false, false, "", "", []string{"/nonexistent/histories.txt"}); code != 1 {
+	if code := runBatch(context.Background(), &out, &errOut, 2, 0, false, "", "", []string{"/nonexistent/histories.txt"}); code != 1 {
 		t.Errorf("exit code %d, want 1 for an unreadable file", code)
 	}
 }
@@ -250,7 +222,7 @@ func TestRunBatchStorageURIs(t *testing.T) {
 	uri := "mem://opacheck-test-corpus/histories.txt"
 
 	var out, errOut strings.Builder
-	if code := runBatch(context.Background(), &out, &errOut, 2, 0, false, false, "", "", []string{uri}); code != 0 {
+	if code := runBatch(context.Background(), &out, &errOut, 2, 0, false, "", "", []string{uri}); code != 0 {
 		t.Fatalf("URI input: exit %d, stderr:\n%s", code, errOut.String())
 	}
 	if !strings.HasPrefix(out.String(), uri+":1 opaque ") {
@@ -260,7 +232,7 @@ func TestRunBatchStorageURIs(t *testing.T) {
 	// Same run again, with the verdicts going to a storage object.
 	sinkURI := "mem://opacheck-test-corpus/verdicts.log"
 	var out2, errOut2 strings.Builder
-	if code := runBatch(context.Background(), &out2, &errOut2, 2, 0, false, false, "", sinkURI, []string{uri}); code != 0 {
+	if code := runBatch(context.Background(), &out2, &errOut2, 2, 0, false, "", sinkURI, []string{uri}); code != 0 {
 		t.Fatalf("-verdicts run: exit %d, stderr:\n%s", code, errOut2.String())
 	}
 	if out2.Len() != 0 {
@@ -288,7 +260,7 @@ func TestRunBatchVerdictsNotCommittedOnInterrupt(t *testing.T) {
 	cancel()
 	sinkURI := "mem://opacheck-test-interrupt/verdicts.log"
 	var out, errOut strings.Builder
-	if code := runBatch(ctx, &out, &errOut, 2, 0, false, false, "", sinkURI, []string{path}); code != 1 {
+	if code := runBatch(ctx, &out, &errOut, 2, 0, false, "", sinkURI, []string{path}); code != 1 {
 		t.Errorf("interrupted run: exit %d, want 1", code)
 	}
 	if _, err := storage.OpenURI(sinkURI); err == nil {

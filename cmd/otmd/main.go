@@ -6,8 +6,8 @@
 // Usage:
 //
 //	otmd coordinate -store URI (-corpus FILE | -gen N [...]) [-listen ADDR] [-o FILE]
-//	otmd work -coordinator URL [-name ID] [-parallel W] [-shared]
-//	otmd run -workers N (-corpus FILE | -gen N [...]) [-shared] [-o FILE]
+//	otmd work -coordinator URL [-name ID] [-parallel W]
+//	otmd run -workers N (-corpus FILE | -gen N [...]) [-o FILE]
 //	otmd monitor [-sessions N] [-engine E] [-listen ADDR] [-artifacts URI] [-inject]
 //
 // `otmd monitor` is the online half: a fleet of monitored STM shards
@@ -31,10 +31,9 @@
 // `otmd work` attaches one worker to a coordinator and checks leased
 // shards until the run completes; add workers (across machines, if the
 // store URI is reachable from all of them) to scale out. -parallel
-// widens the worker's own checkpool; -shared backs all of its shards by
-// one set of shared search tables, the `opacheck -shared` engine. The
-// per-worker summary and table counters go to stderr, in opacheck's
-// format.
+// widens the worker's own checkpool; all of a worker's shards run on one
+// set of search tables. The per-worker summary and table counters go to
+// stderr, in opacheck's format.
 //
 // # Run
 //
@@ -63,7 +62,7 @@ import (
 	"syscall"
 	"time"
 
-	"otm/internal/core"
+	"otm/internal/checkpool"
 	"otm/internal/dist"
 	"otm/internal/storage"
 )
@@ -97,8 +96,8 @@ func run(args []string) int {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   otmd coordinate -store URI (-corpus FILE | -gen N [...]) [-listen ADDR] [-o FILE]
-  otmd work -coordinator URL [-name ID] [-parallel W] [-shared]
-  otmd run -workers N (-corpus FILE | -gen N [...]) [-shared] [-o FILE]
+  otmd work -coordinator URL [-name ID] [-parallel W]
+  otmd run -workers N (-corpus FILE | -gen N [...]) [-o FILE]
   otmd monitor [-sessions N] [-engine E] [-listen ADDR] [-artifacts URI] [-inject] [...]
 `)
 }
@@ -263,7 +262,6 @@ func work(args []string) int {
 	coordinator := fs.String("coordinator", "", "coordinator base URL (e.g. http://127.0.0.1:8077); required")
 	name := fs.String("name", "", "worker name in coordinator logs (default: host:pid)")
 	parallel := fs.Int("parallel", 1, "checkpool workers per shard")
-	shared := fs.Bool("shared", false, "share one set of search tables across all of this worker's shards")
 	verbose := fs.Bool("v", false, "log shard-level progress to stderr")
 	fs.Parse(args)
 	if *coordinator == "" {
@@ -281,11 +279,10 @@ func work(args []string) int {
 		Coordinator: *coordinator,
 		Name:        *name,
 		Parallel:    *parallel,
-		Shared:      *shared,
 		Logf:        logger(*verbose),
 	}
 	stats, err := w.Run(ctx)
-	workerSummary(os.Stderr, *name, stats, *shared)
+	workerSummary(os.Stderr, *name, stats)
 	if err != nil {
 		return fail(err)
 	}
@@ -298,7 +295,6 @@ func runLocal(args []string) int {
 	p.register(fs)
 	workers := fs.Int("workers", 2, "number of in-process workers")
 	parallel := fs.Int("parallel", 1, "checkpool workers per shard, per worker")
-	shared := fs.Bool("shared", false, "shared search tables within each worker")
 	storeURI := fs.String("store", "", "run store URI (default: a fresh in-memory store)")
 	out := fs.String("o", "", "write the merged verdict log here instead of stdout")
 	verbose := fs.Bool("v", false, "log shard-level progress to stderr")
@@ -359,7 +355,6 @@ func runLocal(args []string) int {
 				Coordinator: url,
 				Name:        name,
 				Parallel:    *parallel,
-				Shared:      *shared,
 				Logf:        logf,
 			}
 			stats, err := wk.Run(ctx)
@@ -382,7 +377,7 @@ func runLocal(args []string) int {
 	wg.Wait()
 
 	for _, r := range results {
-		workerSummary(os.Stderr, r.name, r.stats, *shared)
+		workerSummary(os.Stderr, r.name, r.stats)
 		if r.err != nil && code == 0 {
 			code = fail(r.err)
 		}
@@ -398,20 +393,10 @@ func runLocal(args []string) int {
 
 // workerSummary prints one worker's totals and table counters in
 // opacheck's summary format.
-func workerSummary(errW io.Writer, name string, s dist.RunStats, shared bool) {
+func workerSummary(errW io.Writer, name string, s dist.RunStats) {
 	fmt.Fprintf(errW, "otmd: worker %s: %d shards, %d histories: %d opaque, %d non-opaque, %d errors; %d search nodes\n",
 		name, s.Shards, s.Histories, s.Opaque, s.NonOpaque, s.Errored, s.Nodes)
-	printTables(errW, name, s.Search, shared)
-}
-
-func printTables(errW io.Writer, name string, stats core.Stats, shared bool) {
-	if shared {
-		fmt.Fprintf(errW, "otmd: worker %s shared tables: %d states interned (%d object atoms), %d memo entries (%d hits, %d misses), %d transitions cached (%d hits), %d rebuilds\n",
-			name, stats.States, stats.Atoms, stats.MemoEntries, stats.MemoHits, stats.MemoMisses, stats.TransMisses, stats.TransHits, stats.Flushes)
-		return
-	}
-	fmt.Fprintf(errW, "otmd: worker %s contexts: %d states interned (%d object atoms), %d memo entries (%d hits), %d transitions cached (%d hits)\n",
-		name, stats.States, stats.Atoms, stats.MemoEntries, stats.MemoHits, stats.TransMisses, stats.TransHits)
+	fmt.Fprintf(errW, "otmd: worker %s %s\n", name, checkpool.Summary(s.Search))
 }
 
 func fail(err error) int {

@@ -13,9 +13,11 @@
 // finished and emitted in order, the rest of the input is discarded, and
 // every pool goroutine exits.
 //
-// Workers default to private search tables; Options.SharedContext backs
-// them all by one core.SharedTables instead, so the pool interns each
-// distinct state/signature/transition once rather than once per worker.
+// All workers of a run share one set of search tables (core.SharedTables):
+// Options.SharedContext when given, otherwise a fresh set per run. The
+// pool therefore interns each distinct state, signature and transition
+// once rather than once per worker, and every worker reuses every other
+// worker's cached transitions.
 package checkpool
 
 import (
@@ -87,9 +89,9 @@ type Options struct {
 	// Config is the per-history checker configuration: object semantics
 	// and the search-node budget applied to each history independently.
 	// Config.Context is ignored: SearchContexts are single-goroutine, so
-	// the pool provisions one fresh context per worker instead, and each
-	// worker's interned states, cached transitions and memo entries are
-	// amortized across every history that worker checks.
+	// the pool provisions one context per worker over the run's table set
+	// instead, and the interned states, cached transitions and memo
+	// entries are amortized across every history of the run.
 	Config core.Config
 	// Check overrides the checker (default core.Check with Config).
 	// Useful to batch-check other criteria, e.g. core.CheckStrong.
@@ -97,21 +99,16 @@ type Options struct {
 	// Stats, when non-nil, accumulates the search-context statistics of
 	// every worker. It is written under the pool's lock as each worker
 	// retires and is safe to read once the verdict channel has closed
-	// (CheckAll and `for range Run(in)` both guarantee that). With
-	// SharedContext set, the pool-wide insert counters (states, atoms,
-	// signatures, memo entries, flushes) are added exactly once from the
-	// shared tables, and the per-worker contributions are the private
-	// lookup counters (memo/transition hits and misses) only.
+	// (CheckAll and `for range Run(in)` both guarantee that). Each table
+	// insert is counted by the one context that made it, so the sum
+	// counts the run's inserts exactly once, whatever the worker count.
 	Stats *core.Stats
-	// SharedContext, when non-nil, backs every worker's SearchContext by
-	// one pool-wide set of concurrent tables (core.SharedTables): each
-	// distinct state is interned once for the whole pool instead of once
-	// per worker, and every worker reuses every other worker's memo and
-	// transition entries. The default — nil — keeps the per-worker
-	// contexts, which stay the differential oracle for the shared layer.
+	// SharedContext, when non-nil, is the table set every worker's
+	// SearchContext runs on; nil gives each run a fresh set. Passing one
+	// set to several runs — sequentially or concurrently — carries
+	// interned states and cached transitions from one run to the next.
 	// Ignored under Config.DisableMemo (the reference path uses no
-	// context at all). The same SharedTables may back several pools,
-	// sequentially or concurrently.
+	// context at all).
 	SharedContext *core.SharedTables
 }
 
@@ -211,11 +208,13 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 		}
 	}()
 
-	// Workers: check admitted items. Each worker owns a SearchContext —
-	// private tables by default, so interning and caching amortize across
-	// its share of the batch without cross-goroutine synchronization on
-	// the hot path; with SharedContext, a per-worker view onto the
-	// pool-wide tables, so they amortize across the whole batch.
+	// Workers: check admitted items. Each worker owns a SearchContext
+	// over the run's one table set, so interning and caching amortize
+	// across the whole batch.
+	tables := opts.SharedContext
+	if tables == nil && !opts.Config.DisableMemo {
+		tables = core.NewSharedTables()
+	}
 	var wg sync.WaitGroup
 	var statsMu sync.Mutex
 	wg.Add(opts.Workers)
@@ -225,11 +224,7 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 			cfg := opts.Config
 			cfg.Context = nil
 			if !cfg.DisableMemo {
-				if opts.SharedContext != nil {
-					cfg.Context = opts.SharedContext.NewContext()
-				} else {
-					cfg.Context = core.NewSearchContext()
-				}
+				cfg.Context = tables.NewContext()
 			}
 			for j := range work {
 				v := Verdict{Index: j.idx, Source: j.item.Source, Err: j.item.Err}
@@ -247,14 +242,6 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 	}
 	go func() {
 		wg.Wait()
-		// The shared tables' pool-wide insert counters are added once —
-		// after every worker retired, so the snapshot covers the whole
-		// run — not once per worker.
-		if opts.Stats != nil && opts.SharedContext != nil && !opts.Config.DisableMemo {
-			statsMu.Lock()
-			opts.Stats.Add(opts.SharedContext.Stats())
-			statsMu.Unlock()
-		}
 		close(results)
 	}()
 
@@ -280,6 +267,15 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 	}()
 
 	return out
+}
+
+// Summary renders the search-table and reduction counters of a batch
+// run as the one summary line `opacheck -parallel` and every otmd
+// worker print after their totals.
+func Summary(s core.Stats) string {
+	return fmt.Sprintf("search tables: %d states interned (%d object atoms), %d memo entries (%d hits, %d misses), %d transitions cached (%d hits), %d rebuilds; reductions: %d symmetry classes, %d sym prunes, %d legality skips",
+		s.States, s.Atoms, s.MemoEntries, s.MemoHits, s.MemoMisses, s.TransMisses, s.TransHits, s.Flushes,
+		s.SymClasses, s.SymPrunes, s.LegalSkips)
 }
 
 // RunTo runs the pool over in and delivers every verdict, in input

@@ -142,9 +142,9 @@ func TestCustomCheckFunction(t *testing.T) {
 	}
 }
 
-// TestStatsAggregated: the pool sums the per-worker SearchContext
-// counters into Options.Stats, and the per-worker contexts do not
-// change any verdict relative to the reference engine.
+// TestStatsAggregated: the pool sums its workers' SearchContext
+// counters into Options.Stats, and the workers' contexts do not change
+// any verdict relative to the reference engine.
 func TestStatsAggregated(t *testing.T) {
 	hs := corpus(64)
 	var stats core.Stats

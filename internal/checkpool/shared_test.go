@@ -9,10 +9,11 @@ import (
 	"otm/internal/history"
 )
 
-// TestSharedContextMatchesPerWorkerAndReference is the three-way
-// differential for the shared-table layer: on one mixed corpus, the
-// shared-table pool, the per-worker-context pool (the former oracle)
-// and the DisableMemo reference engine must agree on every verdict.
+// TestSharedContextMatchesPerWorkerAndReference is the differential for
+// the table layer under a pool: on one mixed corpus, a pool on a
+// caller-supplied table set, a default pool (a fresh set per run) and a
+// one-worker pool must each agree with the DisableMemo reference engine
+// on every verdict.
 func TestSharedContextMatchesPerWorkerAndReference(t *testing.T) {
 	n := 300
 	if !testing.Short() {
@@ -21,30 +22,29 @@ func TestSharedContextMatchesPerWorkerAndReference(t *testing.T) {
 	hs := corpus(n)
 
 	ref := New(Options{Workers: 4, Config: core.Config{DisableMemo: true}}).CheckAll(hs)
-	perWorker := New(Options{Workers: 8}).CheckAll(hs)
-	shared := New(Options{Workers: 8, SharedContext: core.NewSharedTables()}).CheckAll(hs)
-
-	for i := range hs {
-		if shared[i].Err != nil || perWorker[i].Err != nil || ref[i].Err != nil {
-			t.Fatalf("history %d: errs shared=%v perWorker=%v ref=%v",
-				i, shared[i].Err, perWorker[i].Err, ref[i].Err)
-		}
-		if shared[i].Result.Opaque != ref[i].Result.Opaque {
-			t.Errorf("history %d: shared tables say opaque=%v, reference says %v:\n%s",
-				i, shared[i].Result.Opaque, ref[i].Result.Opaque, hs[i].Format())
-		}
-		if perWorker[i].Result.Opaque != ref[i].Result.Opaque {
-			t.Errorf("history %d: per-worker contexts say opaque=%v, reference says %v",
-				i, perWorker[i].Result.Opaque, ref[i].Result.Opaque)
+	runs := map[string][]Verdict{
+		"supplied set": New(Options{Workers: 8, SharedContext: core.NewSharedTables()}).CheckAll(hs),
+		"default":      New(Options{Workers: 8}).CheckAll(hs),
+		"one worker":   New(Options{Workers: 1}).CheckAll(hs),
+	}
+	for name, got := range runs {
+		for i := range hs {
+			if got[i].Err != nil || ref[i].Err != nil {
+				t.Fatalf("%s, history %d: errs %v, reference %v", name, i, got[i].Err, ref[i].Err)
+			}
+			if got[i].Result.Opaque != ref[i].Result.Opaque {
+				t.Errorf("%s, history %d: opaque=%v, reference says %v:\n%s",
+					name, i, got[i].Result.Opaque, ref[i].Result.Opaque, hs[i].Format())
+			}
 		}
 	}
 }
 
-// TestSharedStatsPoolWide pins the point of the shared tables: the
-// pool-wide states-interned count of an 8-worker shared run stays within
-// 10% of what a single worker interns for the same corpus — not
-// ×Workers, as per-worker contexts pay — and the aggregated stats carry
-// both the shared insert counters and the workers' lookup counters.
+// TestSharedStatsPoolWide pins the point of one table set per run: the
+// states-interned count of an 8-worker run stays within 10% of what a
+// single worker interns for the same corpus — not ×Workers, as private
+// per-worker tables would pay — and the aggregated stats carry both the
+// insert counters and the workers' lookup counters.
 func TestSharedStatsPoolWide(t *testing.T) {
 	n := 300
 	if !testing.Short() {
@@ -59,32 +59,40 @@ func TestSharedStatsPoolWide(t *testing.T) {
 	}
 
 	var shared core.Stats
-	New(Options{Workers: 8, SharedContext: core.NewSharedTables(), Stats: &shared}).CheckAll(hs)
+	New(Options{Workers: 8, Stats: &shared}).CheckAll(hs)
 	if shared.States == 0 || shared.Atoms == 0 || shared.TxSigs == 0 {
-		t.Fatalf("shared run reported no insert counters: %+v", shared)
+		t.Fatalf("8-worker run reported no insert counters: %+v", shared)
 	}
 	if limit := single.States + single.States/10; shared.States > limit {
-		t.Errorf("8-worker shared run interned %d states, single worker %d; want within 10%% (≤%d), not ×Workers",
+		t.Errorf("8-worker run interned %d states, single worker %d; want within 10%% (≤%d), not ×Workers",
 			shared.States, single.States, limit)
 	}
 	if shared.MemoHits+shared.MemoMisses == 0 {
-		t.Errorf("shared run recorded no memo lookups: %+v", shared)
+		t.Errorf("8-worker run recorded no memo lookups: %+v", shared)
 	}
 
-	// The per-worker pool, by contrast, really does intern per worker;
-	// the shared pool must undercut it decisively on the same corpus.
-	var per core.Stats
-	New(Options{Workers: 8, Stats: &per}).CheckAll(hs)
-	if shared.States >= per.States {
-		t.Errorf("shared run interned %d states, 8 per-worker contexts %d; sharing should deduplicate",
-			shared.States, per.States)
+	// Eight private table sets, each checking its worker's share of the
+	// corpus, really do intern per worker; the shared run must undercut
+	// them decisively.
+	per := 0
+	for w := 0; w < 8; w++ {
+		ctx := core.NewSearchContext()
+		for i := w; i < len(hs); i += 8 {
+			if _, err := core.Check(hs[i], core.Config{Context: ctx}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		per += ctx.Stats().States
+	}
+	if shared.States >= per {
+		t.Errorf("8-worker run interned %d states, 8 private table sets %d; sharing should deduplicate",
+			shared.States, per)
 	}
 }
 
-// TestSharedStatsAddedOnce: the shared insert counters land in
-// Options.Stats exactly once per run, not once per worker — a corpus
-// checked by 8 workers reports the same pool-wide States a 2-worker run
-// does.
+// TestSharedStatsAddedOnce: the insert counters land in Options.Stats
+// exactly once per run, not once per worker — a corpus checked by 8
+// workers reports the same pool-wide States a 2-worker run does.
 func TestSharedStatsAddedOnce(t *testing.T) {
 	hs := corpus(200)
 	counts := make([]int, 2)

@@ -105,8 +105,8 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 
 	// Enumerate Reach(suffix) from every current root. Final vectors are
 	// materialized to durable Objects immediately after each per-root
-	// walk — before the next walk's setup, which may flush or reset the
-	// context tables the stateIDs point into — and deduplicated by a
+	// walk — before the next walk's setup, which may swap out the table
+	// generation the stateIDs point into — and deduplicated by a
 	// context-independent rendering of their states.
 	var (
 		nodes    int

@@ -5,17 +5,23 @@ import (
 	"otm/internal/spec"
 )
 
-// stateID identifies one interned object-state vector in a SearchContext:
+// stateID identifies one interned object-state vector in a table set:
 // the dense states of every registered object, indexed by registration
 // order. Two search nodes with equal stateIDs have identical object
 // states, so the id substitutes for the per-node state fingerprint the
 // memo and transition caches used to render as strings.
 type stateID = int32
 
-// Stats are the observability counters of a SearchContext. All counters
-// are cumulative over the context's lifetime (they survive internal table
-// flushes); Add makes them aggregatable across the per-worker contexts of
-// a batch run.
+// Stats are the observability counters of a SearchContext: the lookups
+// it made (memo and transition hits and misses), the reductions its
+// searches applied, and the table inserts it performed. Every entry of
+// a table set is minted by exactly one context, so the contexts sharing
+// one set never count an insert twice, and summing their Stats with Add
+// yields the set's totals — the per-worker contexts of a checkpool run,
+// or of every shard a dist worker checks, aggregate exactly. A context
+// from NewSearchContext is its table set's only user, so its Stats cover
+// the whole set. All counters are cumulative over the context's
+// lifetime, across generation swaps.
 type Stats struct {
 	// States is the number of distinct object-state vectors interned.
 	States int
@@ -30,14 +36,15 @@ type Stats struct {
 	// MemoMisses count memo lookup outcomes (their sum is the lookup
 	// count, so MemoHits/(MemoHits+MemoMisses) is the memo hit rate);
 	// TransHits / TransMisses count transition-cache outcomes (a miss
-	// replays the transaction, a hit is a map probe).
+	// replays the transaction, a hit is a table probe).
 	MemoEntries int
 	MemoHits    int
 	MemoMisses  int
 	TransHits   int
 	TransMisses int
-	// Flushes counts the times the state-dependent tables were discarded
-	// because a history introduced objects unknown to the context.
+	// Flushes counts the generation swaps the context performed: the
+	// table set outgrew its size bound and was replaced by a fresh one
+	// (see SharedTables).
 	Flushes int
 	// SymClasses counts the non-singleton symmetry classes detected
 	// across calls (groups of ≥2 interchangeable transactions whose
@@ -120,10 +127,11 @@ type memoKey struct {
 	lo, hi  uint64
 }
 
-// SearchContext holds the interned-state tables of the serialization
-// search engine: the atom and state-vector interners, the transition
-// cache, and the failure memo. A fresh context is created internally for
-// every call that does not supply one; supplying one (Config.Context,
+// SearchContext is one goroutine's handle on a set of search tables
+// (SharedTables) — the atom and state-vector interners, the transition
+// cache and the failure memo — plus its own atom step cache. A fresh
+// context over a fresh table set is created internally for every call
+// that does not supply one; supplying one (Config.Context,
 // SerializeOptions.Context) reuses the tables across calls, which is
 // what makes the O(n) prefix scan of FirstNonOpaquePrefix, the
 // per-removed-transaction re-checks of Diagnose, and long batch runs
@@ -140,69 +148,50 @@ type memoKey struct {
 // replayed as a definitive failure by a later call.
 //
 // A SearchContext is not safe for concurrent use. Give each goroutine
-// its own; internal/checkpool provisions one per worker. To share the
-// tables themselves across goroutines, derive per-goroutine contexts
-// from one SharedTables (SharedTables.NewContext): such contexts keep
-// their scratch state private but delegate every table probe and insert
-// to the concurrent shared layer.
+// its own: NewSearchContext for a private table set, or
+// SharedTables.NewContext for a context over a set that other
+// goroutines' contexts populate too.
 type SearchContext struct {
-	// shared, when non-nil, backs this context by pool-wide concurrent
-	// tables; sgen is the generation pinned for the current call. In
-	// shared mode the private steps map below serves as an L1 cache over
-	// the lock-striped shared step table (the transition cache and the
-	// string-keyed interning indexes need none — their shared tables are
-	// lock-free on reads), the memo/memoWide maps hold the entries of
-	// problems this context owns (see owned), and the other table fields
-	// stay nil. The L1 and the owned-problem memo are cleared on every
-	// generation change.
-	shared *SharedTables
-	sgen   *sharedGen
+	// tables is the table set behind this context; gen is its
+	// generation pinned for the current call. Two caches stay private to
+	// the context: the steps map below (the atom step cache — a step is
+	// cheap to recompute, so sharing it would buy little beyond lock
+	// traffic and a second copy) and the memo/memoWide maps, which hold
+	// the entries of problems this context owns (see owned). Both are
+	// cleared on every generation change.
+	tables *SharedTables
+	gen    *sharedGen
 
-	// owned (shared mode only) is the set of problem ids this context
-	// interned first. Memo entries are problem-scoped, so for a problem
-	// no other context has ever posed, the shared memo cannot hold or
-	// ever be asked for its entries by anyone else — the owner keeps
-	// them in its private maps at plain-map cost. Contexts that re-pose
-	// a problem someone else minted (duplicate histories) read and write
-	// the locked shared memo instead, which is where cross-worker memo
-	// reuse actually pays. Cleared, with the private maps, on every
-	// generation change: ids do not outlive their generation.
-	owned map[int32]struct{}
+	// owned is the set of problem ids this context interned first. Memo
+	// entries are problem-scoped, so for a problem no other context has
+	// ever posed, the set's memo cannot hold or ever be asked for its
+	// entries by anyone else — the owner keeps them in its private maps
+	// at plain-map cost. Contexts that re-pose a problem someone else
+	// minted (duplicate histories) read and write the locked memo of the
+	// set instead, which is where cross-worker memo reuse actually pays.
+	// Cleared, with the private maps, on every generation change: ids do
+	// not outlive their generation. Indexed by problem id.
+	owned bitset
 	// memoOwnProblem/memoOwn memoize the last owned-lookup: memo probes
 	// arrive in long per-problem runs (one search call = one problem),
 	// so almost every probe short-circuits to an int compare.
 	memoOwnProblem int32
 	memoOwn        bool
 
-	atoms  *spec.Interner
 	defReg int32 // interned default object state (register 0)
 
-	// objIdx/objs are the object registry — or, in shared mode, a local
-	// mirror of a prefix of the shared registry, so hot-path index
-	// lookups never touch the registry lock.
+	// objIdx/objs mirror a prefix of the generation's object registry,
+	// so hot-path index lookups never touch the registry lock.
 	objIdx map[history.ObjID]int32
 	objs   []history.ObjID
 
-	sigIdx   map[string]int32
-	vecIdx   map[string]stateID
-	vecs     [][]int32
-	trans    map[transKey]transVal
 	steps    map[atomStep]atomStepVal
 	memo     map[memoKey]struct{}
 	memoWide map[string]struct{}
-	problems map[string]int32
 
 	// initEmpty caches initialState(nil-or-empty Objects) — the common
-	// configuration — between registry growths; -1 means not cached.
+	// configuration — within one generation; -1 means not cached.
 	initEmpty stateID
-
-	// enumEpoch salts the problem signature of every reachable-final
-	// enumeration (searcher.enumerate) so no two enumerations ever share
-	// a problem id: a "visited" entry left by one walk would silently
-	// suppress the finals of an identical later walk, whose collector
-	// never saw what the first one sank. Search problems carry salt 0
-	// and keep sharing failure verdicts as before.
-	enumEpoch int32
 
 	stats Stats
 
@@ -211,132 +200,126 @@ type SearchContext struct {
 	srch   searcher
 }
 
-// NewSearchContext returns an empty context ready to be shared across
-// checker calls on one goroutine.
-func NewSearchContext() *SearchContext {
-	c := &SearchContext{
-		atoms:    spec.NewInterner(),
-		objIdx:   make(map[history.ObjID]int32),
-		sigIdx:   make(map[string]int32),
-		vecIdx:   make(map[string]stateID),
-		trans:    make(map[transKey]transVal),
-		steps:    make(map[atomStep]atomStepVal),
-		memo:     make(map[memoKey]struct{}),
-		memoWide: make(map[string]struct{}),
-		problems: make(map[string]int32),
-	}
-	c.defReg = c.internAtom(spec.NewRegister(0))
-	c.initEmpty = -1
-	return c
-}
+// NewSearchContext returns a context over its own fresh table set,
+// ready to be shared across checker calls on one goroutine.
+func NewSearchContext() *SearchContext { return NewSharedTables().NewContext() }
 
-// Stats returns a snapshot of the context's counters. For a context
-// derived from SharedTables this covers only the context's private
-// lookup counters (memo/transition hits and misses); the pool-wide
-// insert counters — states, atoms, signatures, problems, memo entries,
-// flushes — are reported once by SharedTables.Stats, not per context.
-func (c *SearchContext) Stats() Stats {
-	s := c.stats
-	if c.shared == nil {
-		s.Atoms = c.atoms.Len()
-	}
-	return s
-}
+// Stats returns a snapshot of the context's counters.
+func (c *SearchContext) Stats() Stats { return c.stats }
 
-// registerObjects adds any unseen objects to the context's registry.
-// State vectors are dense over the registry, so growing it invalidates
-// every interned vector and everything keyed by one: those tables are
-// flushed (the atom interner, the atom step cache and the replay
-// signatures survive — they reference atoms and objects by ids that
-// never change).
-func (c *SearchContext) registerObjects(ids []history.ObjID) {
-	if c.shared != nil {
-		c.sharedRegister(ids)
+// pin fixes the generation the context's next call runs on, swapping in
+// a fresh generation first when the table set outgrew its bound.
+// Crossing into a new generation invalidates everything local that
+// referred to the old one: the registry mirror, the default-register
+// atom, the empty-initial-state id, the step cache and the
+// owned-problem memo. Callers must not pin from a re-entrant call
+// (searcher.setup skips pinning when it runs on a non-resident
+// searcher), or the generation would move out from under the outer
+// call's stateIDs.
+func (c *SearchContext) pin() {
+	g, swapped := c.tables.pin()
+	if swapped {
+		c.stats.Flushes++
+	}
+	if g == c.gen {
 		return
 	}
-	grew := false
+	c.gen = g
+	c.defReg = c.internAtom(spec.NewRegister(0))
+	clear(c.objIdx)
+	c.objs = c.objs[:0]
+	c.initEmpty = -1
+	clear(c.steps)
+	clear(c.memo)
+	clear(c.memoWide)
+	c.owned = c.owned[:0]
+	c.memoOwnProblem = -1
+}
+
+// registerObjects ensures ids are in the generation's registry and
+// syncs the context's mirror (objIdx/objs) up to at least every id it
+// needs. The mirror is always an exact prefix of the registry, so local
+// index lookups agree with every other context's and footprint bitsets
+// sized by the mirror cover all of this call's objects. Registry growth
+// invalidates nothing: interned vectors are stored canonical (see
+// internVec), independent of the registry's size.
+func (c *SearchContext) registerObjects(ids []history.ObjID) {
+	missing := false
 	for _, id := range ids {
 		if _, ok := c.objIdx[id]; !ok {
-			c.objIdx[id] = int32(len(c.objs))
-			c.objs = append(c.objs, id)
-			grew = true
+			missing = true
+			break
 		}
 	}
-	if grew {
-		c.initEmpty = -1
-		if len(c.vecs) > 0 {
-			c.flushStateTables()
+	if !missing {
+		return
+	}
+	g := c.gen
+	g.objMu.Lock()
+	for _, id := range ids {
+		if _, ok := g.objIdx[id]; !ok {
+			g.objIdx[id] = int32(len(g.objs))
+			g.objs = append(g.objs, id)
 		}
 	}
+	for j := len(c.objs); j < len(g.objs); j++ {
+		id := g.objs[j]
+		c.objIdx[id] = int32(j)
+		c.objs = append(c.objs, id)
+	}
+	g.objMu.Unlock()
 }
 
-// maxTableEntries bounds the total size of one context's tables — memo,
-// transitions, atom steps, replay signatures and interned atoms alike.
-// Long-lived contexts (a checkpool worker over a million-history batch
-// of diverse values) would otherwise grow without limit; crossing the
-// bound rebuilds the context's tables wholesale between calls — cheap
-// relative to the work they cached — and starts re-filling them.
+// maxTableEntries bounds the size of one generation of a table set —
+// memo, transitions, replay signatures and interned atoms alike — and,
+// separately, of each context's private step cache and owned memo.
+// Long-lived tables (a checkpool run over a million-history batch of
+// diverse values) would otherwise grow without limit; crossing the bound
+// swaps in a fresh generation between calls — cheap relative to the work
+// the tables cached — and starts re-filling it.
 const maxTableEntries = 1 << 20
-
-// tableEntries is the size the bound applies to.
-func (c *SearchContext) tableEntries() int {
-	return len(c.memo) + len(c.memoWide) + len(c.trans) +
-		len(c.steps) + len(c.sigIdx) + c.atoms.Len()
-}
-
-// reset discards every table, including the flush-surviving ones
-// (atoms, atom steps, replay signatures, object registry), counting as
-// one flush in the stats.
-func (c *SearchContext) reset() {
-	c.atoms = spec.NewInterner()
-	c.steps = make(map[atomStep]atomStepVal)
-	c.sigIdx = make(map[string]int32)
-	c.objIdx = make(map[history.ObjID]int32)
-	c.objs = c.objs[:0]
-	c.defReg = c.internAtom(spec.NewRegister(0))
-	c.flushStateTables()
-}
-
-// flushStateTables discards every table keyed by (or holding) stateIDs.
-// The atom interner, the atom step cache and the replay signatures
-// survive: they are keyed by ids that remain valid.
-func (c *SearchContext) flushStateTables() {
-	c.vecIdx = make(map[string]stateID)
-	c.vecs = c.vecs[:0]
-	c.trans = make(map[transKey]transVal)
-	c.memo = make(map[memoKey]struct{})
-	c.memoWide = make(map[string]struct{})
-	c.problems = make(map[string]int32)
-	c.initEmpty = -1
-	c.stats.Flushes++
-}
 
 // internAtom interns one single-object state.
 func (c *SearchContext) internAtom(st spec.State) int32 {
-	if c.shared != nil {
-		return c.sgen.atoms.Intern(st)
+	id, fresh := c.gen.atoms.Intern(st)
+	if fresh {
+		c.stats.Atoms++
 	}
-	return c.atoms.Intern(st)
+	return id
 }
 
-// internVec interns the vector currently in vecBuf and returns its id.
+// internVec interns the vector in vecBuf in canonical form: trailing
+// default-register atoms are trimmed, so the same logical state has one
+// id regardless of how large the registry was when it was first
+// reached. (An object absent from a stored vector is by construction
+// still at its default initial state; replay and materialize pad reads
+// back out with defReg.)
 func (c *SearchContext) internVec() stateID {
-	if c.shared != nil {
-		return c.sharedInternVec()
+	vec := c.vecBuf
+	for len(vec) > 0 && vec[len(vec)-1] == c.defReg {
+		vec = vec[:len(vec)-1]
 	}
 	buf := c.keyBuf[:0]
-	for _, a := range c.vecBuf {
+	for _, a := range vec {
 		buf = append(buf, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
 	}
 	c.keyBuf = buf
-	if id, ok := c.vecIdx[string(buf)]; ok {
-		return id
+	id, fresh := c.gen.vecIdx.intern(buf)
+	if fresh {
+		c.stats.States++
+		c.gen.entries.Add(1)
 	}
-	id := stateID(len(c.vecs))
-	c.vecs = append(c.vecs, append([]int32(nil), c.vecBuf...))
-	c.vecIdx[string(buf)] = id
-	c.stats.States++
 	return id
+}
+
+// appendVec appends the atoms of the stored (canonical, possibly
+// trimmed) vector vid to dst, decoding its key.
+func (c *SearchContext) appendVec(dst []int32, vid stateID) []int32 {
+	key := c.gen.vecIdx.key(vid)
+	for i := 0; i+4 <= len(key); i += 4 {
+		dst = append(dst, int32(uint32(key[i])|uint32(key[i+1])<<8|uint32(key[i+2])<<16|uint32(key[i+3])<<24))
+	}
+	return dst
 }
 
 // initialState interns the initial object-state vector implied by objs:
@@ -376,21 +359,11 @@ func (c *SearchContext) initialState(objs spec.Objects) stateID {
 func (c *SearchContext) sigOf(execs []history.OpExec) int32 {
 	buf := history.AppendOpSignature(c.keyBuf[:0], execs)
 	c.keyBuf = buf
-	if c.shared != nil {
-		g := c.sgen
-		id, fresh := g.sigIdx.intern(buf, func() int32 { return g.sigSeq.Add(1) - 1 })
-		if fresh {
-			c.shared.txSigs.Add(1)
-			g.entries.Add(1)
-		}
-		return id
+	id, fresh := c.gen.sigIdx.intern(buf)
+	if fresh {
+		c.stats.TxSigs++
+		c.gen.entries.Add(1)
 	}
-	if id, ok := c.sigIdx[string(buf)]; ok {
-		return id
-	}
-	id := int32(len(c.sigIdx))
-	c.sigIdx[string(buf)] = id
-	c.stats.TxSigs++
 	return id
 }
 
@@ -411,46 +384,33 @@ func appendFramed(buf []byte, render func([]byte) []byte) []byte {
 
 // step replays the transaction with the given signature on state vid,
 // through the transition cache: each (state, signature) pair is replayed
-// at most once per context — once per table set, in shared mode — not
-// once per (search node, candidate) pair.
+// at most once per table set, not once per (search node, candidate)
+// pair, and every context sharing the set sees every sibling's replays.
 func (c *SearchContext) step(vid stateID, sig int32, execs []history.OpExec) (stateID, bool) {
 	k := transKey{state: vid, sig: sig}
-	if c.shared != nil {
-		// No private cache in front: the shared transition table is
-		// lock-free on reads, so probing it directly costs about a map
-		// lookup and every worker sees every sibling's replays.
-		if v, ok := c.sgen.trans.get(k); ok {
-			c.stats.TransHits++
-			return v.next, v.legal
-		}
-		c.stats.TransMisses++
-		// The replay outcome is a pure function of (vid, sig) — stored
-		// vectors are canonical and signatures pin the registry indices
-		// they touch — so racing workers compute the same value and
-		// first-writer-wins is sound.
-		v := c.replay(vid, c.sgen.vecs.get(vid), execs)
-		if c.sgen.trans.put(k, v) {
-			c.sgen.entries.Add(1)
-		}
-		return v.next, v.legal
-	}
-	if v, ok := c.trans[k]; ok {
+	if v, ok := c.gen.trans.get(k); ok {
 		c.stats.TransHits++
 		return v.next, v.legal
 	}
 	c.stats.TransMisses++
-	v := c.replay(vid, c.vecs[vid], execs)
-	c.trans[k] = v
+	// The replay outcome is a pure function of (vid, sig) — stored
+	// vectors are canonical and signatures pin the registry indices they
+	// touch — so racing contexts compute the same value and
+	// first-writer-wins is sound.
+	v := c.replay(vid, execs)
+	if c.gen.trans.put(k, v) {
+		c.gen.entries.Add(1)
+	}
 	return v.next, v.legal
 }
 
 // replay applies a transaction's completed operation executions to the
-// object-state vector vec (the stored form of vid), returning the cached
-// transition value. vec may be shorter than the registry mirror in
-// shared mode (canonical trimming); absent positions are still at the
-// default register state and are padded back out.
-func (c *SearchContext) replay(vid stateID, vec []int32, execs []history.OpExec) transVal {
-	c.vecBuf = append(c.vecBuf[:0], vec...)
+// object-state vector vid, returning the cached transition value. The
+// stored vector may be shorter than the registry mirror (canonical
+// trimming); absent positions are still at the default register state
+// and are padded back out.
+func (c *SearchContext) replay(vid stateID, execs []history.OpExec) transVal {
+	c.vecBuf = c.appendVec(c.vecBuf[:0], vid)
 	for len(c.vecBuf) < len(c.objs) {
 		c.vecBuf = append(c.vecBuf, c.defReg)
 	}
@@ -482,33 +442,19 @@ func (c *SearchContext) replay(vid stateID, vec []int32, execs []history.OpExec)
 }
 
 // stepAtom applies one completed operation execution to one interned
-// object state, through the atom step cache: each (state, operation,
-// argument, return) combination calls spec.State.Step — and pays the
-// Key rendering of the result — once per context lifetime.
+// object state, through the context's atom step cache: each (state,
+// operation, argument, return) combination calls spec.State.Step — and
+// pays the Key rendering of the result — once per context and
+// generation. Atom ids come from the generation's interner, so every
+// context derives identical entries.
 func (c *SearchContext) stepAtom(atom int32, e history.OpExec) (int32, bool) {
 	k := atomStep{atom: atom, op: e.Op, arg: e.Arg, ret: e.Ret}
-	if v, ok := c.steps[k]; ok { // in shared mode, the lock-free L1
+	if v, ok := c.steps[k]; ok {
 		return v.next, v.legal
 	}
-	if c.shared != nil {
-		if v, ok := c.sgen.steps.get(k); ok {
-			c.steps[k] = v
-			return v.next, v.legal
-		}
-		next, ok := c.sgen.atoms.State(atom).Step(e.Op, e.Arg, e.Ret)
-		v := atomStepVal{next: -1, legal: ok}
-		if ok {
-			v.next = c.internAtom(next)
-		}
-		if c.sgen.steps.put(k, v) {
-			c.sgen.entries.Add(1)
-		}
-		c.steps[k] = v
-		return v.next, v.legal
-	}
-	next, ok := c.atoms.State(atom).Step(e.Op, e.Arg, e.Ret)
-	v := atomStepVal{next: -1, legal: ok}
-	if ok {
+	next, legal := c.gen.atoms.State(atom).Step(e.Op, e.Arg, e.Ret)
+	v := atomStepVal{next: -1, legal: legal}
+	if legal {
 		v.next = c.internAtom(next)
 	}
 	c.steps[k] = v
@@ -539,7 +485,7 @@ const (
 // they participate explicitly: an engine variant with the reduction
 // disabled (SerializeOptions.DisableSym) poses all-singleton classes and
 // can never share memo entries with a reduced search over real classes —
-// even across workers of one SharedTables pool.
+// even across the contexts of one table set.
 func (c *SearchContext) problemOf(kind byte, salt int32, init stateID, sigs []int32, decide []Decision, preds []bitset, classPrev []int32) int32 {
 	buf := c.keyBuf[:0]
 	buf = append(buf, kind, byte(salt), byte(salt>>8), byte(salt>>16), byte(salt>>24))
@@ -554,56 +500,43 @@ func (c *SearchContext) problemOf(kind byte, salt int32, init stateID, sigs []in
 		buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
 	}
 	c.keyBuf = buf
-	if c.shared != nil {
-		g := c.sgen
-		id, fresh := g.problems.intern(buf, func() int32 { return g.problemSeq.Add(1) - 1 })
-		if fresh {
-			c.shared.problemCount.Add(1)
-			g.entries.Add(1)
-			c.owned[id] = struct{}{}
+	id, fresh := c.gen.problems.intern(buf)
+	if fresh {
+		c.stats.Problems++
+		c.gen.entries.Add(1)
+		for int(id>>6) >= len(c.owned) {
+			c.owned = append(c.owned, 0)
 		}
-		return id
+		c.owned.set(int(id))
 	}
-	if id, ok := c.problems[string(buf)]; ok {
-		return id
-	}
-	id := int32(len(c.problems))
-	c.problems[string(buf)] = id
-	c.stats.Problems++
 	return id
 }
 
 // materialize renders one interned state vector as a durable Objects
 // map: every registered object mapped to its (canonical, immutable)
-// spec.State. The result references no context table, so it survives
-// flushes and resets — checkpoint roots are kept in this form and
-// re-interned per check, precisely because stateIDs do not outlive the
-// tables that issued them.
+// spec.State. The result references no table, so it survives generation
+// swaps — checkpoint roots are kept in this form and re-interned per
+// check, precisely because stateIDs do not outlive the generation that
+// issued them.
 func (c *SearchContext) materialize(vid stateID) spec.Objects {
 	out := make(spec.Objects, len(c.objs))
-	if c.shared != nil {
-		vec := c.sgen.vecs.get(vid)
-		for j, id := range c.objs {
-			a := c.defReg
-			if j < len(vec) {
-				a = vec[j]
-			}
-			out[id] = c.sgen.atoms.State(a)
-		}
-		return out
-	}
+	vec := c.appendVec(nil, vid)
 	for j, id := range c.objs {
-		out[id] = c.atoms.State(c.vecs[vid][j])
+		a := c.defReg
+		if j < len(vec) {
+			a = vec[j]
+		}
+		out[id] = c.gen.atoms.State(a)
 	}
 	return out
 }
 
-// ownsProblem reports whether this context minted the problem (shared
-// mode only), memoizing the last answer: probes arrive in per-problem
-// runs, so the owned-map lookup happens once per run.
+// ownsProblem reports whether this context minted the problem,
+// memoizing the last answer: probes arrive in per-problem runs, so the
+// owned-map lookup happens once per run.
 func (c *SearchContext) ownsProblem(problem int32) bool {
 	if problem != c.memoOwnProblem {
-		_, ok := c.owned[problem]
+		ok := int(problem>>6) < len(c.owned) && c.owned.has(int(problem))
 		c.memoOwnProblem, c.memoOwn = problem, ok
 	}
 	return c.memoOwn
@@ -638,24 +571,19 @@ func (c *SearchContext) wideKey(problem int32, placed bitset, last int, vid stat
 // failure.
 func (c *SearchContext) memoHas(problem int32, placed bitset, last int, vid stateID) bool {
 	var ok bool
-	if c.shared != nil {
-		if c.ownsProblem(problem) {
-			// This context minted the problem; its entries live in the
-			// private maps and no sibling can ever pose it (see owned).
-			if k, inline := memoIndex(problem, placed, last, vid); inline {
-				_, ok = c.memo[k]
-			} else {
-				_, ok = c.memoWide[string(c.wideKey(problem, placed, last, vid))]
-			}
-		} else if k, inline := memoIndex(problem, placed, last, vid); inline {
-			_, ok = c.sgen.memo.get(k)
-		} else {
-			_, ok = c.sgen.memoWide.get(c.wideKey(problem, placed, last, vid))
-		}
-	} else if k, inline := memoIndex(problem, placed, last, vid); inline {
+	own := c.ownsProblem(problem)
+	k, inline := memoIndex(problem, placed, last, vid)
+	switch {
+	case own && inline:
+		// This context minted the problem; its entries live in the
+		// private maps and no sibling can ever pose it (see owned).
 		_, ok = c.memo[k]
-	} else {
+	case own:
 		_, ok = c.memoWide[string(c.wideKey(problem, placed, last, vid))]
+	case inline:
+		ok = c.gen.memo.has(k)
+	default:
+		_, ok = c.gen.memoWide.get(c.wideKey(problem, placed, last, vid))
 	}
 	if ok {
 		c.stats.MemoHits++
@@ -667,37 +595,23 @@ func (c *SearchContext) memoHas(problem int32, placed bitset, last int, vid stat
 
 // memoInsert records the search state as a definitive failure. Callers
 // must never insert a state whose subtree was truncated by the node
-// budget: with contexts shared across calls — and, via SharedTables,
-// across workers — a truncated verdict replayed as a failure would be
-// unsound.
+// budget: with tables shared across calls and contexts, a truncated
+// verdict replayed as a failure would be unsound.
 func (c *SearchContext) memoInsert(problem int32, placed bitset, last int, vid stateID) {
-	if c.shared != nil {
-		if c.ownsProblem(problem) {
-			if k, inline := memoIndex(problem, placed, last, vid); inline {
-				c.memo[k] = struct{}{}
-			} else {
-				c.memoWide[string(c.wideKey(problem, placed, last, vid))] = struct{}{}
-			}
-			c.stats.MemoEntries++
-			return
-		}
-		inserted := false
-		if k, inline := memoIndex(problem, placed, last, vid); inline {
-			inserted = c.sgen.memo.put(k, struct{}{})
-		} else {
-			wk := c.wideKey(problem, placed, last, vid)
-			_, inserted = c.sgen.memoWide.intern(wk, func() int32 { return 0 })
-		}
-		if inserted {
-			c.shared.memoEntries.Add(1)
-			c.sgen.entries.Add(1)
-		}
-		return
-	}
-	if k, inline := memoIndex(problem, placed, last, vid); inline {
+	own := c.ownsProblem(problem)
+	k, inline := memoIndex(problem, placed, last, vid)
+	inserted := true
+	switch {
+	case own && inline:
 		c.memo[k] = struct{}{}
-	} else {
+	case own:
 		c.memoWide[string(c.wideKey(problem, placed, last, vid))] = struct{}{}
+	case inline:
+		inserted = c.gen.memo.put(k)
+	default:
+		_, inserted = c.gen.memoWide.intern(c.wideKey(problem, placed, last, vid))
 	}
-	c.stats.MemoEntries++
+	if inserted {
+		c.stats.MemoEntries++
+	}
 }

@@ -36,33 +36,20 @@ func TestStateTableInterning(t *testing.T) {
 	}
 }
 
-// TestStateTableFlushOnNewObjects: growing the object registry discards
-// interned vectors (their width changed) but keeps checking correct; the
-// flush is observable in Stats.
-func TestStateTableFlushOnNewObjects(t *testing.T) {
+// TestNewSearchContextStats: a context from NewSearchContext is its
+// table set's only user, so after a check its Stats carry the set's
+// insert counters — states, atoms, memo entries — not just its lookups.
+func TestNewSearchContextStats(t *testing.T) {
 	ctx := NewSearchContext()
-	cfg := Config{Context: ctx}
-	h1 := history.MustParse("w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2")
-	h2 := history.MustParse("w1(x,1) w1(y,2) tryC1 C1 r2(y)->2 tryC2 C2")
-
-	r1, err := Check(h1, cfg)
-	if err != nil || !r1.Opaque {
-		t.Fatalf("h1: opaque=%v err=%v", r1.Opaque, err)
+	// Figure 1's H1 is not opaque, so the search fails subtrees and
+	// memoizes them.
+	h := history.MustParse("w1(x,1) tryC1 C1 r2(x)->1 w3(x,2) w3(y,2) tryC3 C3 r2(y)->2 tryC2 A2")
+	r, err := Check(h, Config{Context: ctx})
+	if err != nil || r.Opaque {
+		t.Fatalf("H1: opaque=%v err=%v, want non-opaque", r.Opaque, err)
 	}
-	if ctx.Stats().Flushes != 0 {
-		t.Fatalf("flushed before any new object appeared")
-	}
-	r2, err := Check(h2, cfg) // introduces y -> registry grows -> flush
-	if err != nil || !r2.Opaque {
-		t.Fatalf("h2: opaque=%v err=%v", r2.Opaque, err)
-	}
-	if ctx.Stats().Flushes == 0 {
-		t.Error("introducing object y must flush the state-dependent tables")
-	}
-	// And the flushed context still answers correctly (fresh oracle).
-	r1b, err := Check(h1, cfg)
-	if err != nil || r1b.Opaque != r1.Opaque {
-		t.Errorf("h1 after flush: opaque=%v err=%v, want %v", r1b.Opaque, err, r1.Opaque)
+	if s := ctx.Stats(); s.States == 0 || s.Atoms == 0 || s.MemoEntries == 0 {
+		t.Errorf("NewSearchContext().Stats() after a check = %+v, want nonzero States, Atoms and MemoEntries", s)
 	}
 }
 
@@ -94,12 +81,13 @@ func TestTransitionCacheMatchesReplay(t *testing.T) {
 				if !legalC {
 					continue // chain only over legal transactions
 				}
-				for j, ob := range ctx.objs {
+				got := ctx.materialize(nextVid)
+				for _, ob := range ctx.objs {
 					want := "reg:0"
 					if st, ok := nextStates[ob]; ok {
 						want = st.Key()
 					}
-					if got := ctx.atoms.State(ctx.vecs[nextVid][j]).Key(); got != want {
+					if got := got[ob].Key(); got != want {
 						t.Fatalf("history %d, T%d, object %s: cached state %q, replayTx %q", hi, int(txs[i]), ob, got, want)
 					}
 				}
@@ -220,29 +208,43 @@ func TestSharedContextMatchesFreshAcrossCorpus(t *testing.T) {
 	}
 }
 
-// TestTableSizeCapFlushes: a context whose memo has grown past the
-// entry bound is flushed at the next call boundary and keeps answering
-// correctly — the policy that bounds a batch worker's memory on
-// million-history runs.
+// TestTableSizeCapFlushes: tables that have grown past the entry bound
+// are dropped at the next call boundary and keep answering correctly —
+// the policy that bounds a batch worker's memory on million-history
+// runs. The context's private side (L1 step cache, owned-problem memo)
+// is cleared in place; a full generation is swapped for a fresh one,
+// which counts as a flush.
 func TestTableSizeCapFlushes(t *testing.T) {
 	ctx := NewSearchContext()
 	h := history.MustParse("w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2")
-	if _, err := Check(h, Config{Context: ctx}); err != nil {
-		t.Fatal(err)
+	check := func(what string) {
+		t.Helper()
+		r, err := Check(h, Config{Context: ctx})
+		if err != nil || !r.Opaque {
+			t.Fatalf("%s: opaque=%v err=%v", what, r.Opaque, err)
+		}
 	}
-	flushes := ctx.Stats().Flushes
+	check("first check")
+
 	for i := 0; len(ctx.memo) <= maxTableEntries; i++ {
 		ctx.memo[memoKey{problem: int32(i), lo: uint64(i)}] = struct{}{}
 	}
-	r, err := Check(h, Config{Context: ctx})
-	if err != nil || !r.Opaque {
-		t.Fatalf("post-flush check: opaque=%v err=%v", r.Opaque, err)
-	}
-	if got := ctx.Stats().Flushes; got != flushes+1 {
-		t.Errorf("Flushes = %d, want %d (one size-cap flush)", got, flushes+1)
-	}
+	gen := ctx.gen
+	check("after the private side outgrew the bound")
 	if len(ctx.memo) > 16 {
-		t.Errorf("memo not flushed: %d entries", len(ctx.memo))
+		t.Errorf("private memo not cleared: %d entries", len(ctx.memo))
+	}
+	if ctx.gen != gen || ctx.Stats().Flushes != 0 {
+		t.Errorf("a full private side swapped the generation (%d flushes)", ctx.Stats().Flushes)
+	}
+
+	gen.entries.Add(maxTableEntries) // as if the generation had filled up
+	check("after the generation outgrew the bound")
+	if ctx.gen == gen {
+		t.Error("a full generation was not swapped for a fresh one")
+	}
+	if got := ctx.Stats().Flushes; got != 1 {
+		t.Errorf("Flushes = %d, want 1 (one generation swap)", got)
 	}
 }
 

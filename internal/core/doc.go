@@ -47,11 +47,15 @@
 //     problem signature scopes entries to structurally identical search
 //     problems, making one context safely reusable across calls:
 //     FirstNonOpaquePrefix threads a single SearchContext through its
-//     prefix scan, Diagnose shares one across the scan and every
-//     per-removed-transaction re-check, and internal/checkpool gives
-//     each worker its own for the whole batch. Subtrees truncated by the
-//     node budget propagate a distinct status and are never memoized, so
-//     a budget-starved verdict can never be replayed as a definitive
+//     prefix scan, and Diagnose shares one across the scan and every
+//     per-removed-transaction re-check. The tables themselves have one
+//     implementation, SharedTables, safe for concurrent use: a context
+//     from NewSearchContext runs on a fresh set of its own, and
+//     internal/checkpool gives every worker of a run a context over one
+//     common set (SharedTables.NewContext), so a batch interns each
+//     distinct state once. Subtrees truncated by the node budget
+//     propagate a distinct status and are never memoized, so a
+//     budget-starved verdict can never be replayed as a definitive
 //     failure by a later call.
 //
 //     On success Opaque returns a Witness — the completion assembled

@@ -100,7 +100,7 @@ type Incremental struct {
 	// Checkpoint state (see TryTruncate): the reachable final states of
 	// every serialization of the collapsed stable prefix, materialized
 	// as durable Objects maps (merged over cfg.Objects) because stateIDs
-	// do not survive context table flushes. nil means no checkpoint yet —
+	// do not survive generation swaps. nil means no checkpoint yet —
 	// the single implicit root is cfg.Objects. rootPref is the index of
 	// the root that last admitted a serialization; trying it first keeps
 	// the hint fast path a single replay in the steady state.

@@ -236,32 +236,27 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	}
 
 	// Between calls is the only safe point to bound the tables: nothing
-	// for this call has been interned yet. Shared-table contexts pin (and
-	// possibly rotate) the pool-wide generation here instead of resetting
-	// private tables — unless this is a re-entrant call on a borrowed
-	// searcher (s != &ctx.srch), whose outer call still holds stateIDs
-	// into the pinned generation.
-	if ctx.shared != nil {
-		if s == &ctx.srch {
-			ctx.pinShared()
-			// The private side (L1 caches, owned-problem memo) grows
-			// independently of the shared generation; dropping it is
-			// always sound and only costs re-derivation.
-			if len(ctx.steps)+len(ctx.memo)+len(ctx.memoWide) > maxTableEntries {
-				clear(ctx.steps)
-				clear(ctx.memo)
-				clear(ctx.memoWide)
-				clear(ctx.owned)
-				ctx.memoOwnProblem = -1
-			}
+	// for this call has been interned yet. The context pins (and possibly
+	// rotates) the generation of its table set here — unless this is a
+	// re-entrant call on a borrowed searcher (s != &ctx.srch), whose
+	// outer call still holds stateIDs into the pinned generation.
+	if s == &ctx.srch {
+		ctx.pin()
+		// The private side (step cache, owned-problem memo) grows
+		// independently of the generation; dropping it is always sound
+		// and only costs re-derivation.
+		if len(ctx.steps)+len(ctx.memo)+len(ctx.memoWide) > maxTableEntries {
+			clear(ctx.steps)
+			clear(ctx.memo)
+			clear(ctx.memoWide)
+			ctx.owned = ctx.owned[:0]
+			ctx.memoOwnProblem = -1
 		}
-	} else if ctx.tableEntries() > maxTableEntries {
-		ctx.reset()
 	}
 
-	// Registry order only needs to be stable within the context — state
-	// vectors are never compared across contexts — so first-appearance
-	// order does fine and skips a sort per call.
+	// Registry order only needs to be stable within the generation —
+	// state vectors are never compared across table sets — so
+	// first-appearance order does fine and skips a sort per call.
 	ctx.registerObjects(o.Source.Objects())
 
 	s.execs = o.Source.OpExecsFor(o.Txs)
@@ -338,15 +333,9 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	s.init = ctx.initialState(o.Objects)
 	kind, salt := byte(problemSearch), int32(0)
 	if o.enumerate {
-		kind = problemEnum
-		if ctx.shared != nil {
-			// Epochs must be pool-unique: another worker's enumeration
-			// sharing a salt would suppress this one's finals.
-			salt = ctx.shared.enumEpoch.Add(1)
-		} else {
-			ctx.enumEpoch++
-			salt = ctx.enumEpoch
-		}
+		// Epochs are unique per table set: another context's
+		// enumeration sharing a salt would suppress this one's finals.
+		kind, salt = problemEnum, ctx.tables.enumEpoch.Add(1)
 	}
 	s.problem = ctx.problemOf(kind, salt, s.init, s.sigs, s.decide, s.preds, s.classPrev)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,38 +10,37 @@ import (
 	"otm/internal/spec"
 )
 
-// SharedTables is the concurrency-safe variant of the SearchContext
-// tables: one pool-wide set of state atoms, interned state vectors,
-// transition/step caches, failure memo and problem signatures that many
-// goroutines read and populate at once. Each goroutine still owns a
-// SearchContext (NewContext) for its scratch buffers and searcher, but
-// every table probe and insert lands in the shared layer, so an N-worker
-// batch interns each distinct state once instead of up to N times and
-// every worker benefits from every other worker's memo and transition
-// entries.
+// SharedTables is the one implementation of the search tables: a set of
+// state atoms, interned state vectors, transition cache, failure memo
+// and problem signatures that any number of goroutines read and
+// populate at once. Each goroutine owns a SearchContext (NewContext) for
+// its scratch buffers and searcher, while every table probe and insert
+// lands in the set, so N workers on one set intern each distinct state
+// once instead of up to N times and every worker benefits from every
+// other worker's memo and transition entries. A context from
+// NewSearchContext is the one-user case: a fresh set behind a single
+// context.
 //
 // Concurrency design: the hot tables — transitions (transTable) and the
 // string-keyed interning indexes (keyTable) — are lock-free open-addressed
 // hash tables whose probes are plain atomic loads; inserts CAS-claim a
 // slot and publish the value with a second store, and growth doubles the
-// slot array under a mutex that readers never touch. keyTable inserts
+// slot array under a mutex that readers never touch. Tables start small
+// and grow with use, so a short-lived set costs little. keyTable inserts
 // mint ids exactly once (the CAS winner runs the mint callback), which
-// is what makes shared interning agree with the per-goroutine semantics.
-// The remaining key-indexed tables (per-atom steps, the failure memo for
-// non-owned problems) are lock-striped Go maps, and the id-indexed
+// is what lets contexts agree on every id. The failure memo of problems
+// posed by several contexts is a lock-striped Go map, and the id-indexed
 // stores (state atoms, state vectors, interned keys) are append-only
-// paged arrays read without locks. All cached values are pure functions
-// of their keys, so racing inserts always agree and first-writer-wins is
-// sound.
+// paged arrays read without locks. The atom step cache and the memo of
+// problems only one context poses stay private to each context (see
+// SearchContext). All cached values are pure functions of their keys,
+// so racing inserts always agree and first-writer-wins is sound.
 //
-// Soundness rules are exactly those of the single-goroutine context:
-// memo entries are scoped by problem signature, budget-truncated
-// subtrees are never memoized (see searcher.search), and enumeration
-// epochs come from one shared atomic counter so no two reachable-state
-// enumerations — on any worker — ever share a problem id.
-//
-// Two departures from the per-goroutine context keep the shared layer
-// flush-free while workers are in flight:
+// Soundness rules: memo entries are scoped by problem signature,
+// budget-truncated subtrees are never memoized (see searcher.search),
+// and enumeration epochs come from one atomic counter per set so no two
+// reachable-state enumerations — on any context — ever share a problem
+// id. Two more rules keep the set flush-free while calls are in flight:
 //
 //   - Registry growth never flushes. State vectors are stored in
 //     canonical form with trailing default-register atoms trimmed, so a
@@ -50,11 +50,11 @@ import (
 //     without invalidating anything.
 //
 //   - The size bound is enforced by generation swap, not reset. When the
-//     tables outgrow the bound, the next call (on whichever worker)
+//     tables outgrow the bound, the next call (on whichever context)
 //     atomically publishes a fresh generation; calls already running
 //     keep their pinned generation until they finish, since stateIDs
-//     must never cross table rebuilds. Each swap counts as one Flush in
-//     Stats.
+//     must never cross table rebuilds. The swapping context counts the
+//     swap as one Flush in its Stats.
 type SharedTables struct {
 	gen    atomic.Pointer[sharedGen]
 	swapMu sync.Mutex
@@ -62,114 +62,83 @@ type SharedTables struct {
 	// maxTableEntries constant) so tests can force swaps cheaply.
 	maxEntries int64
 
-	// Cumulative insert counters, survive generation swaps. Lookup-hit
-	// counters live in the per-goroutine contexts (they are private by
-	// nature) and are aggregated separately, e.g. by checkpool.
-	states       atomic.Int64
-	atomsRetired atomic.Int64
-	txSigs       atomic.Int64
-	problemCount atomic.Int64
-	memoEntries  atomic.Int64
-	flushes      atomic.Int64
-
 	enumEpoch atomic.Int32
 }
 
-// NewSharedTables returns an empty shared table set. Derive one
-// SearchContext per goroutine with NewContext.
+// NewSharedTables returns an empty table set. Derive one SearchContext
+// per goroutine with NewContext.
 func NewSharedTables() *SharedTables {
 	s := &SharedTables{maxEntries: maxTableEntries}
 	s.gen.Store(newSharedGen())
 	return s
 }
 
-// NewContext returns a SearchContext backed by the shared tables. The
-// context itself (scratch buffers, resident searcher, hit counters) is
-// still single-goroutine — give each worker its own — but everything it
+// NewContext returns a SearchContext backed by the table set. The
+// context itself (scratch buffers, resident searcher, counters) is
+// single-goroutine — give each worker its own — but everything it
 // interns, caches and memoizes is shared with every sibling context.
-//
-// A shared-backed context's Stats report only its private lookup
-// counters (memo/transition hits and misses); the pool-wide insert
-// counters live in SharedTables.Stats, counted once, not per worker.
+// Its Stats count its own lookups and the inserts it performed, so the
+// Stats of all contexts of one set sum to the set's totals.
 func (s *SharedTables) NewContext() *SearchContext {
 	c := &SearchContext{
-		shared:         s,
+		tables:         s,
 		objIdx:         make(map[history.ObjID]int32),
 		steps:          make(map[atomStep]atomStepVal),
 		memo:           make(map[memoKey]struct{}),
 		memoWide:       make(map[string]struct{}),
-		owned:          make(map[int32]struct{}),
 		memoOwnProblem: -1,
 		initEmpty:      -1,
 	}
-	c.pinShared()
+	c.pin()
 	return c
 }
 
-// Stats returns the pool-wide counters: distinct states, atoms,
-// signatures, problems and memo entries interned across every context
-// sharing the tables (cumulative over the tables' lifetime, including
-// retired generations), and the number of generation swaps as Flushes.
-func (s *SharedTables) Stats() Stats {
-	g := s.gen.Load()
-	return Stats{
-		States:      int(s.states.Load()),
-		Atoms:       int(s.atomsRetired.Load()) + g.atoms.Len(),
-		TxSigs:      int(s.txSigs.Load()),
-		Problems:    int(s.problemCount.Load()),
-		MemoEntries: int(s.memoEntries.Load()),
-		Flushes:     int(s.flushes.Load()),
-	}
-}
-
 // pin returns the generation the next call should run on, swapping in a
-// fresh one first if the current tables outgrew the bound. Swapping is
-// safe exactly because it happens between calls: in-flight calls keep
-// using their pinned generation (stateIDs never cross generations), and
-// the old tables are garbage once the last such call retires.
-func (s *SharedTables) pin() *sharedGen {
+// fresh one first if the current tables outgrew the bound, and reports
+// whether this call swapped. Swapping is safe exactly because it happens
+// between calls: in-flight calls keep using their pinned generation
+// (stateIDs never cross generations), and the old tables are garbage
+// once the last such call retires.
+func (s *SharedTables) pin() (*sharedGen, bool) {
 	g := s.gen.Load()
 	if g.size() <= s.maxEntries {
-		return g
+		return g, false
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.gen.Load()
-	if cur == g && cur.size() > s.maxEntries {
-		s.atomsRetired.Add(int64(cur.atoms.Len()))
-		s.flushes.Add(1)
-		cur = newSharedGen()
-		s.gen.Store(cur)
+	if cur != g || cur.size() <= s.maxEntries {
+		return cur, false
 	}
-	return cur
+	cur = newSharedGen()
+	s.gen.Store(cur)
+	return cur, true
 }
 
-// sharedGen is one generation of the shared tables. Everything a
-// stateID, atom id, signature id or problem id can refer to lives in one
+// sharedGen is one generation of a table set. Everything a stateID,
+// atom id, signature id or problem id can refer to lives in one
 // generation; a generation is immutable in structure (append-only
 // registry, insert-only tables) until it is retired wholesale.
 type sharedGen struct {
-	atoms  *spec.SharedInterner
-	defReg int32
+	atoms *spec.SharedInterner
 
-	// Object registry: append-only, under its own lock. Worker contexts
-	// mirror a prefix of it locally so hot-path index lookups stay
-	// lock-free (see SearchContext.sharedRegister).
-	objMu  sync.RWMutex
+	// Object registry: append-only, under its own lock. Contexts mirror
+	// a prefix of it locally so hot-path index lookups stay lock-free
+	// (see SearchContext.registerObjects).
+	objMu  sync.Mutex
 	objIdx map[history.ObjID]int32
 	objs   []history.ObjID
 
+	// The interning indexes: an id is its key's position in the table's
+	// store, and a state vector's key is its canonical atom rendering,
+	// so vecIdx is also the store of the vectors themselves.
 	sigIdx   keyTable
 	problems keyTable
 	vecIdx   keyTable
-	vecs     pagedVecs
 	trans    transTable
-	steps    stripedMap[atomStep, atomStepVal]
-	memo     stripedMap[memoKey, struct{}]
+	memo     stripedMemo
 	memoWide keyTable
 
-	sigSeq     atomic.Int32
-	problemSeq atomic.Int32
 	// entries approximates the generation's total size (all non-atom
 	// inserts) for the swap bound.
 	entries atomic.Int64
@@ -185,126 +154,181 @@ func newSharedGen() *sharedGen {
 	g.vecIdx.init()
 	g.memoWide.init()
 	g.trans.init()
-	g.steps.init(func(k atomStep) uint32 { return mix32(uint32(k.atom) ^ fnv32b(k.op)) })
-	g.memo.init(func(k memoKey) uint32 {
-		h := uint32(k.problem)*0x9e3779b9 + uint32(k.state)
-		h = mix32(h ^ uint32(k.last))
-		h ^= uint32(k.lo) ^ uint32(k.lo>>32) ^ uint32(k.hi) ^ uint32(k.hi>>32)
-		return mix32(h)
-	})
-	g.defReg = g.atoms.Intern(spec.NewRegister(0))
 	return g
 }
 
 func (g *sharedGen) size() int64 { return g.entries.Load() + int64(g.atoms.Len()) }
 
-// sharedStripes must be a power of two. 64 stripes keep typical worker
-// counts (≤16) almost always on distinct stripes once the tables are
-// warm and probes dominate inserts.
-const sharedStripes = 64
+// hashSeed seeds every maphash fingerprint of the tables. Fingerprints
+// never leave the process, so one random seed per process serves all
+// table sets.
+var hashSeed = maphash.MakeSeed()
 
-// mix32 is a cheap avalanche mix; only stripe selection depends on it.
-func mix32(x uint32) uint32 {
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return x
+// memoStripes must be a power of two. 64 stripes keep typical worker
+// counts (≤16) almost always on distinct stripes.
+const memoStripes = 64
+
+// stripedMemo is the lock-striped memo of problems posed by several
+// contexts. A stripe's map is made on its first insert.
+type stripedMemo struct {
+	stripes [memoStripes]memoStripe
 }
 
-// fnv32b is FNV-1a over a string's bytes.
-func fnv32b(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// stripedMap is a lock-striped hash map for the comparable-keyed caches
-// (transitions, atom steps, inline memo). The hash only picks a stripe,
-// so it may ignore fields that are awkward to hash (e.g. the interface
-// values in atomStep) at a small cost in stripe balance.
-type stripedMap[K comparable, V any] struct {
-	hash    func(K) uint32
-	stripes [sharedStripes]mapStripe[K, V]
-}
-
-type mapStripe[K comparable, V any] struct {
+type memoStripe struct {
 	mu sync.RWMutex
-	m  map[K]V
+	m  map[memoKey]struct{}
 	// Pad stripes apart so read-lock traffic on neighbours does not
 	// false-share a cache line.
 	_ [24]byte
 }
 
-func (s *stripedMap[K, V]) init(hash func(K) uint32) {
-	s.hash = hash
-	for i := range s.stripes {
-		// Seed each stripe with room for a few buckets: the tables fill
-		// from every worker at once, and growing 64 tiny maps through
-		// their first rehashes costs more than the seed memory.
-		s.stripes[i].m = make(map[K]V, 64)
-	}
+// stripe picks k's stripe by a cheap avalanche mix of its fields.
+func (s *stripedMemo) stripe(k memoKey) *memoStripe {
+	h := uint64(uint32(k.problem))<<32 | uint64(uint32(k.state))
+	h ^= uint64(uint32(k.last)) ^ k.lo ^ k.hi
+	return &s.stripes[mix64(h)&(memoStripes-1)]
 }
 
-func (s *stripedMap[K, V]) get(k K) (V, bool) {
-	sp := &s.stripes[s.hash(k)&(sharedStripes-1)]
+func (s *stripedMemo) has(k memoKey) bool {
+	sp := s.stripe(k)
 	sp.mu.RLock()
-	v, ok := sp.m[k]
+	_, ok := sp.m[k]
 	sp.mu.RUnlock()
-	return v, ok
+	return ok
 }
 
-// put inserts k→v if absent and reports whether it inserted. An existing
-// entry wins: every caller caches a pure function of the key, so racing
-// writers always carry equal values.
-func (s *stripedMap[K, V]) put(k K, v V) bool {
-	sp := &s.stripes[s.hash(k)&(sharedStripes-1)]
+// put inserts k if absent and reports whether it inserted.
+func (s *stripedMemo) put(k memoKey) bool {
+	sp := s.stripe(k)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if _, ok := sp.m[k]; ok {
 		return false
 	}
-	sp.m[k] = v
+	if sp.m == nil {
+		sp.m = make(map[memoKey]struct{})
+	}
+	sp.m[k] = struct{}{}
 	return true
 }
 
-// transTable is the shared transition cache: a lock-free, insert-only,
-// open-addressed hash table. The transition cache carries by far the
-// most shared traffic (one probe per (search node, candidate)), so it
-// alone gets a word-packed layout: a transKey packs into one non-zero
-// uint64 and a transVal into another, a probe is a few plain atomic
-// loads — no read lock, no RMW — and an insert is one CAS plus a store.
-// Every race is sound because a transition value is a pure function of
-// its key (racing writers carry equal values, so re-publishing is
-// idempotent) and a lost or not-yet-published entry only costs the
-// reader a recompute.
-type transTable struct {
-	growMu sync.Mutex // serializes growth epochs
-	slots  atomic.Pointer[transSlots]
-	count  atomic.Int64 // published entries; may overcount across grow races
-}
+// initialSlots is the starting capacity of every open-addressed table;
+// growth doubles it as entries arrive.
+const initialSlots = 1 << 6
 
-// transSlots is one capacity epoch: interleaved (key, value) atomic
-// words. Growth allocates a doubled epoch, migrates published entries
-// single-threadedly under growMu, and swaps the pointer. Readers racing
-// with a grow see the old epoch and at worst report a miss; writers
-// that published into the old epoch during migration re-publish into
-// the new one (see put), and the rare entry that still slips through is
-// merely recomputed on its next miss.
-type transSlots struct {
+// slots is one capacity epoch of an open-addressed table: interleaved
+// (key, value) atomic words.
+type slots struct {
 	mask uint64
 	a    []atomic.Uint64 // 2*(mask+1) words: even = key, odd = value
 }
 
-func newTransSlots(n uint64) *transSlots {
-	return &transSlots{mask: n - 1, a: make([]atomic.Uint64, 2*n)}
+func newSlots(n uint64) *slots {
+	return &slots{mask: n - 1, a: make([]atomic.Uint64, 2*n)}
 }
 
-func (t *transTable) init() { t.slots.Store(newTransSlots(1 << 16)) }
+// frozen marks an empty slot of an epoch being migrated: no key can be
+// claimed there any more. Key words never take this value (see
+// transEKey and fingerprint).
+const frozen = ^uint64(0)
+
+// openTable is the slot array and growth machinery shared by transTable
+// and keyTable. Keys are non-zero words placed by mix64; a zero key word
+// is an empty slot and a zero value word a claimed-but-unpublished one.
+//
+// Growth allocates a doubled epoch and migrates the old one slot by slot
+// under growMu: an empty slot is frozen, a claimed one is migrated once
+// its value is published. A writer that meets a frozen slot waits for
+// the growth to finish and retries in the new epoch, so every key is
+// published into exactly one place and is never invisible to a
+// concurrent intern of the same key. Readers of the old epoch treat a
+// frozen slot as empty: a miss only costs them a recompute or a retry.
+type openTable struct {
+	growMu sync.Mutex // held for a whole migration
+	slots  atomic.Pointer[slots]
+	count  atomic.Int64 // published entries; may overcount across grow races
+}
+
+func (t *openTable) init() { t.slots.Store(newSlots(initialSlots)) }
+
+// full reports whether s has reached the ¾ load factor. With bounded
+// writer counts the table can never fill between this check and the
+// following single CAS, so probe loops terminate.
+func (t *openTable) full(s *slots) bool { return t.count.Load()*4 >= 3*int64(s.mask+1) }
+
+// awaitGrow waits until no migration is in progress.
+func (t *openTable) awaitGrow() {
+	t.growMu.Lock()
+	t.growMu.Unlock()
+}
+
+func (t *openTable) grow(old *slots) {
+	t.growMu.Lock()
+	defer t.growMu.Unlock()
+	cur := t.slots.Load()
+	if cur != old {
+		return // another writer already grew this epoch
+	}
+	ns := newSlots(2 * (cur.mask + 1))
+	n := int64(0)
+	for j := uint64(0); j <= cur.mask; j++ {
+		kk := cur.a[2*j].Load()
+		if kk == 0 && cur.a[2*j].CompareAndSwap(0, frozen) {
+			continue
+		}
+		kk = cur.a[2*j].Load() // claimed, possibly just now
+		ev := loadEntry(cur, 2*j)
+		for i := mix64(kk); ; i++ {
+			nj := (i & ns.mask) * 2
+			if ns.a[nj].Load() == 0 {
+				ns.a[nj].Store(kk)
+				ns.a[nj+1].Store(ev)
+				n++
+				break
+			}
+		}
+	}
+	t.count.Store(n)
+	t.slots.Store(ns)
+}
+
+// loadEntry waits out a claimed-but-unpublished slot (the window
+// between a winning claim and the value store is a few instructions,
+// plus at worst one key-store append; Gosched keeps a preempted
+// claimant from stalling single-core boxes) and returns its value word.
+func loadEntry(s *slots, j uint64) uint64 {
+	for spin := 0; ; spin++ {
+		if v := s.a[j+1].Load(); v != 0 {
+			return v
+		}
+		if spin > 16 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// mix64 is the splitmix64 finalizer; open addressing needs every bit of
+// the packed key to influence the slot index.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// transTable is the transition cache: a lock-free, insert-only,
+// open-addressed hash table. The transition cache carries by far the
+// most traffic (one probe per (search node, candidate)), so it gets a
+// word-packed layout: a transKey packs into one non-zero uint64 and a
+// transVal into another, a probe is a few plain atomic loads — no read
+// lock, no RMW — and an insert is one CAS plus a store. Every race is
+// sound because a transition value is a pure function of its key
+// (racing writers carry equal values, so re-publishing is idempotent)
+// and a miss on a not-yet-published entry, or on a migrating epoch,
+// only costs the reader a recompute.
+type transTable struct{ openTable }
 
 // transEKey packs a transKey into a non-zero word: state ids are
 // non-negative, so state+1 in the high half never leaves it zero.
@@ -327,24 +351,13 @@ func decodeTransVal(e uint64) transVal {
 	return transVal{next: stateID(int32(uint32(e >> 32))), legal: e&2 != 0}
 }
 
-// mix64 is the splitmix64 finalizer; open addressing needs every bit of
-// the packed key to influence the slot index.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 func (t *transTable) get(k transKey) (transVal, bool) {
 	s := t.slots.Load()
 	ekey := transEKey(k)
 	for i := mix64(ekey); ; i++ {
 		j := (i & s.mask) * 2
 		kk := s.a[j].Load()
-		if kk == 0 {
+		if kk == 0 || kk == frozen {
 			return transVal{}, false
 		}
 		if kk == ekey {
@@ -359,125 +372,63 @@ func (t *transTable) get(k transKey) (transVal, bool) {
 }
 
 // put inserts k→v if absent and reports whether it inserted (the caller
-// bumps the generation size budget on true). The load factor stays
-// under ½: with bounded worker counts the table can never fill between
-// a capacity check and the following single CAS, so probe loops
-// terminate.
+// bumps the generation size budget on true).
 func (t *transTable) put(k transKey, v transVal) bool {
 	ekey, ev := transEKey(k), encodeTransVal(v)
 	for {
 		s := t.slots.Load()
-		if t.count.Load()*2 >= int64(s.mask+1) {
+		if t.full(s) {
 			t.grow(s)
 			continue
 		}
 		for i := mix64(ekey); ; i++ {
 			j := (i & s.mask) * 2
 			kk := s.a[j].Load()
+			if kk == 0 && s.a[j].CompareAndSwap(0, ekey) {
+				s.a[j+1].Store(ev)
+				t.count.Add(1)
+				return true
+			}
+			kk = s.a[j].Load()
 			if kk == ekey {
 				s.a[j+1].Store(ev) // racing writers carry equal values
 				return false
 			}
-			if kk != 0 {
-				continue
-			}
-			if !s.a[j].CompareAndSwap(0, ekey) {
-				if s.a[j].Load() == ekey {
-					s.a[j+1].Store(ev)
-					return false
-				}
-				continue // a different key claimed this slot; keep probing
-			}
-			s.a[j+1].Store(ev)
-			t.count.Add(1)
-			if t.slots.Load() != s {
-				// A grow migrated while we were publishing and may have
-				// scanned past our slot; re-publish into the live epoch.
-				t.put(k, v)
-			}
-			return true
-		}
-	}
-}
-
-func (t *transTable) grow(old *transSlots) {
-	t.growMu.Lock()
-	defer t.growMu.Unlock()
-	cur := t.slots.Load()
-	if cur != old {
-		return // another writer already grew this epoch
-	}
-	ns := newTransSlots(2 * (cur.mask + 1))
-	n := int64(0)
-	for j := uint64(0); j <= cur.mask; j++ {
-		kk := cur.a[2*j].Load()
-		ev := cur.a[2*j+1].Load()
-		if kk == 0 || ev == 0 {
-			continue // empty, or claimed-unpublished: the claimant re-publishes
-		}
-		for i := mix64(kk); ; i++ {
-			nj := (i & ns.mask) * 2
-			if ns.a[nj].Load() == 0 {
-				ns.a[nj].Store(kk)
-				ns.a[nj+1].Store(ev)
-				n++
-				break
+			if kk == frozen {
+				break // being migrated: retry in the new epoch
 			}
 		}
+		t.awaitGrow()
 	}
-	t.count.Store(n)
-	t.slots.Store(ns)
 }
 
 // keyTable is the lock-free string→id table behind the signature,
 // state-vector, problem and wide-memo indexes, probed with []byte keys.
 // Like transTable it is insert-only and open-addressed, but keys are
-// arbitrary byte strings, so a slot holds a 64-bit fingerprint plus a
-// reference into an append-only key store and every fingerprint match
-// is verified against the stored bytes — a false positive degrades to a
-// longer probe, never a wrong id. Unlike the pure-value caches, interns
-// mint ids (mk has side effects), so exactly one goroutine may run mk
-// per key: the slot-claiming CAS provides that exclusion, and racing
-// interns of the same key spin for the claimant's publication instead
-// of re-minting.
+// arbitrary byte strings, so a slot holds a 64-bit maphash fingerprint
+// plus the key's id — its position in an append-only key store — and
+// every fingerprint match is verified against the stored bytes: a false
+// positive degrades to a longer probe, never a wrong id. Interns mint
+// ids, so exactly one goroutine may append a new key: the slot-claiming
+// CAS provides that exclusion, and racing interns of the same key spin
+// for the claimant's publication instead of appending twice.
 type keyTable struct {
-	growMu sync.Mutex
-	slots  atomic.Pointer[transSlots] // even = fingerprint, odd = store index+1
-	count  atomic.Int64
-	store  pagedKeys
+	openTable // even = fingerprint, odd = id+1
+	store     pagedKeys
 }
 
-func (t *keyTable) init() { t.slots.Store(newTransSlots(1 << 12)) }
-
-// fingerprint is FNV-1a (64-bit), biased away from the empty-slot
-// sentinel.
+// fingerprint hashes a key, biased away from the empty and frozen slot
+// markers.
 func fingerprint(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	if h == 0 {
+	h := maphash.Bytes(hashSeed, key)
+	if h == 0 || h == frozen {
 		h = 1
 	}
 	return h
 }
 
-// loadEntry waits out a claimed-but-unpublished slot (the window
-// between a winning claim and the value store is a few instructions,
-// plus at worst one key-store append; Gosched keeps a preempted
-// claimant from stalling single-core boxes) and returns the slot's key
-// store index.
-func (t *keyTable) loadEntry(s *transSlots, j uint64) uint64 {
-	for spin := 0; ; spin++ {
-		if v := s.a[j+1].Load(); v != 0 {
-			return v
-		}
-		if spin > 16 {
-			runtime.Gosched()
-		}
-	}
-}
+// key returns the key interned under id.
+func (t *keyTable) key(id int32) string { return t.store.get(id) }
 
 func (t *keyTable) get(key []byte) (int32, bool) {
 	s := t.slots.Load()
@@ -485,293 +436,93 @@ func (t *keyTable) get(key []byte) (int32, bool) {
 	for i := mix64(fp); ; i++ {
 		j := (i & s.mask) * 2
 		kk := s.a[j].Load()
-		if kk == 0 {
+		if kk == 0 || kk == frozen {
 			return 0, false
 		}
 		if kk == fp {
-			e := t.store.get(t.loadEntry(s, j) - 1)
-			if e.key == string(key) {
-				return e.id, true
+			id := int32(loadEntry(s, j) - 1)
+			if t.store.get(id) == string(key) {
+				return id, true
 			}
 			// Fingerprint collision with a different key; keep probing.
 		}
 	}
 }
 
-// intern returns the id of key, calling mk to allocate one if the key
-// is new, and reports whether it allocated. The claiming CAS ties id
-// allocation to key publication exactly as the old per-stripe write
-// lock did: racing interns of one key can never allocate twice.
-func (t *keyTable) intern(key []byte, mk func() int32) (int32, bool) {
+// intern returns the id of key, appending the key to the store if it is
+// new, and reports whether it did. The claiming CAS ties the append to
+// key publication: racing interns of one key can never append twice.
+func (t *keyTable) intern(key []byte) (int32, bool) {
 	fp := fingerprint(key)
 	for {
 		s := t.slots.Load()
-		if t.count.Load()*2 >= int64(s.mask+1) {
+		if t.full(s) {
 			t.grow(s)
 			continue
 		}
 		for i := mix64(fp); ; i++ {
 			j := (i & s.mask) * 2
 			kk := s.a[j].Load()
+			if kk == 0 && s.a[j].CompareAndSwap(0, fp) {
+				id := t.store.append(string(key))
+				s.a[j+1].Store(uint64(id) + 1)
+				t.count.Add(1)
+				return id, true
+			}
+			kk = s.a[j].Load()
 			if kk == fp {
-				idx := t.loadEntry(s, j)
-				e := t.store.get(idx - 1)
-				if e.key == string(key) {
-					return e.id, false
+				id := int32(loadEntry(s, j) - 1)
+				if t.store.get(id) == string(key) {
+					return id, false
 				}
-				continue
 			}
-			if kk != 0 {
-				continue
+			if kk == frozen {
+				break // being migrated: retry in the new epoch
 			}
-			if !s.a[j].CompareAndSwap(0, fp) {
-				i-- // re-examine the slot someone just claimed
-				continue
-			}
-			id := mk()
-			idx := t.store.append(string(key), id)
-			s.a[j+1].Store(idx + 1)
-			t.count.Add(1)
-			if t.slots.Load() != s {
-				// A grow migrated while we were publishing and may have
-				// scanned past our slot; re-publish into the live epoch.
-				t.republish(fp, idx+1)
-			}
-			return id, true
 		}
+		t.awaitGrow()
 	}
 }
 
-// republish re-inserts an already-minted (fingerprint, store index)
-// pair after a grow raced with its publication. mk must not re-run;
-// the key bytes need no re-verification because the store index
-// identifies the entry exactly.
-func (t *keyTable) republish(fp, idxWord uint64) {
-	for {
-		s := t.slots.Load()
-		for i := mix64(fp); ; i++ {
-			j := (i & s.mask) * 2
-			kk := s.a[j].Load()
-			if kk == fp {
-				if t.loadEntry(s, j) == idxWord {
-					return // the grow migrated it after all
-				}
-				continue // same fingerprint, different key
-			}
-			if kk != 0 {
-				continue
-			}
-			if !s.a[j].CompareAndSwap(0, fp) {
-				i--
-				continue
-			}
-			s.a[j+1].Store(idxWord)
-			t.count.Add(1)
-			if t.slots.Load() != s {
-				break // grew again; start over
-			}
-			return
-		}
-	}
-}
+// pagedKeys is the append-only key store of a keyTable, indexed by id:
+// appends are serialized, reads are lock-free loads through an
+// atomically published page table. A reader only ever asks for an id it
+// learned from a published slot, which happens-after the key was
+// written. Pages hold 256 keys, so a short-lived table set allocates a
+// few KiB per store.
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+)
 
-func (t *keyTable) grow(old *transSlots) {
-	t.growMu.Lock()
-	defer t.growMu.Unlock()
-	cur := t.slots.Load()
-	if cur != old {
-		return
-	}
-	ns := newTransSlots(2 * (cur.mask + 1))
-	n := int64(0)
-	for j := uint64(0); j <= cur.mask; j++ {
-		kk := cur.a[2*j].Load()
-		ev := cur.a[2*j+1].Load()
-		if kk == 0 || ev == 0 {
-			continue // empty, or claimed-unpublished: the claimant re-publishes
-		}
-		for i := mix64(kk); ; i++ {
-			nj := (i & ns.mask) * 2
-			if ns.a[nj].Load() == 0 {
-				ns.a[nj].Store(kk)
-				ns.a[nj+1].Store(ev)
-				n++
-				break
-			}
-		}
-	}
-	t.count.Store(n)
-	t.slots.Store(ns)
-}
-
-// pagedKeys is the append-only (key, id) store backing keyTable's
-// verification reads: appends are serialized, reads are lock-free
-// paged loads.
-type keyEntry struct {
-	key string
-	id  int32
-}
-
-type keyPage [vecPageSize]keyEntry
+type keyPage [pageSize]string
 
 type pagedKeys struct {
 	mu    sync.Mutex
 	pages atomic.Pointer[[]*keyPage]
-	n     atomic.Int64
+	n     int32
 }
 
-func (p *pagedKeys) append(key string, id int32) uint64 {
+func (p *pagedKeys) append(key string) int32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.n.Load()
+	n := p.n
 	var pages []*keyPage
 	if t := p.pages.Load(); t != nil {
 		pages = *t
 	}
-	if int(n>>vecPageShift) == len(pages) {
+	if int(n>>pageShift) == len(pages) {
 		grown := make([]*keyPage, len(pages)+1)
 		copy(grown, pages)
 		grown[len(pages)] = new(keyPage)
-		pages = grown
-		p.pages.Store(&pages)
-	}
-	pages[n>>vecPageShift][n&(vecPageSize-1)] = keyEntry{key: key, id: id}
-	p.n.Store(n + 1)
-	return uint64(n)
-}
-
-func (p *pagedKeys) get(idx uint64) keyEntry {
-	pages := *p.pages.Load()
-	return pages[idx>>vecPageShift][idx&(vecPageSize-1)]
-}
-
-// pagedVecs is the append-only store of interned state vectors, the
-// shared analogue of SearchContext.vecs: appends are serialized, reads
-// are lock-free pages like spec's shared interner. Stored vectors are
-// canonical (trailing default atoms trimmed) and immutable.
-const (
-	vecPageShift = 10
-	vecPageSize  = 1 << vecPageShift
-)
-
-type vecPage [vecPageSize][]int32
-
-type pagedVecs struct {
-	mu    sync.Mutex
-	pages atomic.Pointer[[]*vecPage]
-	n     int64
-}
-
-// append copies vec into the store and returns its dense id.
-func (p *pagedVecs) append(vec []int32) stateID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.n
-	var pages []*vecPage
-	if t := p.pages.Load(); t != nil {
-		pages = *t
-	}
-	if int(n>>vecPageShift) == len(pages) {
-		grown := make([]*vecPage, len(pages)+1)
-		copy(grown, pages)
-		grown[len(pages)] = new(vecPage)
 		p.pages.Store(&grown)
 		pages = grown
 	}
-	pages[n>>vecPageShift][n&(vecPageSize-1)] = append([]int32(nil), vec...)
+	pages[n>>pageShift][n&(pageSize-1)] = key
 	p.n = n + 1
-	return stateID(n)
+	return n
 }
 
-func (p *pagedVecs) get(id stateID) []int32 {
-	return (*p.pages.Load())[id>>vecPageShift][id&(vecPageSize-1)]
-}
-
-// --- SearchContext shared-mode plumbing ---
-
-// pinShared fixes the shared generation the context's next call runs on,
-// swapping in a fresh generation first when the tables outgrew their
-// bound. Crossing into a new generation invalidates everything local
-// that referred to the old one: the registry mirror, the cached
-// default-register atom and the empty-initial-state id. Callers must
-// not pin from a re-entrant call (searcher.setup skips pinning when it
-// runs on a non-resident searcher), or the generation would move out
-// from under the outer call's stateIDs.
-func (c *SearchContext) pinShared() {
-	g := c.shared.pin()
-	if g == c.sgen {
-		return
-	}
-	c.sgen = g
-	c.defReg = g.defReg
-	clear(c.objIdx)
-	c.objs = c.objs[:0]
-	c.initEmpty = -1
-	// The L1 caches and the owned-problem memo hold ids minted by the
-	// old generation; drop them.
-	clear(c.steps)
-	clear(c.memo)
-	clear(c.memoWide)
-	clear(c.owned)
-	c.memoOwnProblem = -1
-}
-
-// sharedRegister ensures ids are in the shared registry and syncs the
-// context's local mirror (objIdx/objs) up to at least every id it needs.
-// The mirror is always an exact prefix of the shared registry, so local
-// index lookups agree with every other context's and footprint bitsets
-// sized by the mirror cover all of this call's objects.
-func (c *SearchContext) sharedRegister(ids []history.ObjID) {
-	missing := false
-	for _, id := range ids {
-		if _, ok := c.objIdx[id]; !ok {
-			missing = true
-			break
-		}
-	}
-	if !missing {
-		return
-	}
-	g := c.sgen
-	g.objMu.Lock()
-	for _, id := range ids {
-		if _, ok := g.objIdx[id]; !ok {
-			g.objIdx[id] = int32(len(g.objs))
-			g.objs = append(g.objs, id)
-		}
-	}
-	for j := len(c.objs); j < len(g.objs); j++ {
-		id := g.objs[j]
-		c.objIdx[id] = int32(j)
-		c.objs = append(c.objs, id)
-	}
-	g.objMu.Unlock()
-	// Note: registry growth deliberately does NOT invalidate initEmpty
-	// or flush anything — canonical trimming (sharedInternVec) makes
-	// interned vectors registry-size independent.
-}
-
-// sharedInternVec interns the vector in vecBuf into the shared tables in
-// canonical form: trailing default-register atoms are trimmed, so the
-// same logical state has one id regardless of how large the registry was
-// when it was first reached. (An object absent from a stored vector is
-// by construction still at its default initial state; step and
-// materialize pad reads back out with defReg.)
-func (c *SearchContext) sharedInternVec() stateID {
-	vec := c.vecBuf
-	for len(vec) > 0 && vec[len(vec)-1] == c.defReg {
-		vec = vec[:len(vec)-1]
-	}
-	buf := c.keyBuf[:0]
-	for _, a := range vec {
-		buf = append(buf, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
-	}
-	c.keyBuf = buf
-	g := c.sgen
-	id, fresh := g.vecIdx.intern(buf, func() int32 { return int32(g.vecs.append(vec)) })
-	if fresh {
-		c.shared.states.Add(1)
-		g.entries.Add(1)
-	}
-	return id
+func (p *pagedKeys) get(id int32) string {
+	return (*p.pages.Load())[id>>pageShift][id&(pageSize-1)]
 }

@@ -43,7 +43,7 @@ func BenchmarkDistributed(b *testing.B) {
 					wg.Add(1)
 					go func(j int) {
 						defer wg.Done()
-						w := &Worker{Coordinator: srv.URL, Name: fmt.Sprintf("b%d", j), Shared: true}
+						w := &Worker{Coordinator: srv.URL, Name: fmt.Sprintf("b%d", j)}
 						if _, err := w.Run(context.Background()); err != nil {
 							b.Errorf("worker %d: %v", j, err)
 						}

@@ -87,8 +87,9 @@ func startRun(t *testing.T, lines []string, shardSize int, copts CoordinatorOpti
 }
 
 // TestDistributedMatchesSingleProcess is the core determinism claim:
-// two workers (one on shared tables) over a sharded corpus produce a
-// merged in-order verdict log byte-identical to a single-process run.
+// two workers, each keeping one table set across its shards, over a
+// sharded corpus produce a merged in-order verdict log byte-identical to
+// a single-process run.
 func TestDistributedMatchesSingleProcess(t *testing.T) {
 	lines := corpusLines(60, 100)
 	c, srv, corpusPath := startRun(t, lines, 7, CoordinatorOptions{LeaseFor: 10 * time.Second})
@@ -102,7 +103,6 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 			w := &Worker{
 				Coordinator: srv.URL,
 				Name:        fmt.Sprintf("w%d", i),
-				Shared:      i == 0,
 			}
 			if stats, err := w.Run(context.Background()); err != nil {
 				t.Errorf("worker %d: %v", i, err)

@@ -22,9 +22,11 @@ import (
 // Worker pulls shard leases from a coordinator, checks them on a
 // checkpool.Pool, writes each shard's verdict log to the shared store
 // (atomically — a crashed or failed shard commits nothing), and reports
-// back. It is the thin distributed wrapper around the PR 7 engine: one
+// back. It is the thin distributed wrapper around the batch checker: one
 // worker process is morally one `opacheck -parallel` whose input arrives
-// in leased slices.
+// in leased slices, and all of its shards run on one set of search
+// tables, so states are interned once per worker process instead of once
+// per shard.
 type Worker struct {
 	// Coordinator is the coordinator's base URL (e.g.
 	// "http://127.0.0.1:8077").
@@ -34,10 +36,6 @@ type Worker struct {
 	// Parallel is the checkpool width per shard (default 1: distributed
 	// runs usually scale by adding workers, not by widening one).
 	Parallel int
-	// Shared backs all of this worker's shards by one core.SharedTables,
-	// the `opacheck -shared` engine: states interned once per worker
-	// process instead of once per shard.
-	Shared bool
 	// HTTP overrides the API client (default http.DefaultClient).
 	HTTP *http.Client
 	// Logf receives progress lines (default: none).
@@ -50,10 +48,9 @@ type Worker struct {
 	// store caches the resolved StoreURI.
 	store    storage.FS
 	storeURI string
-	shared   *core.SharedTables
-	// runSearch accumulates per-context search counters across shards;
-	// see addSearchStats.
-	runSearch core.Stats
+	tables   *core.SharedTables
+	// search accumulates the shards' search-context counters.
+	search core.Stats
 }
 
 // RunStats summarizes a worker's run: the same per-worker totals and
@@ -66,8 +63,7 @@ type RunStats struct {
 	Errored   int
 	Nodes     int
 	// Search aggregates the checkpool search-context counters across
-	// all shards (with Shared, pool-wide insert counters are counted
-	// once, from the shared tables).
+	// all shards.
 	Search core.Stats
 }
 
@@ -82,7 +78,7 @@ func (w *Worker) logf(format string, args ...any) {
 // ConnectGrace. The returned stats cover everything this worker checked,
 // including the aggregated search-table counters.
 func (w *Worker) Run(ctx context.Context) (stats RunStats, err error) {
-	defer func() { stats.Search = w.Stats() }()
+	defer func() { stats.Search = w.search }()
 	if w.Name == "" {
 		w.Name = "worker"
 	}
@@ -95,9 +91,7 @@ func (w *Worker) Run(ctx context.Context) (stats RunStats, err error) {
 	if w.ConnectGrace <= 0 {
 		w.ConnectGrace = 15 * time.Second
 	}
-	if w.Shared {
-		w.shared = core.NewSharedTables()
-	}
+	w.tables = core.NewSharedTables()
 
 	downSince := time.Time{}
 	for {
@@ -220,11 +214,11 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 	pool := checkpool.New(checkpool.Options{
 		Workers: w.Parallel,
 		Config: core.Config{
-			Objects:  counterObjects(lease.CounterObjs),
+			Objects:  spec.ParseCounters(lease.CounterObjs),
 			MaxNodes: lease.MaxNodes,
 		},
 		Stats:         &poolStats,
-		SharedContext: w.shared,
+		SharedContext: w.tables,
 	})
 
 	logName := fmt.Sprintf(shardLogFmt, lease.Shard.Index, lease.ID)
@@ -248,6 +242,8 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 		_, err := bw.WriteString(v.Line() + "\n")
 		return err
 	})
+	// Counted even if the shard fails: its inserts stay in the tables.
+	w.search.Add(poolStats)
 	if runErr == nil {
 		runErr = <-feedErr
 	}
@@ -261,7 +257,6 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 	if err := sink.Close(); err != nil {
 		return DoneRecord{}, err
 	}
-	w.addSearchStats(poolStats)
 	return rec, nil
 }
 
@@ -334,37 +329,6 @@ func (w *Worker) resolveStore(uri string) (storage.FS, error) {
 	return store, nil
 }
 
-// addSearchStats folds one shard's pool counters into the run total.
-// With shared tables the pool adds a cumulative snapshot of the shared
-// insert counters to every run's stats; summing those across shards
-// would multiply-count them. The tables are quiescent once RunTo has
-// returned (every pool worker retired), so the current snapshot equals
-// what the pool added — subtract it here, leaving this shard's
-// per-context contributions (including memo inserts for context-owned
-// problems), and let Stats() re-add the final snapshot exactly once.
-func (w *Worker) addSearchStats(poolStats core.Stats) {
-	if w.shared != nil {
-		snap := w.shared.Stats()
-		poolStats.States -= snap.States
-		poolStats.Atoms -= snap.Atoms
-		poolStats.TxSigs -= snap.TxSigs
-		poolStats.Problems -= snap.Problems
-		poolStats.MemoEntries -= snap.MemoEntries
-		poolStats.Flushes -= snap.Flushes
-	}
-	w.runSearch.Add(poolStats)
-}
-
-// Stats returns the worker's aggregated search-table counters; valid
-// once Run has returned.
-func (w *Worker) Stats() core.Stats {
-	s := w.runSearch
-	if w.shared != nil {
-		s.Add(w.shared.Stats())
-	}
-	return s
-}
-
 // post sends one API request and decodes the JSON response into out.
 func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 	buf, err := json.Marshal(body)
@@ -386,18 +350,6 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 		return fmt.Errorf("dist: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// counterObjects mirrors opacheck's -counter flag: the named objects are
-// counters, everything else defaults to a register inside the checker.
-func counterObjects(counterObjs string) spec.Objects {
-	objs := spec.Objects{}
-	for _, name := range strings.Split(counterObjs, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			objs[history.ObjID(name)] = spec.NewCounter(0)
-		}
-	}
-	return objs
 }
 
 // sleep waits d or until ctx is done; it reports whether the full wait

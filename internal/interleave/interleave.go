@@ -32,8 +32,9 @@ const (
 	// Abort transaction Tx voluntarily.
 	Abort
 	// Begin forces transaction Tx to start now (otherwise transactions
-	// begin lazily at their first operation). Use it to pin snapshot
-	// timestamps.
+	// begin lazily at their first operation). Use it to pin the snapshot
+	// timestamps of engines that take them at Begin (mvstm takes its
+	// snapshot at the first operation instead).
 	Begin
 )
 

@@ -158,9 +158,12 @@ func TestEngineRecorderCheckerTriangle(t *testing.T) {
 	}
 }
 
-// TestBeginPinsSnapshot: an explicit Begin before a competing commit
-// pins the multi-version snapshot.
-func TestBeginPinsSnapshot(t *testing.T) {
+// TestFirstOperationPinsSnapshot: mvstm takes its snapshot at a
+// transaction's first operation, not at Begin — a recorded history has
+// no begin event, so a commit between Begin and the first read is
+// visible to that read — and from then on the snapshot holds against
+// later commits.
+func TestFirstOperationPinsSnapshot(t *testing.T) {
 	e, err := bench.EngineByName("mvstm")
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +174,14 @@ func TestBeginPinsSnapshot(t *testing.T) {
 		{Tx: 1, Action: Write, Obj: 0, Val: 7},
 		{Tx: 1, Action: Commit},
 		{Tx: 0, Action: Read, Obj: 0},
+		{Tx: 2, Action: Write, Obj: 0, Val: 9},
+		{Tx: 2, Action: Commit},
+		{Tx: 0, Action: Read, Obj: 0},
 	})
-	if res[3].Err != nil || res[3].Val != 0 {
-		t.Errorf("pinned snapshot read = %+v, want 0", res[3])
+	if res[3].Err != nil || res[3].Val != 7 {
+		t.Errorf("first read after a competing commit = %+v, want 7", res[3])
+	}
+	if res[6].Err != nil || res[6].Val != 7 {
+		t.Errorf("read after the snapshot was pinned = %+v, want 7", res[6])
 	}
 }

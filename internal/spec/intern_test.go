@@ -3,9 +3,12 @@ package spec
 import "testing"
 
 func TestInternerEqualKeysShareIDs(t *testing.T) {
-	it := NewInterner()
-	a := it.Intern(NewRegister(1))
-	b := it.Intern(NewRegister(1))
+	it := NewSharedInterner()
+	a, fresh := it.Intern(NewRegister(1))
+	b, again := it.Intern(NewRegister(1))
+	if !fresh || again {
+		t.Errorf("Intern reported fresh=%v then %v, want true then false", fresh, again)
+	}
 	if a != b {
 		t.Errorf("two registers holding 1 interned to %d and %d, want equal ids", a, b)
 	}
@@ -15,7 +18,7 @@ func TestInternerEqualKeysShareIDs(t *testing.T) {
 }
 
 func TestInternerDistinctKeysDistinctIDs(t *testing.T) {
-	it := NewInterner()
+	it := NewSharedInterner()
 	ids := map[int32]string{}
 	for _, st := range []State{
 		NewRegister(0),
@@ -24,7 +27,7 @@ func TestInternerDistinctKeysDistinctIDs(t *testing.T) {
 		NewCounter(1),
 		NewRegister("0"), // string "0" vs int 0
 	} {
-		id := it.Intern(st)
+		id, _ := it.Intern(st)
 		if prev, dup := ids[id]; dup {
 			t.Errorf("states with keys %q and %q share id %d", prev, st.Key(), id)
 		}
@@ -36,9 +39,9 @@ func TestInternerDistinctKeysDistinctIDs(t *testing.T) {
 }
 
 func TestInternerStateRoundTrip(t *testing.T) {
-	it := NewInterner()
+	it := NewSharedInterner()
 	orig := NewCounter(7)
-	id := it.Intern(orig)
+	id, _ := it.Intern(orig)
 	got := it.State(id)
 	if got.Key() != orig.Key() {
 		t.Errorf("State(%d).Key() = %q, want %q", id, got.Key(), orig.Key())
@@ -49,7 +52,7 @@ func TestInternerStateRoundTrip(t *testing.T) {
 		t.Errorf("canonical counter stepped to %v (ok=%v)", next, ok)
 	}
 	// Ids are dense, in interning order.
-	if id2 := it.Intern(NewCounter(8)); id2 != id+1 {
+	if id2, _ := it.Intern(NewCounter(8)); id2 != id+1 {
 		t.Errorf("second distinct state got id %d, want %d", id2, id+1)
 	}
 }

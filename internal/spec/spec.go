@@ -16,7 +16,11 @@
 // backtrack and memoize cheaply (see State.Key).
 package spec
 
-import "otm/internal/history"
+import (
+	"strings"
+
+	"otm/internal/history"
+)
 
 // Value is the type of operation arguments and return values, re-exported
 // from the history model for convenience.
@@ -58,6 +62,21 @@ func Registers(initial Value, ids ...history.ObjID) Objects {
 		out[id] = NewRegister(initial)
 	}
 	return out
+}
+
+// ParseCounters builds the object environment a comma-separated list of
+// object names describes — the -counter flag of the CLIs and the counter
+// list of a distributed run's manifest: each named object is a counter
+// initialized to 0, and everything else defaults to a register inside
+// the checkers. Blank names are skipped.
+func ParseCounters(list string) Objects {
+	objs := Objects{}
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			objs[history.ObjID(name)] = NewCounter(0)
+		}
+	}
+	return objs
 }
 
 // RegistersFor returns register specifications (initial value zero) for

@@ -176,6 +176,13 @@ func TestObjectsHelpers(t *testing.T) {
 	if objs["x"].Name() != "register" {
 		t.Error("Clone must not alias the original map")
 	}
+	ctrs := ParseCounters(" c, d ,,e")
+	if len(ctrs) != 3 || ctrs["c"].Key() != NewCounter(0).Key() || ctrs["d"] == nil || ctrs["e"] == nil {
+		t.Errorf("ParseCounters(\" c, d ,,e\") = %v, want counters c, d and e at 0", ctrs)
+	}
+	if got := ParseCounters(""); len(got) != 0 {
+		t.Errorf("ParseCounters(\"\") = %v, want no objects", got)
+	}
 }
 
 // Property: a register accepts exactly the reads matching the latest

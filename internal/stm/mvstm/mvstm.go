@@ -2,7 +2,7 @@
 // in the style of JVSTM's versioned boxes (Cachopo & Rito-Silva) and
 // LSA-STM: every object keeps a list of committed versions stamped by a
 // global clock; a transaction reads the newest version no newer than its
-// birth timestamp.
+// snapshot timestamp, the clock value at its first operation.
 //
 // Multi-versioning is the paper's third escape from the Ω(k) lower bound
 // (§6.2, footnote 2): a read costs O(versions-per-object) steps — bounded
@@ -18,7 +18,7 @@
 // Update transactions validate their read set once, at commit, under a
 // global commit lock (first-committer-wins on write skew), so committed
 // transactions serialize at commit points and live readers always see
-// the consistent snapshot of their birth timestamp.
+// one consistent snapshot.
 package mvstm
 
 import (
@@ -47,9 +47,9 @@ type TM struct {
 
 	// Optional version GC (see NewWithGC): a registry of active
 	// transactions' snapshot timestamps. Registration happens once per
-	// transaction at Begin — bookkeeping, not a read operation, so the
-	// engine's reads stay invisible in the §6.1 sense. JVSTM tracks
-	// active transactions the same way.
+	// transaction, when its snapshot is taken — bookkeeping, not a read
+	// operation, so the engine's reads stay invisible in the §6.1 sense.
+	// JVSTM tracks active transactions the same way.
 	gc     bool
 	mu     sync.Mutex
 	active map[*tx]uint64
@@ -85,27 +85,38 @@ func (t *TM) Name() string { return "mvstm" }
 // Len implements stm.TM.
 func (t *TM) Len() int { return len(t.heads) }
 
-// Begin implements stm.TM: the transaction's snapshot is the clock value
-// at birth. With GC enabled, the clock sample and the registry insert
+// Begin implements stm.TM. The snapshot is not taken here but at the
+// transaction's first operation (see snapshot): a history recorded
+// behind stm.Recorder has no begin event, so a snapshot sampled in Begin
+// could predate a commit that the recorded history orders before the
+// transaction's first event.
+func (t *TM) Begin() stm.Tx { return &tx{tm: t} }
+
+// snapshot fixes the transaction's read timestamp on its first
+// operation. With GC enabled, the clock sample and the registry insert
 // happen under the registry mutex — atomically with respect to
 // minActive — so a committer can never truncate below a snapshot that a
-// concurrently-born reader has already sampled but not yet registered.
-func (t *TM) Begin() stm.Tx {
-	x := &tx{tm: t}
+// concurrently-started reader has already sampled but not yet
+// registered.
+func (x *tx) snapshot() {
+	if x.started {
+		return
+	}
+	x.started = true
+	t := x.tm
 	if t.gc {
 		t.mu.Lock()
 		x.readTS = t.clock.Load(&x.steps)
 		t.active[x] = x.readTS
 		t.mu.Unlock()
-		return x
+		return
 	}
 	x.readTS = t.clock.Load(&x.steps)
-	return x
 }
 
 // retire removes a completed transaction from the GC registry.
 func (t *TM) retire(x *tx) {
-	if !t.gc {
+	if !t.gc || !x.started {
 		return
 	}
 	t.mu.Lock()
@@ -142,13 +153,14 @@ func (t *TM) truncate(i int, minTS uint64) {
 }
 
 type tx struct {
-	tm     *TM
-	readTS uint64
-	steps  base.StepCounter
-	reads  []int
-	inRead map[int]bool
-	writes map[int]int
-	done   bool
+	tm      *TM
+	started bool // readTS taken (see snapshot)
+	readTS  uint64
+	steps   base.StepCounter
+	reads   []int
+	inRead  map[int]bool
+	writes  map[int]int
+	done    bool
 }
 
 // Steps implements stm.Tx.
@@ -161,6 +173,7 @@ func (t *tx) Read(i int) (int, error) {
 	if t.done {
 		return 0, stm.ErrAborted
 	}
+	t.snapshot()
 	if v, ok := t.writes[i]; ok {
 		return v, nil
 	}
@@ -189,6 +202,7 @@ func (t *tx) Write(i int, v int) error {
 	if t.done {
 		return stm.ErrAborted
 	}
+	t.snapshot()
 	if t.writes == nil {
 		t.writes = make(map[int]int)
 	}
@@ -199,8 +213,10 @@ func (t *tx) Write(i int, v int) error {
 // Commit implements stm.Tx. Read-only transactions always commit (their
 // whole execution was a consistent snapshot at readTS). Update
 // transactions validate, under the global commit lock, that no object
-// they read has a version newer than readTS, then publish new versions
-// at the incremented clock.
+// they read has a version newer than readTS, then install new versions
+// at clock+1 and only then publish that clock value: a transaction that
+// samples the clock meanwhile gets the old value and skips every new
+// version, never a torn subset of them.
 func (t *tx) Commit() error {
 	if t.done {
 		return stm.ErrAborted
@@ -233,16 +249,19 @@ func (t *tx) Commit() error {
 			}
 		}
 	}
-	wv := t.tm.clock.Add(&t.steps, 1)
+	wv := t.tm.clock.Load(&t.steps) + 1
 	for i, val := range t.writes {
 		head := t.tm.heads[i].Load(&t.steps)
 		nv := &version{ver: wv, val: val}
 		nv.next.Store(head)
 		t.tm.heads[i].Store(&t.steps, nv)
 	}
+	t.tm.clock.Store(&t.steps, wv)
 	if t.tm.gc {
 		// We are still registered, so minActive ≤ our readTS; versions
-		// our own reads need survive the truncation.
+		// our own reads need survive the truncation. The clock is
+		// published first, so a transaction that registers after
+		// minActive samples wv and needs nothing below the cut.
 		minTS := t.tm.minActive(wv)
 		for i := range t.writes {
 			t.tm.truncate(i, minTS)

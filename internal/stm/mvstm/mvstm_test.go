@@ -199,7 +199,10 @@ func TestReadCostIndependentOfK(t *testing.T) {
 // steps but still finds its snapshot after many commits.
 func TestOldReaderWalksVersionChain(t *testing.T) {
 	tm := New(1)
-	old := tm.Begin() // snapshot 0
+	old := tm.Begin()
+	if v, err := old.Read(0); err != nil || v != 0 { // pins snapshot 0
+		t.Fatalf("first read sees %d, %v; want 0", v, err)
+	}
 	for i := 1; i <= 10; i++ {
 		if err := stm.Atomically(tm, func(tx stm.Tx) error {
 			return tx.Write(0, i*100)
@@ -250,7 +253,10 @@ func TestGCPreservesOldReaderSnapshot(t *testing.T) {
 	if err := stm.DirectWrite(tm, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	old := tm.Begin() // snapshot: r0=7
+	old := tm.Begin()
+	if _, err := old.Read(1); err != nil { // pins the snapshot: r0=7
+		t.Fatal(err)
+	}
 	for i := 1; i <= 50; i++ {
 		if err := stm.Atomically(tm, func(tx stm.Tx) error {
 			return tx.Write(0, 100+i)

@@ -130,13 +130,17 @@ func (t *tx) Commit() error {
 			return stm.ErrAborted
 		}
 	}
-	wv := t.tm.clock.Add(&t.steps, 1)
+	// Install at clock+1, then publish the clock: a transaction born in
+	// between samples the old value and skips every new version, never a
+	// torn subset of them.
+	wv := t.tm.clock.Load(&t.steps) + 1
 	for i, val := range t.writes {
 		head := t.tm.heads[i].Load(&t.steps)
 		nv := &version{ver: wv, val: val}
 		nv.next.Store(head)
 		t.tm.heads[i].Store(&t.steps, nv)
 	}
+	t.tm.clock.Store(&t.steps, wv)
 	t.tm.lock.Store(&t.steps, 0)
 	return nil
 }
