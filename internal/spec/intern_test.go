@@ -56,3 +56,24 @@ func TestInternerStateRoundTrip(t *testing.T) {
 		t.Errorf("second distinct state got id %d, want %d", id2, id+1)
 	}
 }
+
+// TestInternerOverflowPanics pins the id-wraparound fix: once the int32
+// id space is (simulated to be) exhausted, Intern must panic with a
+// descriptive message instead of handing out a wrapped, colliding id,
+// while re-interning known keys stays fine at the limit.
+func TestInternerOverflowPanics(t *testing.T) {
+	defer func(orig int64) { maxInternStates = orig }(maxInternStates)
+	maxInternStates = 2
+
+	it := NewSharedInterner()
+	it.Intern(NewRegister(0))
+	if id, _ := it.Intern(NewRegister(1)); id != 1 {
+		t.Fatalf("second state got id %d, want 1", id)
+	}
+	for want, st := range []State{NewRegister(0), NewRegister(1)} {
+		if id, fresh := it.Intern(st); id != int32(want) || fresh {
+			t.Fatalf("re-intern of %s at the limit got id %d (fresh=%v), want %d", st.Key(), id, fresh, want)
+		}
+	}
+	mustPanicOverflow(t, func() { it.Intern(NewRegister(2)) })
+}

@@ -7,25 +7,50 @@ import (
 	"testing"
 )
 
-// TestSharedInternerOverflowPanics pins the id-wraparound fix: once the
-// int32 id space is (simulated to be) exhausted, Intern must panic with
-// a descriptive message instead of handing out a wrapped, colliding id,
-// while re-interning known keys stays fine at the limit.
+// TestSharedInternerOverflowPanics: goroutines racing past the id limit
+// share it. Exactly maxInternStates of the distinct states get ids, dense
+// and distinct; every other one panics instead of wrapping, and the
+// panics leave the interner usable: known keys still resolve and a new
+// key still panics.
 func TestSharedInternerOverflowPanics(t *testing.T) {
 	defer func(orig int64) { maxInternStates = orig }(maxInternStates)
-	maxInternStates = 2
+	const limit, goroutines = 4, 8
+	maxInternStates = limit
 
 	it := NewSharedInterner()
-	it.Intern(NewRegister(0))
-	if id, _ := it.Intern(NewRegister(1)); id != 1 {
-		t.Fatalf("second state got id %d, want 1", id)
+	ids := make([]int32, goroutines)
+	panics := make([]any, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer func() { panics[g] = recover() }()
+			ids[g], _ = it.Intern(NewRegister(g))
+		}(g)
 	}
-	for want, st := range []State{NewRegister(0), NewRegister(1)} {
-		if id, fresh := it.Intern(st); id != int32(want) || fresh {
-			t.Fatalf("re-intern of %s at the limit got id %d (fresh=%v), want %d", st.Key(), id, fresh, want)
+	wg.Wait()
+
+	seen := make(map[int32]bool, limit)
+	for g, r := range panics {
+		if r != nil {
+			if msg := fmt.Sprint(r); !strings.Contains(msg, "interner overflow") {
+				t.Fatalf("goroutine %d: overflow panic message %q does not name the failure", g, msg)
+			}
+			continue
+		}
+		if id := ids[g]; id < 0 || id >= limit || seen[id] {
+			t.Fatalf("goroutine %d got id %d: not a fresh id in [0,%d)", g, id, limit)
+		}
+		seen[ids[g]] = true
+		if id, fresh := it.Intern(NewRegister(g)); id != ids[g] || fresh {
+			t.Fatalf("re-intern of register %d at the limit got id %d (fresh=%v), want %d", g, id, fresh, ids[g])
 		}
 	}
-	mustPanicOverflow(t, func() { it.Intern(NewRegister(2)) })
+	if len(seen) != limit || it.Len() != limit {
+		t.Fatalf("%d goroutines got ids and Len() = %d, want both %d", len(seen), it.Len(), limit)
+	}
+	mustPanicOverflow(t, func() { it.Intern(NewRegister(goroutines)) })
 }
 
 func mustPanicOverflow(t *testing.T, f func()) {

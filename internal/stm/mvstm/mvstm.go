@@ -49,10 +49,12 @@ type TM struct {
 	// transactions' snapshot timestamps. Registration happens once per
 	// transaction, when its snapshot is taken — bookkeeping, not a read
 	// operation, so the engine's reads stay invisible in the §6.1 sense.
-	// JVSTM tracks active transactions the same way.
+	// JVSTM tracks active transactions the same way. pinned holds the
+	// objects whose last cut an older snapshot held back (see retire).
 	gc     bool
 	mu     sync.Mutex
 	active map[*tx]uint64
+	pinned map[int]struct{}
 }
 
 // New returns a multi-version TM with n objects initialized to 0 at
@@ -68,7 +70,9 @@ func New(n int) *TM {
 
 // NewWithGC returns a multi-version TM that reclaims versions no active
 // transaction can reach: after each commit, every written object's chain
-// is truncated below the oldest active snapshot. With GC the per-read
+// is truncated below the oldest active snapshot, and the versions that
+// snapshot held back are reclaimed once no transaction is active, even
+// if the object is never written again. With GC the per-read
 // cost is bounded by the number of versions committed during the oldest
 // live transaction's lifetime — the "function independent of k" of the
 // paper's footnote 2 — instead of the full commit history.
@@ -76,6 +80,7 @@ func NewWithGC(n int) *TM {
 	t := New(n)
 	t.gc = true
 	t.active = make(map[*tx]uint64)
+	t.pinned = make(map[int]struct{})
 	return t
 }
 
@@ -114,19 +119,32 @@ func (x *tx) snapshot() {
 	x.readTS = t.clock.Load(&x.steps)
 }
 
-// retire removes a completed transaction from the GC registry.
+// retire removes a completed transaction from the GC registry. The last
+// one out cuts every pinned chain to its newest version: a committer
+// registers at its first operation and retires only after releasing the
+// commit lock, so with the registry empty and its mutex held no commit
+// is in progress or can start.
 func (t *TM) retire(x *tx) {
 	if !t.gc || !x.started {
 		return
 	}
 	t.mu.Lock()
 	delete(t.active, x)
+	if len(t.active) == 0 && len(t.pinned) > 0 {
+		now := t.clock.Load(nil)
+		for i := range t.pinned {
+			t.truncate(i, now)
+		}
+		clear(t.pinned)
+	}
 	t.mu.Unlock()
 }
 
 // minActive returns the oldest active snapshot timestamp, or now if no
-// transaction is active.
-func (t *TM) minActive(now uint64) uint64 {
+// transaction is active. A commit at now cuts the written objects at
+// that timestamp; if it is older than now-1 the cut keeps versions only
+// that snapshot needs, so the objects are marked pinned for retire.
+func (t *TM) minActive(now uint64, writes map[int]int) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	min := now
@@ -135,13 +153,19 @@ func (t *TM) minActive(now uint64) uint64 {
 			min = ts
 		}
 	}
+	if min+1 < now {
+		for i := range writes {
+			t.pinned[i] = struct{}{}
+		}
+	}
 	return min
 }
 
 // truncate cuts object i's chain below the oldest version any active or
 // future transaction can need: the newest version with ver ≤ minTS stays
 // (it IS the snapshot of a reader at minTS); everything older is
-// unreachable. Called with the commit lock held.
+// unreachable. Called with the commit lock held, or by the last
+// transaction to retire.
 func (t *TM) truncate(i int, minTS uint64) {
 	v := t.heads[i].Load(nil)
 	for v != nil && v.ver > minTS {
@@ -262,7 +286,7 @@ func (t *tx) Commit() error {
 		// our own reads need survive the truncation. The clock is
 		// published first, so a transaction that registers after
 		// minActive samples wv and needs nothing below the cut.
-		minTS := t.tm.minActive(wv)
+		minTS := t.tm.minActive(wv, t.writes)
 		for i := range t.writes {
 			t.tm.truncate(i, minTS)
 		}

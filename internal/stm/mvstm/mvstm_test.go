@@ -282,6 +282,35 @@ func TestGCPreservesOldReaderSnapshot(t *testing.T) {
 	}
 }
 
+// TestGCSweepsPinnedChainsOnLastRetire: versions an old reader held back
+// are reclaimed when it retires, without a later commit to the object.
+func TestGCSweepsPinnedChainsOnLastRetire(t *testing.T) {
+	tm := NewWithGC(2)
+	old := tm.Begin()
+	if _, err := old.Read(1); err != nil { // pins snapshot 0
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		if err := stm.Atomically(tm, func(tx stm.Tx) error {
+			return tx.Write(0, i)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tm.Versions(0); got != 51 {
+		t.Fatalf("reader at snapshot 0 holds back %d versions, want all 51", got)
+	}
+	if err := old.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tm.Versions(0); got != 1 {
+		t.Errorf("chain keeps %d versions after the last transaction retired, want 1", got)
+	}
+	if v, err := stm.DirectRead(tm, 0); err != nil || v != 50 {
+		t.Errorf("value after the sweep = %d, %v; want 50", v, err)
+	}
+}
+
 // TestGCUnderChurn: concurrent writers and transient readers; chains
 // stay bounded and reads stay consistent.
 func TestGCUnderChurn(t *testing.T) {
