@@ -334,8 +334,8 @@ func (f *Fleet) registerMemberMetrics(m *Member) {
 	gauge("otm_monitor_queue_depth", "async queue occupancy", func(s monitor.Stats) int { return s.QueueDepth })
 	gauge("otm_monitor_live_events", "live-suffix length (events since the last checkpoint)", func(s monitor.Stats) int { return s.LiveEvents })
 	gauge("otm_monitor_roots", "reachable-state roots of the current checkpoint", func(s monitor.Stats) int { return s.Roots })
-	gauge("otm_monitor_table_states", "interned state vectors held by the session's search context", func(s monitor.Stats) int { return s.TableStates })
-	gauge("otm_monitor_table_memo_entries", "failure-memo entries held by the session's search context", func(s monitor.Stats) int { return s.TableMemoEntries })
+	gauge("otm_monitor_table_states", "state vectors interned since the session began", func(s monitor.Stats) int { return s.TableStates })
+	gauge("otm_monitor_table_memo_entries", "failure-memo entries interned since the session began", func(s monitor.Stats) int { return s.TableMemoEntries })
 }
 
 // Name returns the member's fleet-unique name.

@@ -92,9 +92,7 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 		maxNodes = defaultTruncNodes
 	}
 
-	h := inc.app.History()
 	txs := inc.app.Transactions()
-	spans := inc.app.Spans()
 	decide := func(tx history.TxID) Decision {
 		if inc.app.Status(tx) == history.StatusCommitted {
 			return DecideCommitted
@@ -116,13 +114,13 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 	for ri := range inc.rootCount() {
 		var finals []stateID
 		dedup := map[stateID]struct{}{}
+		inc.live.root = ri
 		err := enumerateFinals(SerializeOptions{
-			Source:        h,
-			Txs:           txs,
-			Decide:        decide,
-			RealTimeSpans: spans,
-			Objects:       inc.rootAt(ri),
-			Context:       inc.ctx,
+			Txs:     txs,
+			Decide:  decide,
+			Objects: inc.rootAt(ri),
+			Context: inc.ctx,
+			live:    &inc.live,
 		}, maxNodes, &nodes, func(vid stateID) {
 			if _, ok := dedup[vid]; !ok {
 				dedup[vid] = struct{}{}
@@ -165,8 +163,7 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 	inc.roots = newRoots
 	inc.rootPref = 0
 	inc.hint = nil
-	clear(inc.known)
-	inc.cand = inc.cand[:0]
+	inc.live.reset()
 	inc.res.Checkpoints++
 	inc.res.TruncatedEvents += n
 	inc.res.Roots = len(newRoots)

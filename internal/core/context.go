@@ -30,7 +30,9 @@ type Stats struct {
 	// TxSigs is the number of distinct transaction replay signatures.
 	TxSigs int
 	// Problems is the number of distinct search problems the context has
-	// scoped memo entries by.
+	// scoped memo entries by. Only calls that search or enumerate derive
+	// a problem: a call whose hint validates (the Incremental fast path)
+	// counts none.
 	Problems int
 	// MemoEntries counts failure-verdict insertions; MemoHits and
 	// MemoMisses count memo lookup outcomes (their sum is the lookup
@@ -48,7 +50,8 @@ type Stats struct {
 	Flushes int
 	// SymClasses counts the non-singleton symmetry classes detected
 	// across calls (groups of ≥2 interchangeable transactions whose
-	// placements the search canonicalizes); SymPrunes counts candidate
+	// placements the search canonicalizes), like Problems only in calls
+	// that search or enumerate; SymPrunes counts candidate
 	// placements skipped because an earlier member of the candidate's
 	// class was still unplaced; LegalSkips counts candidate placements
 	// skipped by the incremental legality watch without probing the

@@ -67,12 +67,15 @@ type IncrementalResult struct {
 // any new transactions) via SerializeOptions.Hint: for histories a
 // correct TM emits, the witness almost always extends, making the
 // per-event cost a linear replay over cached transitions instead of a
-// search. Two event classes skip checking entirely: invocation events
-// (pending operations are invisible to replay, a commit-try only widens
-// the completion choice, and a fresh transaction serializes last as an
-// empty abort) and abort events of transactions that were not
-// commit-pending (the statuses, signatures and ordering constraints of
-// the induced problem are unchanged). The differential suite pins both
+// search. The check's setup is incremental too (see liveSuffix): the
+// transactions' executions, spans and objects are views the
+// history.Appender maintains, and only the transaction the event
+// changed is re-signed. Two event classes skip checking entirely:
+// invocation events (pending operations are invisible to replay, a
+// commit-try only widens the completion choice, and a fresh transaction
+// serializes last as an empty abort) and abort events of transactions
+// that were not commit-pending (the statuses, signatures and ordering
+// constraints of the induced problem are unchanged). The differential suite pins both
 // rules against one-shot Check on every prefix.
 //
 // Once a violation is observed the verdict latches and later appends
@@ -93,9 +96,8 @@ type Incremental struct {
 	res  IncrementalResult
 	err  error
 	hint *Serialization
-
-	known map[history.TxID]struct{} // transactions already in hint.Order
-	cand  []history.TxID            // scratch for the extended candidate
+	cand []history.TxID // scratch for the extended candidate
+	live liveSuffix
 
 	// Checkpoint state (see TryTruncate): the reachable final states of
 	// every serialization of the collapsed stable prefix, materialized
@@ -116,13 +118,14 @@ func NewIncremental(cfg Config) *Incremental {
 	if !cfg.DisableMemo && cfg.Context == nil {
 		cfg.Context = NewSearchContext()
 	}
-	return &Incremental{
-		cfg:   cfg,
-		ctx:   cfg.Context,
-		app:   history.NewAppender(),
-		res:   IncrementalResult{Opaque: true, PrefixLen: -1},
-		known: make(map[history.TxID]struct{}),
+	inc := &Incremental{
+		cfg: cfg,
+		ctx: cfg.Context,
+		app: history.NewAppender(),
+		res: IncrementalResult{Opaque: true, PrefixLen: -1},
 	}
+	inc.live.app = inc.app
+	return inc
 }
 
 // Result returns the current verdict.
@@ -208,7 +211,6 @@ func (inc *Incremental) check() error {
 	if inc.cfg.DisableMemo {
 		return inc.checkReference()
 	}
-	h := inc.app.History()
 	txs := inc.app.Transactions()
 	maxNodes := inc.cfg.MaxNodes
 	if maxNodes == 0 {
@@ -219,10 +221,9 @@ func (inc *Incremental) check() error {
 	var ser *Serialization
 	var err error
 	for ri := range inc.rootCount() {
-		root := inc.rootAt((inc.rootPref + ri) % inc.rootCount())
+		inc.live.root = (inc.rootPref + ri) % inc.rootCount()
 		ser, err = FindSerialization(SerializeOptions{
-			Source: h,
-			Txs:    txs,
+			Txs: txs,
 			Decide: func(tx history.TxID) Decision {
 				// O(1) from the appender's maintained phases; Check derives
 				// the same decisions from History.Status scans.
@@ -235,16 +236,13 @@ func (inc *Incremental) check() error {
 					return DecideAborted
 				}
 			},
-			// ≺ constraints from the appender's maintained spans: setup
-			// cost scales with the live transaction count, not the
-			// session's event count.
-			RealTimeSpans: inc.app.Spans(),
-			Objects:       root,
-			MaxNodes:      maxNodes,
-			Nodes:         &nodes, // accumulates: one budget across all roots
-			Context:       inc.ctx,
-			Hint:          hint,
-			DisableSym:    inc.cfg.DisableSym,
+			Objects:    inc.rootAt(inc.live.root),
+			MaxNodes:   maxNodes,
+			Nodes:      &nodes, // accumulates: one budget across all roots
+			Context:    inc.ctx,
+			Hint:       hint,
+			DisableSym: inc.cfg.DisableSym,
+			live:       &inc.live,
 		})
 		if err != nil || ser != nil {
 			if ser != nil {
@@ -295,24 +293,19 @@ func (inc *Incremental) rootAt(i int) spec.Objects {
 
 // candidate extends the previous witness order with the transactions
 // that appeared since — in first-event order, at the end, where a fresh
-// (live, so unconstrained-by-≺H) transaction can always go.
+// (live, so unconstrained-by-≺H) transaction can always go. The witness
+// orders every transaction of the prefix it was found for, and the
+// transaction list only grows between truncations (which drop the
+// witness), so the new transactions are exactly the list's tail past
+// the witness's length.
 func (inc *Incremental) candidate(txs []history.TxID) *Serialization {
 	if inc.hint == nil {
-		for _, tx := range txs {
-			inc.known[tx] = struct{}{}
-		}
 		return nil
 	}
 	if len(inc.hint.Order) == len(txs) {
 		return inc.hint
 	}
-	inc.cand = append(inc.cand[:0], inc.hint.Order...)
-	for _, tx := range txs {
-		if _, ok := inc.known[tx]; !ok {
-			inc.known[tx] = struct{}{}
-			inc.cand = append(inc.cand, tx)
-		}
-	}
+	inc.cand = append(append(inc.cand[:0], inc.hint.Order...), txs[len(inc.hint.Order):]...)
 	return &Serialization{Order: inc.cand, Commits: inc.hint.Commits}
 }
 
@@ -332,4 +325,84 @@ func (inc *Incremental) checkReference() error {
 		inc.res.PrefixLen = inc.res.Events
 	}
 	return nil
+}
+
+// liveSuffix is what an Incremental keeps between checks so that a
+// check's setup pays for what the latest event changed rather than for
+// a re-derivation over the whole live suffix. The Appender's views stand
+// in for the scans of the history setup would otherwise make (execution
+// extraction, object list, real-time spans), and two caches carry
+// interned ids from check to check:
+//
+//   - sigs holds each transaction's replay signature, indexed like
+//     Appender.Transactions. A transaction is re-signed only when its
+//     count of completed executions changed: executions are only ever
+//     appended or completed in place, and a signature covers exactly
+//     the completed ones.
+//   - roots holds each checkpoint root's interned initial state.
+//
+// Both hold ids of one table generation (gen) and are dropped when the
+// context pins another one. The root states are also dropped when the
+// registry grows: an initial state is a vector over the registered
+// objects, so a configured object that first appears later changes the
+// vector. The Incremental drops both on truncation, which replaces the
+// transactions and the roots.
+type liveSuffix struct {
+	app  *history.Appender
+	root int // the root the current call starts from
+
+	gen    *sharedGen
+	sigs   []int32
+	signed []int // completed executions sigs[i] covers
+	nobjs  int   // registry mirror length the roots were interned at
+	roots  []stateID
+}
+
+// sync drops the cached ids ctx's pinned generation or registry has
+// outdated. Called by setup after pinning and registering objects.
+func (l *liveSuffix) sync(ctx *SearchContext) {
+	if l.gen != ctx.gen {
+		l.gen = ctx.gen
+		l.reset()
+	}
+	if l.nobjs != len(ctx.objs) {
+		l.nobjs = len(ctx.objs)
+		l.roots = l.roots[:0]
+	}
+}
+
+// reset drops both caches.
+func (l *liveSuffix) reset() {
+	l.sigs, l.signed = l.sigs[:0], l.signed[:0]
+	l.roots = l.roots[:0]
+}
+
+// sig returns the interned replay signature of transaction i, whose
+// executions are execs, re-signing it only if it completed an execution
+// since it was last signed. Transactions are visited in index order, so
+// an index past the cache is the next one to append.
+func (l *liveSuffix) sig(ctx *SearchContext, i int, execs []history.OpExec) int32 {
+	done := len(execs)
+	if done > 0 && execs[done-1].Pending {
+		done--
+	}
+	if i == len(l.sigs) {
+		l.sigs = append(l.sigs, ctx.sigOf(execs))
+		l.signed = append(l.signed, done)
+	} else if l.signed[i] != done {
+		l.sigs[i], l.signed[i] = ctx.sigOf(execs), done
+	}
+	return l.sigs[i]
+}
+
+// initial returns the interned initial state of the current root, whose
+// objects are objs.
+func (l *liveSuffix) initial(ctx *SearchContext, objs spec.Objects) stateID {
+	for len(l.roots) <= l.root {
+		l.roots = append(l.roots, -1)
+	}
+	if l.roots[l.root] < 0 {
+		l.roots[l.root] = ctx.initialState(objs)
+	}
+	return l.roots[l.root]
 }

@@ -7,6 +7,7 @@ import (
 	"otm/internal/core"
 	"otm/internal/gen"
 	"otm/internal/history"
+	"otm/internal/spec"
 )
 
 // firstBadPrefix computes, by brute force, the length of the shortest
@@ -284,5 +285,32 @@ func TestIncrementalSharedContext(t *testing.T) {
 	}
 	if d.Opaque || d.PrefixLen != res.PrefixLen {
 		t.Fatalf("diagnosis %+v disagrees with incremental verdict at %d", d, res.PrefixLen)
+	}
+}
+
+// TestIncrementalLateConfiguredObject: a configured object that first
+// appears after the checker interned its initial state must still start
+// from its configured state. The registry grows when y appears, and with
+// it the initial-state vector, so a cached initial state from before
+// would read y as the default register 0 and flag r2(y)->5.
+func TestIncrementalLateConfiguredObject(t *testing.T) {
+	h := history.MustParse("w1(x,1) tryC1 C1 r2(y)->5 tryC2 C2")
+	cfg := core.Config{Objects: spec.Registers(5, "y")}
+	inc := core.NewIncremental(cfg)
+	for i, ev := range h {
+		res, err := inc.Append(ev)
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		want, err := core.Check(h[:i+1], cfg)
+		if err != nil {
+			t.Fatalf("Check of prefix %d: %v", i+1, err)
+		}
+		if res.Opaque != want.Opaque {
+			t.Fatalf("prefix %d: incremental opaque=%v, Check says %v", i+1, res.Opaque, want.Opaque)
+		}
+	}
+	if !inc.Result().Opaque {
+		t.Error("history flagged non-opaque, want opaque: y starts at its configured 5")
 	}
 }

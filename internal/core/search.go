@@ -52,14 +52,6 @@ type SerializeOptions struct {
 	// from the transaction spans, so hot callers avoid materializing
 	// the quadratic pair list of History.RealTimeOrder.
 	RealTime history.History
-	// RealTimeSpans, when non-nil, supplies the transaction spans —
-	// indexed like Txs — that RealTime would be scanned for, skipping
-	// the O(events) event scan entirely. Incremental prefix checking
-	// passes the spans its history.Appender maintains per event, which
-	// is what makes the per-check setup cost a function of the
-	// transaction count rather than the history length. Takes
-	// precedence over RealTime.
-	RealTimeSpans []history.Span
 	// Objects are the initial object states; nil entries default to
 	// integer registers initialized to 0.
 	Objects spec.Objects
@@ -104,6 +96,12 @@ type SerializeOptions struct {
 	// "subtree already enumerated", not "subtree has no witness", and
 	// the two must never answer each other's lookups.
 	enumerate bool
+	// live, when non-nil, stands in for Source and RealTime: Txs are
+	// the transactions of an Incremental checker's live suffix, and
+	// their executions, objects, spans, replay signatures and the
+	// initial state come from its maintained views and caches instead
+	// of scans of the history (see liveSuffix).
+	live *liveSuffix
 }
 
 // Serialization is the successful outcome of FindSerialization.
@@ -211,7 +209,10 @@ func grow[T any](s []T, n int) []T {
 }
 
 // setup prepares the searcher for one call, reusing the scratch slices
-// of previous calls on the same context.
+// of previous calls on the same context. It derives what validating a
+// hint needs — executions, replay signatures, decisions, ordering
+// constraints and the initial state; prepare adds what only a search
+// needs.
 func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, nodes *int) {
 	n := len(o.Txs)
 	s.ctx = ctx
@@ -257,14 +258,24 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	// Registry order only needs to be stable within the generation —
 	// state vectors are never compared across table sets — so
 	// first-appearance order does fine and skips a sort per call.
-	ctx.registerObjects(o.Source.Objects())
-
-	s.execs = o.Source.OpExecsFor(o.Txs)
+	live := o.live
+	if live != nil {
+		ctx.registerObjects(live.app.Objects())
+		live.sync(ctx)
+		s.execs = live.app.OpExecs()
+	} else {
+		ctx.registerObjects(o.Source.Objects())
+		s.execs = o.Source.OpExecsFor(o.Txs)
+	}
 	s.sigs = grow(s.sigs, n)
 	s.decide = grow(s.decide, n)
 	s.fate = grow(s.fate, n)
 	for i, tx := range o.Txs {
-		s.sigs[i] = ctx.sigOf(s.execs[i])
+		if live != nil {
+			s.sigs[i] = live.sig(ctx, i, s.execs[i])
+		} else {
+			s.sigs[i] = ctx.sigOf(s.execs[i])
+		}
 		s.decide[i] = o.Decide(tx)
 	}
 
@@ -284,11 +295,6 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	for i := 0; i < n; i++ {
 		s.foot[i] = bitset(s.words[off : off+ow])
 		off += ow
-		for _, e := range s.execs[i] {
-			if !e.Pending {
-				s.foot[i].set(int(ctx.objIdx[e.Obj]))
-			}
-		}
 	}
 	for i := 0; i < n; i++ {
 		s.succ[i] = bitset(s.words[off : off+tw])
@@ -303,8 +309,8 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 			s.preds[j].set(i)
 		}
 	}
-	if o.RealTimeSpans != nil {
-		s.addSpanPreds(o.RealTimeSpans)
+	if live != nil {
+		s.addSpanPreds(live.app.Spans())
 	} else if o.RealTime != nil {
 		s.addRealTimePreds(o.RealTime)
 	}
@@ -315,6 +321,29 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 		s.order = s.order[:0]
 	}
 
+	// A nil Objects map reads like an empty one, so no defaulting
+	// allocation is needed.
+	if live != nil {
+		s.init = live.initial(ctx, o.Objects)
+	} else {
+		s.init = ctx.initialState(o.Objects)
+	}
+}
+
+// prepare completes setup for a search or an enumeration: footprints,
+// symmetry classes, the legality watch and the memo problem id. A call
+// whose hint validates never needs them, so FindSerialization derives
+// them only once it has to search.
+func (s *searcher) prepare(o SerializeOptions) {
+	ctx := s.ctx
+	for i := 0; i < s.n; i++ {
+		for _, e := range s.execs[i] {
+			if !e.Pending {
+				s.foot[i].set(int(ctx.objIdx[e.Obj]))
+			}
+		}
+	}
+
 	s.computeClasses(o.DisableSym)
 
 	// The legality watch starts every call cold: version clock at zero,
@@ -322,15 +351,12 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	s.ver = 0
 	s.objVer = grow(s.objVer, len(ctx.objs))
 	clear(s.objVer)
-	s.legalVal = grow(s.legalVal, n)
-	s.legalVer = grow(s.legalVer, n)
+	s.legalVal = grow(s.legalVal, s.n)
+	s.legalVer = grow(s.legalVer, s.n)
 	for i := range s.legalVer {
 		s.legalVer[i] = -1
 	}
 
-	// A nil Objects map reads like an empty one, so no defaulting
-	// allocation is needed.
-	s.init = ctx.initialState(o.Objects)
 	kind, salt := byte(problemSearch), int32(0)
 	if o.enumerate {
 		// Epochs are unique per table set: another context's
@@ -341,10 +367,10 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 }
 
 // addSpanPreds sets the predecessor bits induced by the real-time order,
-// from caller-maintained spans indexed like s.txs: a completed
-// transaction precedes exactly the transactions whose span starts after
-// its ends. Identical constraints to addRealTimePreds, without its
-// O(events) span-derivation scan.
+// from the spans a history.Appender maintains, indexed like s.txs: a
+// completed transaction precedes exactly the transactions whose span
+// starts after its ends. Identical constraints to addRealTimePreds,
+// without its O(events) span-derivation scan.
 func (s *searcher) addSpanPreds(spans []history.Span) {
 	n := s.n
 	for i := 0; i < n; i++ {
@@ -620,6 +646,7 @@ func FindSerialization(o SerializeOptions) (*Serialization, error) {
 		return s.result(o), nil
 	}
 
+	s.prepare(o)
 	switch s.search(s.placed, 0, s.init, -1) {
 	case outFound:
 		return s.result(o), nil
@@ -710,6 +737,7 @@ func enumerateFinals(o SerializeOptions, maxNodes int, nodes *int, sink func(sta
 	s.active = true
 	defer func() { s.active = false }()
 	s.setup(ctx, o, maxNodes, nodes)
+	s.prepare(o)
 	if s.enumerate(s.placed, 0, s.init, -1, sink) == outTruncated {
 		return ErrSearchLimit
 	}

@@ -155,6 +155,65 @@ func TestSharedTablesGenerationSwap(t *testing.T) {
 	}
 }
 
+// TestIncrementalAcrossGenerationSwaps runs the differential of
+// TestTruncatedMatchesCheckEveryPrefix — truncation attempted after every
+// event, the first flagged prefix compared with a scan of fresh Check
+// calls — on a table set whose tiny bound swaps the generation every few
+// checks. The replay signatures and initial states an Incremental caches
+// between checks are ids of one generation; reused after a swap they
+// would name other signatures and states, or none.
+func TestIncrementalAcrossGenerationSwaps(t *testing.T) {
+	n := 60
+	if !testing.Short() {
+		n = 250
+	}
+	tables := NewSharedTables()
+	tables.maxEntries = 16
+	ctx := tables.NewContext()
+	checkpoints := 0
+	for _, cfg := range []gen.Config{
+		{Txs: 5, Objs: 3, MaxOps: 3, PStaleRead: 0.3},
+		{Txs: 6, Objs: 2, MaxOps: 4, PStaleRead: 0.4, PLeaveLive: 0.5},
+		{Txs: 4, Objs: 2, MaxOps: 3, PStaleRead: 0.2, PCommit: 0.4},
+	} {
+		for seed, h := range gen.Corpus(cfg, n, 7) {
+			want := -1
+			for i := 1; i <= len(h) && want < 0; i++ {
+				r, err := Check(h[:i], Config{})
+				if err != nil {
+					t.Fatalf("fresh Check of prefix %d: %v", i, err)
+				}
+				if !r.Opaque {
+					want = i
+				}
+			}
+			inc := NewIncremental(Config{Context: ctx})
+			got := -1
+			for i, ev := range h {
+				res, err := inc.Append(ev)
+				if err != nil {
+					t.Fatalf("cfg=%+v seed=%d event %d: %v", cfg, seed, i, err)
+				}
+				if !res.Opaque && got < 0 {
+					got = res.PrefixLen
+				}
+				if _, err := inc.TryTruncate(0); err != nil {
+					t.Fatalf("cfg=%+v seed=%d event %d: TryTruncate: %v", cfg, seed, i, err)
+				}
+			}
+			checkpoints += inc.Result().Checkpoints
+			if got != want {
+				t.Fatalf("cfg=%+v seed=%d: across generation swaps the checker flags prefix %d, a fresh scan says %d:\n%s",
+					cfg, seed, got, want, h.Format())
+			}
+		}
+	}
+	if s := ctx.Stats(); s.Flushes == 0 || checkpoints == 0 {
+		t.Fatalf("maxEntries=16: %d generation swaps and %d checkpoints; the test needs both", s.Flushes, checkpoints)
+	}
+	t.Logf("%d generation swaps, %d checkpoints", ctx.Stats().Flushes, checkpoints)
+}
+
 // TestSharedTablesTruncationNotMemoized is the cross-worker soundness
 // test for budget truncation: a context that exhausts its node budget
 // must not have published truncated subtrees as failures, or a sibling

@@ -26,29 +26,39 @@ type Span struct {
 // incremental checker without ever re-validating from scratch.
 //
 // Alongside the phase machine the Appender maintains the transaction
-// list (first-event order) and per-transaction spans, so Transactions
-// and Spans are O(1) views rather than per-call scans, and it supports
-// Truncate: dropping a fully-completed prefix and re-basing the
-// remainder, the history-layer half of checkpointed monitor truncation.
+// list (first-event order), per-transaction spans and operation
+// executions, and the object list, so Transactions, Spans, OpExecs and
+// Objects are O(1) views rather than per-call scans — an event changes
+// one transaction's entries and at most appends one object, which is
+// what lets a consumer re-checking every prefix pay per event for what
+// the event changed. It also supports Truncate: dropping a
+// fully-completed prefix and re-basing the remainder, the history-layer
+// half of checkpointed monitor truncation.
 //
 // The zero Appender is not ready for use; call NewAppender.
 type Appender struct {
-	h        History
-	phases   map[TxID]txPhase
-	pendings map[TxID]Event
+	h      History
+	phases map[TxID]txPhase
 
 	txs     []TxID         // live transactions, in first-event order
-	spanIdx map[TxID]int32 // index into txs/spans
+	spanIdx map[TxID]int32 // index into txs/spans/execs
 	spans   []Span
-	open    int // live transactions not yet completed
+	// execs holds each transaction's operation executions; a pending
+	// invocation is its transaction's last execution. Slices past
+	// len(execs) are kept for reuse by later transactions.
+	execs [][]OpExec
+	open  int // live transactions not yet completed
+
+	objs    []ObjID // objects operated on, in first-appearance order
+	objSeen map[ObjID]struct{}
 }
 
 // NewAppender returns an empty Appender.
 func NewAppender() *Appender {
 	return &Appender{
-		phases:   make(map[TxID]txPhase),
-		pendings: make(map[TxID]Event),
-		spanIdx:  make(map[TxID]int32),
+		phases:  make(map[TxID]txPhase),
+		spanIdx: make(map[TxID]int32),
+		objSeen: make(map[ObjID]struct{}),
 	}
 }
 
@@ -68,7 +78,6 @@ func (a *Appender) Append(ev Event) error {
 		switch ev.Kind {
 		case KindInv:
 			a.phases[ev.Tx] = phaseOpPending
-			a.pendings[ev.Tx] = ev
 		case KindTryCommit:
 			a.phases[ev.Tx] = phaseCommitPending
 		case KindTryAbort:
@@ -79,8 +88,8 @@ func (a *Appender) Append(ev Event) error {
 	case phaseOpPending:
 		switch ev.Kind {
 		case KindRet:
-			if !Matches(a.pendings[ev.Tx], ev) {
-				return wfErr(i, ev, "response does not match pending invocation "+a.pendings[ev.Tx].String())
+			if inv := a.pending(ev.Tx); !Matches(inv, ev) {
+				return wfErr(i, ev, "response does not match pending invocation "+inv.String())
 			}
 			a.phases[ev.Tx] = phaseIdle
 		case KindAbort:
@@ -108,7 +117,16 @@ func (a *Appender) Append(ev Event) error {
 	return nil
 }
 
-// record folds one accepted event into the transaction list and spans.
+// pending returns the invocation event of tx's pending operation, which
+// is its last execution. Only valid while tx is op-pending.
+func (a *Appender) pending(tx TxID) Event {
+	ex := a.execs[a.spanIdx[tx]]
+	e := ex[len(ex)-1]
+	return Inv(tx, e.Obj, e.Op, e.Arg)
+}
+
+// record folds one accepted event into the transaction list, spans,
+// operation executions and object list.
 func (a *Appender) record(ev Event, i int) {
 	t, ok := a.spanIdx[ev.Tx]
 	if !ok {
@@ -116,13 +134,38 @@ func (a *Appender) record(ev Event, i int) {
 		a.spanIdx[ev.Tx] = t
 		a.txs = append(a.txs, ev.Tx)
 		a.spans = append(a.spans, Span{First: i})
+		if n := len(a.execs); n < cap(a.execs) {
+			a.execs = a.execs[:n+1]
+			a.execs[n] = a.execs[n][:0]
+		} else {
+			a.execs = append(a.execs, nil)
+		}
 		a.open++
 	}
 	sp := &a.spans[t]
 	sp.Last = i
-	if ev.Kind == KindCommit || ev.Kind == KindAbort {
+	switch ev.Kind {
+	case KindInv:
+		a.execs[t] = append(a.execs[t], OpExec{Tx: ev.Tx, Obj: ev.Obj, Op: ev.Op, Arg: ev.Arg, Pending: true})
+		a.addObject(ev.Obj)
+	case KindRet:
+		e := &a.execs[t][len(a.execs[t])-1]
+		e.Ret, e.Pending = ev.Ret, false
+	case KindCommit, KindAbort:
+		// An abort in place of an operation response leaves the
+		// invocation pending, as History.OpExecs reports it.
 		sp.Completed = true
 		a.open--
+	}
+}
+
+// addObject appends ob to the object list unless it is already there.
+// Invocations suffice: a response is accepted only on its invocation's
+// object.
+func (a *Appender) addObject(ob ObjID) {
+	if _, ok := a.objSeen[ob]; !ok {
+		a.objSeen[ob] = struct{}{}
+		a.objs = append(a.objs, ob)
 	}
 }
 
@@ -148,6 +191,18 @@ func (a *Appender) Transactions() []TxID { return a.txs }
 // Spans returns the per-transaction spans, indexed like Transactions.
 // Same view semantics as Transactions.
 func (a *Appender) Spans() []Span { return a.spans }
+
+// OpExecs returns the operation executions of every transaction, indexed
+// like Transactions, exactly as History().OpExecsFor(Transactions())
+// would: completed executions in order, then the pending invocation, if
+// any. Same view semantics as Transactions; an Append may also complete
+// the last execution of a returned slice in place.
+func (a *Appender) OpExecs() [][]OpExec { return a.execs }
+
+// Objects returns the objects operated on in the history built so far,
+// in order of first appearance, exactly as History().Objects() would.
+// Same view semantics as Transactions.
+func (a *Appender) Objects() []ObjID { return a.objs }
 
 // Open returns the number of transactions that have started but not yet
 // completed (no commit or abort event). A history with Open() == 0 is a
@@ -208,16 +263,26 @@ func (a *Appender) Truncate(n int) error {
 		if sp.First < n {
 			delete(a.spanIdx, tx)
 			delete(a.phases, tx)
-			delete(a.pendings, tx)
 			continue
 		}
 		a.txs[keep] = tx
 		a.spans[keep] = Span{First: sp.First - n, Last: sp.Last - n, Completed: sp.Completed}
+		// Swap rather than overwrite, so the dropped transaction's
+		// slice stays past the new length for reuse.
+		a.execs[keep], a.execs[t] = a.execs[t], a.execs[keep]
 		a.spanIdx[tx] = int32(keep)
 		keep++
 	}
 	a.txs = a.txs[:keep]
 	a.spans = a.spans[:keep]
+	a.execs = a.execs[:keep]
+	a.objs = a.objs[:0]
+	clear(a.objSeen)
+	for _, ev := range a.h {
+		if ev.Kind == KindInv {
+			a.addObject(ev.Obj)
+		}
+	}
 	return nil
 }
 
@@ -227,9 +292,11 @@ func (a *Appender) Truncate(n int) error {
 func (a *Appender) Reset() {
 	a.h = a.h[:0]
 	clear(a.phases)
-	clear(a.pendings)
 	a.txs = a.txs[:0]
 	a.spans = a.spans[:0]
+	a.execs = a.execs[:0]
 	clear(a.spanIdx)
 	a.open = 0
+	a.objs = a.objs[:0]
+	clear(a.objSeen)
 }

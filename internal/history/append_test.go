@@ -2,6 +2,8 @@ package history
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -155,14 +157,37 @@ func TestAppenderViewAndReset(t *testing.T) {
 	}
 }
 
-// TestAppenderSpansMatchScan: the maintained Transactions/Spans/Open
-// views agree, after every event, with a brute-force scan of the history
-// built so far.
+// checkViews requires the maintained OpExecs and Objects views to equal
+// what History().OpExecsFor(Transactions()) and History().Objects()
+// derive by scanning the history built so far.
+func checkViews(t *testing.T, a *Appender, when string) {
+	t.Helper()
+	h := a.History()
+	want := h.OpExecsFor(a.Transactions())
+	got := a.OpExecs()
+	if len(got) != len(want) {
+		t.Fatalf("%s: OpExecs() covers %d transactions, scan says %d", when, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: OpExecs()[T%d] = %v, scan says %v", when, int(a.Transactions()[i]), got[i], want[i])
+		}
+	}
+	if got, want := a.Objects(), h.Objects(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Objects() = %v, scan says %v", when, got, want)
+	}
+}
+
+// TestAppenderSpansMatchScan: the maintained Transactions/Spans/Open/
+// OpExecs/Objects views agree, after every event and after a Reset, with
+// a brute-force scan of the history built so far.
 func TestAppenderSpansMatchScan(t *testing.T) {
 	evs := History{
 		Inv(1, "x", "read", nil), Ret(1, "x", "read", 0),
 		Inv(2, "x", "write", 1), TryA(3), Abort(3),
 		Ret(2, "x", "write", OK), TryC(2), Commit(2),
+		// T4 aborts with its invocation pending: the execution stays
+		// pending, and y is an object of the history all the same.
 		Inv(4, "y", "read", nil), Abort(4),
 		TryC(1), Commit(1),
 	}
@@ -171,6 +196,7 @@ func TestAppenderSpansMatchScan(t *testing.T) {
 		if err := a.Append(ev); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
+		checkViews(t, a, fmt.Sprintf("after event %d", i))
 		h := a.History()
 		wantTxs := h.Transactions()
 		gotTxs := a.Transactions()
@@ -204,6 +230,18 @@ func TestAppenderSpansMatchScan(t *testing.T) {
 			t.Fatalf("after event %d: Open() = %d, scan says %d", i, got, open)
 		}
 	}
+	a.Reset()
+	checkViews(t, a, "after Reset")
+	// Transactions after a Reset reuse the dropped execution slices.
+	for i, ev := range (History{
+		Inv(5, "z", "write", 3), Ret(5, "z", "write", OK),
+		Inv(6, "x", "read", nil),
+	}) {
+		if err := a.Append(ev); err != nil {
+			t.Fatalf("event %d after Reset: %v", i, err)
+		}
+		checkViews(t, a, fmt.Sprintf("after event %d after Reset", i))
+	}
 }
 
 // TestAppenderTruncate: a stable cut re-bases the remainder exactly as
@@ -218,14 +256,16 @@ func TestAppenderTruncate(t *testing.T) {
 		Inv(4, "y", "write", 2), Ret(4, "y", "write", OK), TryC(4), Commit(4),
 	}
 	a := NewAppender()
-	for _, ev := range append(prefix[:len(prefix):len(prefix)], suffix...) {
+	for i, ev := range append(prefix[:len(prefix):len(prefix)], suffix...) {
 		if err := a.Append(ev); err != nil {
 			t.Fatal(err)
 		}
+		checkViews(t, a, fmt.Sprintf("after event %d", i))
 	}
 	if err := a.Truncate(len(prefix)); err != nil {
 		t.Fatal(err)
 	}
+	checkViews(t, a, "after Truncate")
 	// Reference: a fresh appender fed only the suffix.
 	ref := NewAppender()
 	for _, ev := range suffix {
@@ -251,15 +291,16 @@ func TestAppenderTruncate(t *testing.T) {
 	if got := a.Status(1); got != StatusLive {
 		t.Errorf("Status(dropped T1) = %v, want live (forgotten)", got)
 	}
-	// The appender keeps working after a truncation.
-	if err := a.Append(TryC(3)); err != nil {
-		t.Fatal(err)
+	// The appender keeps working after a truncation; a new transaction
+	// reuses a dropped one's execution slice.
+	for i, ev := range (History{TryC(3), Commit(3), Inv(5, "z", "read", nil), Ret(5, "z", "read", 0)}) {
+		if err := a.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+		checkViews(t, a, fmt.Sprintf("after event %d after Truncate", i))
 	}
-	if err := a.Append(Commit(3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Open(); got != 0 {
-		t.Errorf("Open() after completing T3 = %d, want 0", got)
+	if got := a.Open(); got != 1 {
+		t.Errorf("Open() after completing T3 and starting T5 = %d, want 1", got)
 	}
 }
 

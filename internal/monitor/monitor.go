@@ -267,9 +267,12 @@ type Stats struct {
 	LiveEvents      int
 	Roots           int
 	TruncNodes      int
-	// TableStates, TableAtoms and TableMemoEntries are the session
-	// SearchContext's residency counters (core.Stats.States, .Atoms,
-	// .MemoEntries): how much interned state the session is holding.
+	// TableStates, TableAtoms and TableMemoEntries mirror the session
+	// SearchContext's counters (core.Stats.States, .Atoms,
+	// .MemoEntries): how much state the session has interned since it
+	// began. They are cumulative across the table generation swaps that
+	// bound residency, so they never fall and, after the first swap,
+	// exceed what the session currently holds.
 	TableStates      int
 	TableAtoms       int
 	TableMemoEntries int
