@@ -234,8 +234,9 @@ func BenchmarkCheckOpacity(b *testing.B) {
 // the context-backed runs, and allocations (b.ReportAllocs, so allocs/op
 // appears without -benchmem), making the interning payoff visible
 // directly in the bench output: the reduction from lazy commit/abort
-// branching, the shared memo, the partial-order reduction, and the
-// allocation-free memo/transition keys. Because the workers of a run
+// branching, the one memo all completions share, the partial-order
+// reduction, and the allocation-free memo/transition keys. Because the
+// workers of a run
 // share one table set, states-interned stays at the sequential count at
 // every width instead of growing ×workers. The "commitpending" corpus (most transactions left commit-pending) is the
 // regime the unified engine targets: the reference pays for 2^k

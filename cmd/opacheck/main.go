@@ -174,7 +174,7 @@ func run() int {
 		src, ok := demos[*demo]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "opacheck: unknown demo %q\n", *demo)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Printf("# demo %s\n", *demo)
 		inputs = []string{src}

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +16,37 @@ import (
 	"otm/internal/spec"
 	"otm/internal/storage"
 )
+
+// TestUnknownDemoKeepsProfile runs the command — the test binary
+// re-executed as opacheck — with an unknown -demo under -cpuprofile: it
+// must exit 2 through run's return, so the deferred teardown still
+// writes the profile instead of leaving an empty file.
+func TestUnknownDemoKeepsProfile(t *testing.T) {
+	if prof := os.Getenv("OPACHECK_TEST_CPUPROFILE"); prof != "" {
+		os.Args = []string{"opacheck", "-cpuprofile", prof, "-demo", "nope"}
+		os.Exit(run())
+	}
+	prof := filepath.Join(t.TempDir(), "cpu.out")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownDemoKeepsProfile$")
+	cmd.Env = append(os.Environ(), "OPACHECK_TEST_CPUPROFILE="+prof)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("opacheck -demo nope: err=%v, want exit status 2; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown demo "nope"`) {
+		t.Errorf("stderr does not name the unknown demo:\n%s", stderr.String())
+	}
+	st, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() == 0 {
+		t.Error("the CPU profile is empty: the deferred teardown did not run")
+	}
+}
 
 // TestDemosParseAndVerdicts pins every built-in demo to its expected
 // opacity verdict, so the CLI's showcase inputs cannot rot.

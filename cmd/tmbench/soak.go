@@ -165,7 +165,7 @@ func soakBurst(nextTx, value *int, burst, objects int) history.History {
 
 // assertFlat fails when the per-window trajectory exhibits the unbounded
 // growth truncation is meant to eliminate. The first window is warmup
-// (context tables filling, memo cold); comparisons run from the second.
+// (context tables filling); comparisons run from the second.
 func assertFlat(windows []soakWindow, cfg soakConfig) error {
 	if len(windows) < 3 {
 		return fmt.Errorf("only %d windows — not enough trajectory to judge (lower -soak-window or raise -soak-events)", len(windows))

@@ -90,8 +90,10 @@ type Options struct {
 	// and the search-node budget applied to each history independently.
 	// Config.Context is ignored: SearchContexts are single-goroutine, so
 	// the pool provisions one context per worker over the run's table set
-	// instead, and the interned states, cached transitions and memo
-	// entries are amortized across every history of the run.
+	// instead, and the interned states and cached transitions are
+	// amortized across every history of the run. Each search keeps its
+	// own failure memo, so a verdict, node count included, does not
+	// depend on the worker count or the check order.
 	Config core.Config
 	// Check overrides the checker (default core.Check with Config).
 	// Useful to batch-check other criteria, e.g. core.CheckStrong.

@@ -10,16 +10,21 @@ import (
 )
 
 // TestSharedContextMatchesPerWorkerAndReference is the differential for
-// the table layer under a pool: on one mixed corpus, a pool on a
-// caller-supplied table set, a default pool (a fresh set per run) and a
-// one-worker pool must each agree with the DisableMemo reference engine
-// on every verdict.
+// the table layer under a pool: on one mixed corpus followed by itself, a
+// pool on a caller-supplied table set, a default pool (a fresh set per
+// run) and a one-worker pool must each agree with the DisableMemo
+// reference engine on every verdict. Their verdict lines, source
+// dropped, must be identical — node counts and witnesses included — and
+// both copies of every history must print the same line: a verdict is a
+// function of its history, whatever the worker count, the check order
+// or the histories checked before it.
 func TestSharedContextMatchesPerWorkerAndReference(t *testing.T) {
 	n := 300
 	if !testing.Short() {
 		n = 1000
 	}
-	hs := corpus(n)
+	base := corpus(n)
+	hs := append(append([]history.History(nil), base...), base...)
 
 	ref := New(Options{Workers: 4, Config: core.Config{DisableMemo: true}}).CheckAll(hs)
 	runs := map[string][]Verdict{
@@ -27,6 +32,11 @@ func TestSharedContextMatchesPerWorkerAndReference(t *testing.T) {
 		"default":      New(Options{Workers: 8}).CheckAll(hs),
 		"one worker":   New(Options{Workers: 1}).CheckAll(hs),
 	}
+	line := func(v Verdict) string {
+		v.Source = ""
+		return v.Line()
+	}
+	want := runs["one worker"]
 	for name, got := range runs {
 		for i := range hs {
 			if got[i].Err != nil || ref[i].Err != nil {
@@ -35,6 +45,14 @@ func TestSharedContextMatchesPerWorkerAndReference(t *testing.T) {
 			if got[i].Result.Opaque != ref[i].Result.Opaque {
 				t.Errorf("%s, history %d: opaque=%v, reference says %v:\n%s",
 					name, i, got[i].Result.Opaque, ref[i].Result.Opaque, hs[i].Format())
+			}
+			if l, w := line(got[i]), line(want[i]); l != w {
+				t.Errorf("%s, history %d: verdict line %q, one worker prints %q", name, i, l, w)
+			}
+			if i >= n {
+				if l, first := line(got[i]), line(got[i-n]); l != first {
+					t.Errorf("%s, history %d: second copy prints %q, first copy %q", name, i-n, l, first)
+				}
 			}
 		}
 	}

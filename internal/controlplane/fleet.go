@@ -335,7 +335,7 @@ func (f *Fleet) registerMemberMetrics(m *Member) {
 	gauge("otm_monitor_live_events", "live-suffix length (events since the last checkpoint)", func(s monitor.Stats) int { return s.LiveEvents })
 	gauge("otm_monitor_roots", "reachable-state roots of the current checkpoint", func(s monitor.Stats) int { return s.Roots })
 	gauge("otm_monitor_table_states", "state vectors interned since the session began", func(s monitor.Stats) int { return s.TableStates })
-	gauge("otm_monitor_table_memo_entries", "failure-memo entries interned since the session began", func(s monitor.Stats) int { return s.TableMemoEntries })
+	gauge("otm_monitor_table_memo_entries", "failure-memo entries recorded by the session's searches since it began, each search's memo dropped when that search ends", func(s monitor.Stats) int { return s.TableMemoEntries })
 }
 
 // Name returns the member's fleet-unique name.

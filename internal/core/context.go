@@ -14,14 +14,15 @@ type stateID = int32
 
 // Stats are the observability counters of a SearchContext: the lookups
 // it made (memo and transition hits and misses), the reductions its
-// searches applied, and the table inserts it performed. Every entry of
-// a table set is minted by exactly one context, so the contexts sharing
-// one set never count an insert twice, and summing their Stats with Add
-// yields the set's totals — the per-worker contexts of a checkpool run,
-// or of every shard a dist worker checks, aggregate exactly. A context
-// from NewSearchContext is its table set's only user, so its Stats cover
-// the whole set. All counters are cumulative over the context's
-// lifetime, across generation swaps.
+// searches applied, the memo entries its searches recorded, and the
+// table inserts it performed. Every entry of a table set is minted by
+// exactly one context, so the contexts sharing one set never count an
+// insert twice, and summing their Stats with Add yields the set's
+// totals — the per-worker contexts of a checkpool run, or of every shard
+// a dist worker checks, aggregate exactly. A context from
+// NewSearchContext is its table set's only user, so its Stats cover the
+// whole set. All counters are cumulative over the context's lifetime,
+// across generation swaps.
 type Stats struct {
 	// States is the number of distinct object-state vectors interned.
 	States int
@@ -29,16 +30,13 @@ type Stats struct {
 	Atoms int
 	// TxSigs is the number of distinct transaction replay signatures.
 	TxSigs int
-	// Problems is the number of distinct search problems the context has
-	// scoped memo entries by. Only calls that search or enumerate derive
-	// a problem: a call whose hint validates (the Incremental fast path)
-	// counts none.
-	Problems int
-	// MemoEntries counts failure-verdict insertions; MemoHits and
-	// MemoMisses count memo lookup outcomes (their sum is the lookup
-	// count, so MemoHits/(MemoHits+MemoMisses) is the memo hit rate);
-	// TransHits / TransMisses count transition-cache outcomes (a miss
-	// replays the transaction, a hit is a table probe).
+	// MemoEntries counts failure-verdict insertions into the memos of
+	// the context's searches (each search's memo is dropped when the
+	// search ends, so this is a count of insertions, not of entries
+	// held); MemoHits and MemoMisses count memo lookup outcomes (their
+	// sum is the lookup count, so MemoHits/(MemoHits+MemoMisses) is the
+	// memo hit rate); TransHits / TransMisses count transition-cache
+	// outcomes (a miss replays the transaction, a hit is a table probe).
 	MemoEntries int
 	MemoHits    int
 	MemoMisses  int
@@ -50,13 +48,14 @@ type Stats struct {
 	Flushes int
 	// SymClasses counts the non-singleton symmetry classes detected
 	// across calls (groups of ≥2 interchangeable transactions whose
-	// placements the search canonicalizes), like Problems only in calls
-	// that search or enumerate; SymPrunes counts candidate
-	// placements skipped because an earlier member of the candidate's
-	// class was still unplaced; LegalSkips counts candidate placements
-	// skipped by the incremental legality watch without probing the
-	// transition cache (the candidate was known-illegal on the current
-	// states of every object it touches).
+	// placements the search canonicalizes), only in calls that search or
+	// enumerate — a call whose hint validates (the Incremental fast path)
+	// counts none; SymPrunes counts candidate placements skipped because
+	// an earlier member of the candidate's class was still unplaced;
+	// LegalSkips counts candidate placements skipped by the incremental
+	// legality watch without probing the transition cache (the candidate
+	// was known-illegal on the current states of every object it
+	// touches).
 	SymClasses int
 	SymPrunes  int
 	LegalSkips int
@@ -67,7 +66,6 @@ func (s *Stats) Add(o Stats) {
 	s.States += o.States
 	s.Atoms += o.Atoms
 	s.TxSigs += o.TxSigs
-	s.Problems += o.Problems
 	s.MemoEntries += o.MemoEntries
 	s.MemoHits += o.MemoHits
 	s.MemoMisses += o.MemoMisses
@@ -117,38 +115,22 @@ type atomStepVal struct {
 	legal bool
 }
 
-// memoKey keys the failure memo: search states are identified by the
-// scoping problem id, the interned object-state vector, the last placed
-// transaction (part of the key because the partial-order reduction
-// prunes successors relative to it) and the placed-transaction bitset,
-// inlined for histories of up to 128 transactions. Wider bitsets take
-// the string-keyed spill path (memoWide).
-type memoKey struct {
-	problem int32
-	state   stateID
-	last    int32
-	lo, hi  uint64
-}
-
 // SearchContext is one goroutine's handle on a set of search tables
-// (SharedTables) — the atom and state-vector interners, the transition
-// cache and the failure memo — plus its own atom step cache. A fresh
-// context over a fresh table set is created internally for every call
-// that does not supply one; supplying one (Config.Context,
-// SerializeOptions.Context) reuses the tables across calls, which is
-// what makes the O(n) prefix scan of FirstNonOpaquePrefix, the
-// per-removed-transaction re-checks of Diagnose, and long batch runs
-// amortize their state exploration.
+// (SharedTables) — the atom, signature and state-vector interners and
+// the transition cache — plus its own atom step cache and resident
+// searcher. A fresh context over a fresh table set is created internally
+// for every call that does not supply one; supplying one
+// (Config.Context, SerializeOptions.Context) reuses the tables across
+// calls, which is what makes the O(n) prefix scan of
+// FirstNonOpaquePrefix, the per-removed-transaction re-checks of
+// Diagnose, and long batch runs amortize their state exploration.
 //
-// Reuse is sound because every table is scoped by what it depends on:
-// atoms and state vectors are pure values; transitions are keyed by
-// (state, transaction replay signature); and memo entries are scoped by
-// a problem signature covering the transactions' replay signatures,
-// commit decisions, ordering constraints and initial states — two calls
-// share memo entries only when they pose structurally identical search
-// problems. Budget-truncated subtrees are never memoized (see
-// searcher.search), so a verdict cut short by MaxNodes can never be
-// replayed as a definitive failure by a later call.
+// Reuse is sound because every table is keyed by what it depends on:
+// atoms, signatures and state vectors are pure values, and transitions
+// are keyed by (state, transaction replay signature). The failure memo
+// is not among the tables: it belongs to one search and is emptied
+// before the next, so a call's node count depends on its history and
+// Config alone, never on what the context checked before.
 //
 // A SearchContext is not safe for concurrent use. Give each goroutine
 // its own: NewSearchContext for a private table set, or
@@ -156,30 +138,12 @@ type memoKey struct {
 // goroutines' contexts populate too.
 type SearchContext struct {
 	// tables is the table set behind this context; gen is its
-	// generation pinned for the current call. Two caches stay private to
-	// the context: the steps map below (the atom step cache — a step is
-	// cheap to recompute, so sharing it would buy little beyond lock
-	// traffic and a second copy) and the memo/memoWide maps, which hold
-	// the entries of problems this context owns (see owned). Both are
-	// cleared on every generation change.
+	// generation pinned for the current call. The atom step cache (steps
+	// below) stays private to the context — a step is cheap to
+	// recompute, so sharing it would buy little beyond lock traffic and a
+	// second copy — and is cleared on every generation change.
 	tables *SharedTables
 	gen    *sharedGen
-
-	// owned is the set of problem ids this context interned first. Memo
-	// entries are problem-scoped, so for a problem no other context has
-	// ever posed, the set's memo cannot hold or ever be asked for its
-	// entries by anyone else — the owner keeps them in its private maps
-	// at plain-map cost. Contexts that re-pose a problem someone else
-	// minted (duplicate histories) read and write the locked memo of the
-	// set instead, which is where cross-worker memo reuse actually pays.
-	// Cleared, with the private maps, on every generation change: ids do
-	// not outlive their generation. Indexed by problem id.
-	owned bitset
-	// memoOwnProblem/memoOwn memoize the last owned-lookup: memo probes
-	// arrive in long per-problem runs (one search call = one problem),
-	// so almost every probe short-circuits to an int compare.
-	memoOwnProblem int32
-	memoOwn        bool
 
 	defReg int32 // interned default object state (register 0)
 
@@ -188,9 +152,7 @@ type SearchContext struct {
 	objIdx map[history.ObjID]int32
 	objs   []history.ObjID
 
-	steps    map[atomStep]atomStepVal
-	memo     map[memoKey]struct{}
-	memoWide map[string]struct{}
+	steps map[atomStep]atomStepVal
 
 	// initEmpty caches initialState(nil-or-empty Objects) — the common
 	// configuration — within one generation; -1 means not cached.
@@ -214,8 +176,8 @@ func (c *SearchContext) Stats() Stats { return c.stats }
 // a fresh generation first when the table set outgrew its bound.
 // Crossing into a new generation invalidates everything local that
 // referred to the old one: the registry mirror, the default-register
-// atom, the empty-initial-state id, the step cache and the
-// owned-problem memo. Callers must not pin from a re-entrant call
+// atom, the empty-initial-state id and the step cache. Callers must not
+// pin from a re-entrant call
 // (searcher.setup skips pinning when it runs on a non-resident
 // searcher), or the generation would move out from under the outer
 // call's stateIDs.
@@ -233,10 +195,6 @@ func (c *SearchContext) pin() {
 	c.objs = c.objs[:0]
 	c.initEmpty = -1
 	clear(c.steps)
-	clear(c.memo)
-	clear(c.memoWide)
-	c.owned = c.owned[:0]
-	c.memoOwnProblem = -1
 }
 
 // registerObjects ensures ids are in the generation's registry and
@@ -274,8 +232,8 @@ func (c *SearchContext) registerObjects(ids []history.ObjID) {
 }
 
 // maxTableEntries bounds the size of one generation of a table set —
-// memo, transitions, replay signatures and interned atoms alike — and,
-// separately, of each context's private step cache and owned memo.
+// state vectors, transitions, replay signatures and interned atoms
+// alike — and, separately, of each context's private step cache.
 // Long-lived tables (a checkpool run over a million-history batch of
 // diverse values) would otherwise grow without limit; crossing the bound
 // swaps in a fresh generation between calls — cheap relative to the work
@@ -356,9 +314,9 @@ func (c *SearchContext) initialState(objs spec.Objects) stateID {
 // operation, argument and return value of every completed execution, in
 // order, injection-safe). Two transactions with equal signatures replay
 // identically from any state, so the signature is the transaction's
-// identity in the transition cache, the problem signature and the
-// symmetry-class computation, and it is stable across calls and contexts
-// (the rendering references object names, never registry indices).
+// identity in the transition cache and the symmetry-class computation,
+// and it is stable across calls and contexts (the rendering references
+// object names, never registry indices).
 func (c *SearchContext) sigOf(execs []history.OpExec) int32 {
 	buf := history.AppendOpSignature(c.keyBuf[:0], execs)
 	c.keyBuf = buf
@@ -464,57 +422,6 @@ func (c *SearchContext) stepAtom(atom int32, e history.OpExec) (int32, bool) {
 	return v.next, v.legal
 }
 
-// Problem kinds: the leading byte of every problem signature. Memo
-// entries under a search problem mean "this subtree has no witness";
-// under an enumeration problem they mean "this subtree was already
-// enumerated". The kinds give the two disjoint keyspaces in the shared
-// memo table, so neither can ever answer the other's lookups.
-const (
-	problemSearch byte = iota
-	problemEnum
-)
-
-// problemOf interns the signature of one search problem: the problem
-// kind, the number of transactions, the initial state, and per
-// transaction (in placement-index order) its replay signature, commit
-// decision, predecessor bitset and symmetry-class predecessor. Memo
-// entries are scoped by the resulting id, so two calls share them exactly
-// when they pose the same search problem — the transaction ids themselves
-// are irrelevant to failure verdicts and do not participate. Footprints
-// (and with them the partial-order reduction) are a function of the
-// replay signatures, so they need no separate representation. The
-// classPrev entries are a pure function of the preceding fields today,
-// but they shape which subtrees the symmetry-reduced engine explores, so
-// they participate explicitly: an engine variant with the reduction
-// disabled (SerializeOptions.DisableSym) poses all-singleton classes and
-// can never share memo entries with a reduced search over real classes —
-// even across the contexts of one table set.
-func (c *SearchContext) problemOf(kind byte, salt int32, init stateID, sigs []int32, decide []Decision, preds []bitset, classPrev []int32) int32 {
-	buf := c.keyBuf[:0]
-	buf = append(buf, kind, byte(salt), byte(salt>>8), byte(salt>>16), byte(salt>>24))
-	n := uint32(len(sigs))
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	buf = append(buf, byte(init), byte(init>>8), byte(init>>16), byte(init>>24))
-	for i := range sigs {
-		s := sigs[i]
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24), byte(decide[i]))
-		buf = preds[i].appendKey(buf)
-		p := classPrev[i]
-		buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-	}
-	c.keyBuf = buf
-	id, fresh := c.gen.problems.intern(buf)
-	if fresh {
-		c.stats.Problems++
-		c.gen.entries.Add(1)
-		for int(id>>6) >= len(c.owned) {
-			c.owned = append(c.owned, 0)
-		}
-		c.owned.set(int(id))
-	}
-	return id
-}
-
 // materialize renders one interned state vector as a durable Objects
 // map: every registered object mapped to its (canonical, immutable)
 // spec.State. The result references no table, so it survives generation
@@ -532,89 +439,4 @@ func (c *SearchContext) materialize(vid stateID) spec.Objects {
 		out[id] = c.gen.atoms.State(a)
 	}
 	return out
-}
-
-// ownsProblem reports whether this context minted the problem,
-// memoizing the last answer: probes arrive in per-problem runs, so the
-// owned-map lookup happens once per run.
-func (c *SearchContext) ownsProblem(problem int32) bool {
-	if problem != c.memoOwnProblem {
-		ok := int(problem>>6) < len(c.owned) && c.owned.has(int(problem))
-		c.memoOwnProblem, c.memoOwn = problem, ok
-	}
-	return c.memoOwn
-}
-
-// memoIndex builds the inline memo key for placed bitsets of at most two
-// words; ok is false when the bitset is wider and the spill path applies.
-func memoIndex(problem int32, placed bitset, last int, vid stateID) (memoKey, bool) {
-	if len(placed) > 2 {
-		return memoKey{}, false
-	}
-	k := memoKey{problem: problem, state: vid, last: int32(last), lo: placed[0]}
-	if len(placed) == 2 {
-		k.hi = placed[1]
-	}
-	return k, true
-}
-
-// wideKey renders the spill memo key for >128-transaction histories.
-func (c *SearchContext) wideKey(problem int32, placed bitset, last int, vid stateID) []byte {
-	buf := c.keyBuf[:0]
-	buf = append(buf, byte(problem), byte(problem>>8), byte(problem>>16), byte(problem>>24))
-	buf = append(buf, byte(vid), byte(vid>>8), byte(vid>>16), byte(vid>>24))
-	u := uint32(last + 1)
-	buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	buf = placed.appendKey(buf)
-	c.keyBuf = buf
-	return buf
-}
-
-// memoHas reports whether the search state was recorded as a definitive
-// failure.
-func (c *SearchContext) memoHas(problem int32, placed bitset, last int, vid stateID) bool {
-	var ok bool
-	own := c.ownsProblem(problem)
-	k, inline := memoIndex(problem, placed, last, vid)
-	switch {
-	case own && inline:
-		// This context minted the problem; its entries live in the
-		// private maps and no sibling can ever pose it (see owned).
-		_, ok = c.memo[k]
-	case own:
-		_, ok = c.memoWide[string(c.wideKey(problem, placed, last, vid))]
-	case inline:
-		ok = c.gen.memo.has(k)
-	default:
-		_, ok = c.gen.memoWide.get(c.wideKey(problem, placed, last, vid))
-	}
-	if ok {
-		c.stats.MemoHits++
-	} else {
-		c.stats.MemoMisses++
-	}
-	return ok
-}
-
-// memoInsert records the search state as a definitive failure. Callers
-// must never insert a state whose subtree was truncated by the node
-// budget: with tables shared across calls and contexts, a truncated
-// verdict replayed as a failure would be unsound.
-func (c *SearchContext) memoInsert(problem int32, placed bitset, last int, vid stateID) {
-	own := c.ownsProblem(problem)
-	k, inline := memoIndex(problem, placed, last, vid)
-	inserted := true
-	switch {
-	case own && inline:
-		c.memo[k] = struct{}{}
-	case own:
-		c.memoWide[string(c.wideKey(problem, placed, last, vid))] = struct{}{}
-	case inline:
-		inserted = c.gen.memo.put(k)
-	default:
-		_, inserted = c.gen.memoWide.intern(c.wideKey(problem, placed, last, vid))
-	}
-	if inserted {
-		c.stats.MemoEntries++
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"otm/internal/gen"
@@ -102,46 +103,47 @@ func TestTransitionCacheMatchesReplay(t *testing.T) {
 
 // TestMemoWideBitsetSpill covers the >128-transaction memo path: placed
 // bitsets too wide for the inline comparable key go through the
-// string-keyed spill table with the same semantics.
+// searcher's string-keyed spill map with the same semantics.
 func TestMemoWideBitsetSpill(t *testing.T) {
 	ctx := NewSearchContext()
+	s := acquire(ctx)
+	defer s.release()
+	s.prepare(false, nil)
 	placed := newBitset(130) // 3 words -> spill
 	placed.set(0)
 	placed.set(129)
-	if ctx.memoHas(1, placed, 5, 42) {
-		t.Fatal("empty spill table reported a hit")
+	if s.memoHas(placed, 5, 42) {
+		t.Fatal("empty spill map reported a hit")
 	}
-	ctx.memoInsert(1, placed, 5, 42)
-	if !ctx.memoHas(1, placed, 5, 42) {
+	s.memoInsert(placed, 5, 42)
+	if !s.memoHas(placed, 5, 42) {
 		t.Error("inserted wide state not found")
+	}
+	if len(s.memo) != 0 || len(s.memoWide) != 1 {
+		t.Errorf("wide state landed in the inline map: %d inline, %d wide entries", len(s.memo), len(s.memoWide))
 	}
 	// Any component differing must miss.
 	for _, probe := range []struct {
-		problem int32
-		last    int
-		vid     stateID
-	}{{2, 5, 42}, {1, 6, 42}, {1, 5, 43}} {
-		if ctx.memoHas(probe.problem, placed, probe.last, probe.vid) {
+		last int
+		vid  stateID
+	}{{6, 42}, {5, 43}} {
+		if s.memoHas(placed, probe.last, probe.vid) {
 			t.Errorf("probe %+v hit, want miss", probe)
 		}
 	}
 	placed.clear(129)
-	if ctx.memoHas(1, placed, 5, 42) {
+	if s.memoHas(placed, 5, 42) {
 		t.Error("different placed bitset hit, want miss")
 	}
-	if s := ctx.Stats(); s.MemoEntries != 1 || s.MemoHits != 1 {
-		t.Errorf("stats = %+v, want 1 entry and 1 hit", s)
+	if st := ctx.Stats(); st.MemoEntries != 1 || st.MemoHits != 1 {
+		t.Errorf("stats = %+v, want 1 entry and 1 hit", st)
 	}
 }
 
-// TestTruncatedStatesReExploredOnLargerBudget is the soundness test for
-// memo reuse across calls: when a check exhausts its node budget, the
-// states whose subtrees were truncated must NOT be memoized as failures,
-// so re-checking the same history on the same context with budget to
-// spare reaches the true verdict. (Before truncation became a distinct
-// search status, the parent of an exhausted subtree recorded the state
-// as failed — harmless while memos died with the call, unsound the
-// moment they are shared.)
+// TestTruncatedStatesReExploredOnLargerBudget: a check that exhausts
+// its node budget must leave nothing on its context that decides a later
+// check, so re-checking the same history on the same context with budget
+// to spare reaches the true verdict.
 func TestTruncatedStatesReExploredOnLargerBudget(t *testing.T) {
 	hs := gen.Corpus(gen.Config{Txs: 6, Objs: 3, MaxOps: 4, PStaleRead: 0.3, PLeaveLive: 0.5}, 200, 11)
 	starved := 0
@@ -176,7 +178,11 @@ func TestTruncatedStatesReExploredOnLargerBudget(t *testing.T) {
 // TestSharedContextMatchesFreshAcrossCorpus: one long-lived context
 // serving a whole mixed corpus — the checkpool-worker shape — must
 // reproduce the verdicts of per-call fresh contexts and of the reference
-// engine, while actually reusing tables (memo or transition hits > 0).
+// engine, while actually reusing tables (transition hits > 0). The
+// corpus is then checked a second time on the same warm context: a
+// check's node count and witness are a function of its history alone,
+// so every history must cost exactly the nodes and yield exactly the
+// witness order of its first check and of a fresh context.
 func TestSharedContextMatchesFreshAcrossCorpus(t *testing.T) {
 	n := 300
 	if !testing.Short() {
@@ -185,6 +191,7 @@ func TestSharedContextMatchesFreshAcrossCorpus(t *testing.T) {
 	hs := gen.Corpus(gen.Config{Txs: 5, Objs: 3, MaxOps: 3, PStaleRead: 0.3, PLeaveLive: 0.3}, n, 23)
 	ctx := NewSearchContext()
 	shared := Config{Context: ctx}
+	first := make([]Result, len(hs))
 	for i, h := range hs {
 		got, err := Check(h, shared)
 		if err != nil {
@@ -198,24 +205,55 @@ func TestSharedContextMatchesFreshAcrossCorpus(t *testing.T) {
 			t.Fatalf("history %d: shared context says opaque=%v, reference says %v:\n%s",
 				i, got.Opaque, want.Opaque, h.Format())
 		}
+		first[i] = got
 	}
 	s := ctx.Stats()
 	if s.TransHits == 0 {
 		t.Error("a corpus-wide context should hit the transition cache")
 	}
-	if s.States == 0 || s.Atoms == 0 || s.TxSigs == 0 || s.Problems == 0 {
+	if s.States == 0 || s.Atoms == 0 || s.TxSigs == 0 {
 		t.Errorf("stats not populated: %+v", s)
+	}
+
+	order := func(r Result) string {
+		if r.Witness == nil {
+			return "none"
+		}
+		return fmt.Sprint(r.Witness.Order)
+	}
+	for i, h := range hs {
+		again, err := Check(h, shared)
+		if err != nil {
+			t.Fatalf("history %d: second pass: %v", i, err)
+		}
+		fresh, err := Check(h, Config{})
+		if err != nil {
+			t.Fatalf("history %d: fresh context: %v", i, err)
+		}
+		for _, c := range []struct {
+			name string
+			r    Result
+		}{{"second pass", again}, {"fresh context", fresh}} {
+			if c.r.Opaque != first[i].Opaque || c.r.Nodes != first[i].Nodes || order(c.r) != order(first[i]) {
+				t.Fatalf("history %d: %s opaque=%v nodes=%d order=%s, first pass opaque=%v nodes=%d order=%s:\n%s",
+					i, c.name, c.r.Opaque, c.r.Nodes, order(c.r),
+					first[i].Opaque, first[i].Nodes, order(first[i]), h.Format())
+			}
+		}
 	}
 }
 
 // TestTableSizeCapFlushes: tables that have grown past the entry bound
 // are dropped at the next call boundary and keep answering correctly —
 // the policy that bounds a batch worker's memory on million-history
-// runs. The context's private side (L1 step cache, owned-problem memo)
-// is cleared in place; a full generation is swapped for a fresh one,
-// which counts as a flush.
+// runs. The context's private table, the atom step cache, is cleared in
+// place; a full generation is swapped for a fresh one, which counts as a
+// flush.
 func TestTableSizeCapFlushes(t *testing.T) {
-	ctx := NewSearchContext()
+	const bound = 64
+	tables := NewSharedTables()
+	tables.maxEntries = bound
+	ctx := tables.NewContext()
 	h := history.MustParse("w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2")
 	check := func(what string) {
 		t.Helper()
@@ -226,19 +264,19 @@ func TestTableSizeCapFlushes(t *testing.T) {
 	}
 	check("first check")
 
-	for i := 0; len(ctx.memo) <= maxTableEntries; i++ {
-		ctx.memo[memoKey{problem: int32(i), lo: uint64(i)}] = struct{}{}
+	for i := 0; len(ctx.steps) <= bound; i++ {
+		ctx.steps[atomStep{atom: int32(-1 - i)}] = atomStepVal{}
 	}
 	gen := ctx.gen
-	check("after the private side outgrew the bound")
-	if len(ctx.memo) > 16 {
-		t.Errorf("private memo not cleared: %d entries", len(ctx.memo))
+	check("after the step cache outgrew the bound")
+	if len(ctx.steps) > 16 {
+		t.Errorf("step cache not cleared: %d entries", len(ctx.steps))
 	}
 	if ctx.gen != gen || ctx.Stats().Flushes != 0 {
-		t.Errorf("a full private side swapped the generation (%d flushes)", ctx.Stats().Flushes)
+		t.Errorf("a full step cache swapped the generation (%d flushes)", ctx.Stats().Flushes)
 	}
 
-	gen.entries.Add(maxTableEntries) // as if the generation had filled up
+	gen.entries.Add(bound) // as if the generation had filled up
 	check("after the generation outgrew the bound")
 	if ctx.gen == gen {
 		t.Error("a full generation was not swapped for a fresh one")
@@ -315,10 +353,10 @@ func TestIndexOfMiss(t *testing.T) {
 // TestStatsAdd pins the aggregation used by checkpool's per-worker
 // accounting.
 func TestStatsAdd(t *testing.T) {
-	a := Stats{States: 1, Atoms: 2, TxSigs: 3, Problems: 4, MemoEntries: 5, MemoHits: 6, MemoMisses: 7, TransHits: 8, TransMisses: 9, Flushes: 10}
+	a := Stats{States: 1, Atoms: 2, TxSigs: 3, MemoEntries: 5, MemoHits: 6, MemoMisses: 7, TransHits: 8, TransMisses: 9, Flushes: 10}
 	b := a
 	a.Add(b)
-	want := Stats{States: 2, Atoms: 4, TxSigs: 6, Problems: 8, MemoEntries: 10, MemoHits: 12, MemoMisses: 14, TransHits: 16, TransMisses: 18, Flushes: 20}
+	want := Stats{States: 2, Atoms: 4, TxSigs: 6, MemoEntries: 10, MemoHits: 12, MemoMisses: 14, TransHits: 16, TransMisses: 18, Flushes: 20}
 	if a != want {
 		t.Errorf("Add: got %+v, want %+v", a, want)
 	}

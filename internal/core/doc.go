@@ -42,10 +42,12 @@
 //     (node, candidate) pair, and an atom-level step cache makes even
 //     those replays skip spec.State.Step for operations it has applied
 //     to the same object state before. Failure verdicts are memoized
-//     under a fixed-size comparable key — (problem signature,
-//     placed-transaction bitset, last placement, stateID) — where the
-//     problem signature scopes entries to structurally identical search
-//     problems, making one context safely reusable across calls:
+//     under a fixed-size comparable key — (placed-transaction bitset,
+//     last placement, stateID) — in a memo that belongs to the one
+//     search: it is emptied before the next, so a verdict's node count
+//     is a function of the history and Config alone. The interned states
+//     and cached transitions are pure values and outlive the call, which
+//     is what makes one context reusable across calls:
 //     FirstNonOpaquePrefix threads a single SearchContext through its
 //     prefix scan, and Diagnose shares one across the scan and every
 //     per-removed-transaction re-check. The tables themselves have one
@@ -54,9 +56,8 @@
 //     internal/checkpool gives every worker of a run a context over one
 //     common set (SharedTables.NewContext), so a batch interns each
 //     distinct state once. Subtrees truncated by the node budget
-//     propagate a distinct status and are never memoized, so a
-//     budget-starved verdict can never be replayed as a definitive
-//     failure by a later call.
+//     propagate a distinct status, so a budget-starved search stops at
+//     once and never records them as failures.
 //
 //     On success Opaque returns a Witness — the completion assembled
 //     from the chosen fates, the serialization order, and the sequential

@@ -53,10 +53,10 @@ type Config struct {
 	MaxNodes int
 	// Context supplies the interned-state tables of the search engine.
 	// nil means a fresh context per call; passing one amortizes state
-	// interning, transition caching and (for structurally identical
-	// problems) the failure memo across calls. Contexts are
-	// single-goroutine; see SearchContext. Ignored when DisableMemo is
-	// set.
+	// interning and transition caching across calls (the failure memo
+	// belongs to each search, so the verdict and node count do not
+	// depend on it). Contexts are single-goroutine; see SearchContext.
+	// Ignored when DisableMemo is set.
 	Context *SearchContext
 	// DisableMemo runs the reference decision procedure instead of the
 	// unified engine: completions are enumerated as an outer loop (2^k

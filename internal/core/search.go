@@ -21,8 +21,8 @@ const (
 	// become visible) versus aborting it (no trace). This is how the
 	// search covers Complete(H) without enumerating the 2^k completions
 	// as an outer loop — each completion corresponds to one assignment of
-	// fates along a search path, and the memo table and node budget are
-	// shared across all of them.
+	// fates along a search path, and the memo table and node budget of the
+	// one search are shared across all of them.
 	DecideBranch
 )
 
@@ -60,10 +60,10 @@ type SerializeOptions struct {
 	MaxNodes int
 	Nodes    *int
 	// Context supplies the interned-state tables (state interner,
-	// transition cache, failure memo) the search runs on. nil means a
-	// fresh context for this call; passing one reuses the tables across
-	// calls — see SearchContext for why that is sound. Ignored by the
-	// DisableMemo reference engine.
+	// transition cache) the search runs on. nil means a fresh context for
+	// this call; passing one reuses the tables across calls — see
+	// SearchContext for why that is sound. Ignored by the DisableMemo
+	// reference engine.
 	Context *SearchContext
 	// Hint optionally supplies a candidate serialization — an order over
 	// exactly Txs plus commit fates for the DecideBranch transactions —
@@ -85,17 +85,10 @@ type SerializeOptions struct {
 	DisableMemo bool
 	// DisableSym turns off the symmetry reduction: every transaction is
 	// its own class and interchangeable placements are all explored.
-	// Differential-testing hook for isolating the reduction (the memo
-	// problem signature carries the class map, so reduced and unreduced
-	// searches never share memo entries); not for production paths.
+	// Differential-testing hook for isolating the reduction; not for
+	// production paths.
 	DisableSym bool
 
-	// enumerate switches the searcher from witness finding to
-	// reachable-final-state enumeration (see enumerateFinals). It scopes
-	// the memo under a distinct problem kind: enumeration entries mean
-	// "subtree already enumerated", not "subtree has no witness", and
-	// the two must never answer each other's lookups.
-	enumerate bool
 	// live, when non-nil, stands in for Source and RealTime: Txs are
 	// the transactions of an Incremental checker's live suffix, and
 	// their executions, objects, spans, replay signatures and the
@@ -116,10 +109,9 @@ type Serialization struct {
 }
 
 // outcome is the tri-state result of one search subtree. Distinguishing
-// outTruncated from outFailed is what keeps a shared memo sound: a
-// subtree cut short by the node budget proves nothing about the state it
-// hangs from, so truncation propagates to the root without a memo insert,
-// and a later call with budget to spare re-explores the state.
+// outTruncated from outFailed keeps the memo honest: a subtree cut short
+// by the node budget proves nothing about the state it hangs from, so
+// truncation propagates to the root at once, without a memo insert.
 type outcome int8
 
 const (
@@ -129,12 +121,13 @@ const (
 )
 
 // searcher is the interned-state serialization engine. One instance
-// serves one FindSerialization call, but the tables it searches over
-// live in the SearchContext and persist across calls: object states are
-// interned to stateIDs (vector comparison is word equality, not string
-// building), each transaction's replay is cached per distinct state, and
-// failure verdicts are memoized under a fixed-size comparable key of
-// (problem, placed bitset, last placement, stateID). Isomorphic search
+// serves one FindSerialization or enumerateFinals call at a time, on
+// tables that live in the SearchContext and persist across calls: object
+// states are interned to stateIDs (vector comparison is word equality,
+// not string building) and each transaction's replay is cached per
+// distinct state. The failure memo is the searcher's own and lives for
+// one search: failed states are recorded under a fixed-size comparable
+// key of (placed bitset, last placement, stateID), so isomorphic search
 // prefixes — different placement orders and different commit/abort fate
 // assignments reaching the same placed set and object states — are
 // explored once; the last placed transaction is part of the key because
@@ -143,22 +136,36 @@ type searcher struct {
 	ctx    *SearchContext
 	active bool
 
-	n       int
-	txs     []history.TxID
-	txIdx   map[history.TxID]int32 // index into txs; nil for small n
-	execs   [][]history.OpExec
-	sigs    []int32
-	decide  []Decision
-	fate    []bool // chosen fate per placed transaction (branch txs)
-	preds   []bitset
-	foot    []bitset // per-transaction object footprint (bit per object)
-	words   []uint64 // shared backing store of preds, foot, succ and placed
-	spans   []int    // scratch: first/last event index per transaction
-	compl   []bool   // scratch: completed flag per transaction
-	placed  bitset
-	order   []history.TxID
-	init    stateID
-	problem int32
+	n      int
+	txs    []history.TxID
+	txIdx  map[history.TxID]int32 // index into txs; nil for small n
+	execs  [][]history.OpExec
+	sigs   []int32
+	decide []Decision
+	fate   []bool // chosen fate per placed transaction (branch txs)
+	preds  []bitset
+	foot   []bitset // per-transaction object footprint (bit per object)
+	words  []uint64 // shared backing store of preds, foot, succ and placed
+	spans  []int    // scratch: first/last event index per transaction
+	compl  []bool   // scratch: completed flag per transaction
+	placed bitset
+	order  []history.TxID
+	init   stateID
+
+	// memo is the failure memo, the visited-state set of one search: a
+	// state lands here once its whole subtree was explored without a
+	// witness (or, when enumerating, once its reachable finals were all
+	// sunk). memoWide takes the states of placed sets wider than 128
+	// transactions. prepare empties both, so an entry never outlives its
+	// search, and a validated hint never touches them.
+	memo     map[memoKey]struct{}
+	memoWide map[string]struct{}
+
+	// sink, when non-nil, turns the search into reachable-final-state
+	// enumeration: a leaf hands its final state to sink and counts as a
+	// failure, so the walk covers every serialization class instead of
+	// stopping at the first (see enumerateFinals).
+	sink func(stateID)
 
 	// classPrev implements the symmetry reduction: classPrev[i] is the
 	// index of the previous member of i's symmetry class (-1 when i is
@@ -213,9 +220,9 @@ func grow[T any](s []T, n int) []T {
 // hint needs — executions, replay signatures, decisions, ordering
 // constraints and the initial state; prepare adds what only a search
 // needs.
-func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, nodes *int) {
+func (s *searcher) setup(o SerializeOptions, maxNodes int, nodes *int) {
 	n := len(o.Txs)
-	s.ctx = ctx
+	ctx := s.ctx
 	s.n = n
 	s.txs = o.Txs
 	s.maxNodes = maxNodes
@@ -243,15 +250,10 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	// outer call still holds stateIDs into the pinned generation.
 	if s == &ctx.srch {
 		ctx.pin()
-		// The private side (step cache, owned-problem memo) grows
-		// independently of the generation; dropping it is always sound
-		// and only costs re-derivation.
-		if len(ctx.steps)+len(ctx.memo)+len(ctx.memoWide) > maxTableEntries {
+		// The step cache grows independently of the generation; dropping
+		// it is always sound and only costs re-derivation.
+		if int64(len(ctx.steps)) > ctx.tables.maxEntries {
 			clear(ctx.steps)
-			clear(ctx.memo)
-			clear(ctx.memoWide)
-			ctx.owned = ctx.owned[:0]
-			ctx.memoOwnProblem = -1
 		}
 	}
 
@@ -330,11 +332,11 @@ func (s *searcher) setup(ctx *SearchContext, o SerializeOptions, maxNodes int, n
 	}
 }
 
-// prepare completes setup for a search or an enumeration: footprints,
-// symmetry classes, the legality watch and the memo problem id. A call
-// whose hint validates never needs them, so FindSerialization derives
-// them only once it has to search.
-func (s *searcher) prepare(o SerializeOptions) {
+// prepare completes setup for a search: footprints, symmetry classes,
+// the legality watch, an empty memo and the leaf sink (nil to find a
+// witness). A call whose hint validates never needs them, so
+// FindSerialization derives them only once it has to search.
+func (s *searcher) prepare(disableSym bool, sink func(stateID)) {
 	ctx := s.ctx
 	for i := 0; i < s.n; i++ {
 		for _, e := range s.execs[i] {
@@ -344,7 +346,7 @@ func (s *searcher) prepare(o SerializeOptions) {
 		}
 	}
 
-	s.computeClasses(o.DisableSym)
+	s.computeClasses(disableSym)
 
 	// The legality watch starts every call cold: version clock at zero,
 	// every object version at zero, every cached verdict invalid.
@@ -357,13 +359,92 @@ func (s *searcher) prepare(o SerializeOptions) {
 		s.legalVer[i] = -1
 	}
 
-	kind, salt := byte(problemSearch), int32(0)
-	if o.enumerate {
-		// Epochs are unique per table set: another context's
-		// enumeration sharing a salt would suppress this one's finals.
-		kind, salt = problemEnum, ctx.tables.enumEpoch.Add(1)
+	s.memo = emptied(s.memo)
+	s.memoWide = emptied(s.memoWide)
+	s.sink = sink
+}
+
+// memoReuseBound is the largest memo a search may leave behind and still
+// have the next search clear it in place. clear costs a map's capacity,
+// not its length, so a map that once held a huge search's states is
+// replaced instead: otherwise every later search, however small, would
+// pay for clearing it.
+const memoReuseBound = 1 << 8
+
+// emptied returns m emptied for the next search: cleared in place, or a
+// fresh map when m is nil or the last search left more than
+// memoReuseBound entries in it.
+func emptied[K comparable](m map[K]struct{}) map[K]struct{} {
+	if m == nil || len(m) > memoReuseBound {
+		return make(map[K]struct{})
 	}
-	s.problem = ctx.problemOf(kind, salt, s.init, s.sigs, s.decide, s.preds, s.classPrev)
+	clear(m)
+	return m
+}
+
+// memoKey keys the failure memo: a search state is identified by the
+// interned object-state vector, the last placed transaction (part of the
+// key because the partial-order reduction prunes successors relative to
+// it) and the placed-transaction bitset, inlined for histories of up to
+// 128 transactions. Wider bitsets take the string-keyed spill map
+// (memoWide).
+type memoKey struct {
+	state  stateID
+	last   int32
+	lo, hi uint64
+}
+
+// inlineKey builds the inline memo key for placed bitsets of at most two
+// words; ok is false when the bitset is wider and the spill map applies.
+func inlineKey(placed bitset, last int, vid stateID) (k memoKey, ok bool) {
+	if len(placed) > 2 {
+		return memoKey{}, false
+	}
+	k = memoKey{state: vid, last: int32(last), lo: placed[0]}
+	if len(placed) == 2 {
+		k.hi = placed[1]
+	}
+	return k, true
+}
+
+// wideKey renders the spill memo key for >128-transaction histories.
+func (s *searcher) wideKey(placed bitset, last int, vid stateID) []byte {
+	buf := s.ctx.keyBuf[:0]
+	buf = append(buf, byte(vid), byte(vid>>8), byte(vid>>16), byte(vid>>24))
+	u := uint32(last + 1)
+	buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+	buf = placed.appendKey(buf)
+	s.ctx.keyBuf = buf
+	return buf
+}
+
+// memoHas reports whether the search state was recorded as a definitive
+// failure.
+func (s *searcher) memoHas(placed bitset, last int, vid stateID) bool {
+	var ok bool
+	if k, inline := inlineKey(placed, last, vid); inline {
+		_, ok = s.memo[k]
+	} else {
+		_, ok = s.memoWide[string(s.wideKey(placed, last, vid))]
+	}
+	if ok {
+		s.ctx.stats.MemoHits++
+	} else {
+		s.ctx.stats.MemoMisses++
+	}
+	return ok
+}
+
+// memoInsert records the search state as a definitive failure. Callers
+// must never insert a state whose subtree was truncated by the node
+// budget.
+func (s *searcher) memoInsert(placed bitset, last int, vid stateID) {
+	if k, inline := inlineKey(placed, last, vid); inline {
+		s.memo[k] = struct{}{}
+	} else {
+		s.memoWide[string(s.wideKey(placed, last, vid))] = struct{}{}
+	}
+	s.ctx.stats.MemoEntries++
 }
 
 // addSpanPreds sets the predecessor bits induced by the real-time order,
@@ -530,15 +611,21 @@ func (s *searcher) prunable(i, last int) bool {
 // serialization and fate assignment. A state is memoized as failed only
 // when its whole subtree was explored within the node budget; a truncated
 // subtree yields outTruncated, which propagates without memoization.
+// With a sink set, every leaf is sunk and fails, so the search never
+// returns outFound.
 func (s *searcher) search(placed bitset, count int, vid stateID, last int) outcome {
 	if *s.nodes >= s.maxNodes {
 		return outTruncated
 	}
 	*s.nodes++
 	if count == s.n {
+		if s.sink != nil {
+			s.sink(vid)
+			return outFailed
+		}
 		return outFound
 	}
-	if s.ctx.memoHas(s.problem, placed, last, vid) {
+	if s.memoHas(placed, last, vid) {
 		return outFailed
 	}
 	for i := 0; i < s.n; i++ {
@@ -582,7 +669,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID, last int) outco
 			return outTruncated
 		}
 	}
-	s.ctx.memoInsert(s.problem, placed, last, vid)
+	s.memoInsert(placed, last, vid)
 	return outFailed
 }
 
@@ -627,26 +714,15 @@ func FindSerialization(o SerializeOptions) (*Serialization, error) {
 		return findSerializationRef(o, maxNodes, nodes)
 	}
 
-	ctx := o.Context
-	if ctx == nil {
-		ctx = NewSearchContext()
-	}
-	// Reuse the context's resident searcher unless a call is already
-	// active on it (re-entrancy through a Decide callback would be the
-	// only path; none exists today, but correctness is cheap).
-	s := &ctx.srch
-	if s.active {
-		s = &searcher{}
-	}
-	s.active = true
-	defer func() { s.active = false }()
-	s.setup(ctx, o, maxNodes, nodes)
+	s := acquire(o.Context)
+	defer s.release()
+	s.setup(o, maxNodes, nodes)
 
 	if o.Hint != nil && s.validate(o.Hint) {
 		return s.result(o), nil
 	}
 
-	s.prepare(o)
+	s.prepare(o.DisableSym, nil)
 	switch s.search(s.placed, 0, s.init, -1) {
 	case outFound:
 		return s.result(o), nil
@@ -656,77 +732,12 @@ func FindSerialization(o SerializeOptions) (*Serialization, error) {
 	return nil, nil
 }
 
-// enumerate visits every legal serialization of the problem (one
-// canonical representative per commuting-swap equivalence class — the
-// classes agree on the final state, so the reduction loses nothing) and
-// sinks the interned final object-state vector of each. States already
-// enumerated are recorded in the memo under the enumeration problem kind
-// and skipped: the reachable-final set below a (placed, last, state)
-// node is a pure function of the node, so a second visit contributes
-// nothing new. Returns outTruncated when the node budget runs out
-// (post-order memo insertion keeps truncated subtrees out of the visited
-// set, exactly as the search path keeps them out of the failure memo);
-// outFailed otherwise — enumeration never stops early, so outFound is
-// never produced.
-func (s *searcher) enumerate(placed bitset, count int, vid stateID, last int, sink func(stateID)) outcome {
-	if *s.nodes >= s.maxNodes {
-		return outTruncated
-	}
-	*s.nodes++
-	if count == s.n {
-		sink(vid)
-		return outFailed
-	}
-	if s.ctx.memoHas(s.problem, placed, last, vid) {
-		return outFailed
-	}
-	for i := 0; i < s.n; i++ {
-		if placed.has(i) || !placed.covers(s.preds[i]) ||
-			s.prunable(i, last) || s.symBlocked(i, placed) {
-			continue
-		}
-		next, legal := s.stepCand(i, vid)
-		if !legal {
-			continue
-		}
-		if s.decide[i] != DecideCommitted {
-			// Aborted placements leave no state trace; DecideBranch never
-			// reaches enumeration (checkpointed prefixes are completed).
-			next = vid
-		}
-		placed.set(i)
-		var out outcome
-		if next != vid {
-			s.touch(i)
-			out = s.enumerate(placed, count+1, next, i, sink)
-			s.touch(i)
-		} else {
-			out = s.enumerate(placed, count+1, vid, i, sink)
-		}
-		placed.clear(i)
-		if out == outTruncated {
-			return outTruncated
-		}
-	}
-	s.ctx.memoInsert(s.problem, placed, last, vid)
-	return outFailed
-}
-
-// enumerateFinals runs the reachable-final-state enumeration for a fully
-// decided problem (no DecideBranch transactions): sink receives the
-// interned final object-state vector of every legal serialization of
-// o.Txs, deduplicated per distinct vector by the caller if desired (the
-// walk itself may sink one vector several times via distinct
-// serialization classes). It returns ErrSearchLimit when the node budget
-// is exhausted before the enumeration completes — the caller must then
-// discard everything sunk, since uncovered serializations may reach
-// states never reported.
-func enumerateFinals(o SerializeOptions, maxNodes int, nodes *int, sink func(stateID)) error {
-	o.enumerate = true
-	if len(o.Txs) == 0 {
-		return nil
-	}
-	ctx := o.Context
+// acquire returns the searcher for one call on ctx (a fresh context when
+// nil), marked active until release: the context's resident searcher,
+// unless a call is already active on it (re-entrancy through a Decide
+// callback would be the only path; none exists today, but correctness is
+// cheap).
+func acquire(ctx *SearchContext) *searcher {
 	if ctx == nil {
 		ctx = NewSearchContext()
 	}
@@ -734,11 +745,35 @@ func enumerateFinals(o SerializeOptions, maxNodes int, nodes *int, sink func(sta
 	if s.active {
 		s = &searcher{}
 	}
+	s.ctx = ctx
 	s.active = true
-	defer func() { s.active = false }()
-	s.setup(ctx, o, maxNodes, nodes)
-	s.prepare(o)
-	if s.enumerate(s.placed, 0, s.init, -1, sink) == outTruncated {
+	return s
+}
+
+func (s *searcher) release() { s.active = false }
+
+// enumerateFinals runs the reachable-final-state enumeration for a fully
+// decided problem (no DecideBranch transactions): the search runs with a
+// sink at its leaves, so sink receives the interned final object-state
+// vector of every legal serialization of o.Txs — one canonical
+// representative per class of the partial-order and symmetry reductions,
+// which agree on the final state, so the reductions lose nothing. The
+// memo then records states already enumerated: the reachable-final set
+// below a (placed, last, state) node is a pure function of the node, so
+// a second visit contributes nothing new. The caller deduplicates if
+// desired (distinct classes may sink one vector several times). It
+// returns ErrSearchLimit when the node budget is exhausted before the
+// enumeration completes — the caller must then discard everything sunk,
+// since uncovered serializations may reach states never reported.
+func enumerateFinals(o SerializeOptions, maxNodes int, nodes *int, sink func(stateID)) error {
+	if len(o.Txs) == 0 {
+		return nil
+	}
+	s := acquire(o.Context)
+	defer s.release()
+	s.setup(o, maxNodes, nodes)
+	s.prepare(o.DisableSym, sink)
+	if s.search(s.placed, 0, s.init, -1) == outTruncated {
 		return ErrSearchLimit
 	}
 	return nil

@@ -11,15 +11,16 @@ import (
 )
 
 // SharedTables is the one implementation of the search tables: a set of
-// state atoms, interned state vectors, transition cache, failure memo
-// and problem signatures that any number of goroutines read and
-// populate at once. Each goroutine owns a SearchContext (NewContext) for
-// its scratch buffers and searcher, while every table probe and insert
-// lands in the set, so N workers on one set intern each distinct state
-// once instead of up to N times and every worker benefits from every
-// other worker's memo and transition entries. A context from
-// NewSearchContext is the one-user case: a fresh set behind a single
-// context.
+// state atoms, replay signatures, interned state vectors and cached
+// transitions that any number of goroutines read and populate at once.
+// Each goroutine owns a SearchContext (NewContext) for its scratch
+// buffers and searcher, while every table probe and insert lands in the
+// set, so N workers on one set intern each distinct state once instead
+// of up to N times and every worker benefits from every other worker's
+// transition entries. A context from NewSearchContext is the one-user
+// case: a fresh set behind a single context. The failure memo is not a
+// table: it belongs to one search (see searcher), and the atom step
+// cache stays private to each context.
 //
 // Concurrency design: the hot tables — transitions (transTable) and the
 // string-keyed interning indexes (keyTable) — are lock-free open-addressed
@@ -27,20 +28,13 @@ import (
 // slot and publish the value with a second store, and growth doubles the
 // slot array under a mutex that readers never touch. Tables start small
 // and grow with use, so a short-lived set costs little. keyTable inserts
-// mint ids exactly once (the CAS winner runs the mint callback), which
-// is what lets contexts agree on every id. The failure memo of problems
-// posed by several contexts is a lock-striped Go map, and the id-indexed
-// stores (state atoms, state vectors, interned keys) are append-only
-// paged arrays read without locks. The atom step cache and the memo of
-// problems only one context poses stay private to each context (see
-// SearchContext). All cached values are pure functions of their keys,
-// so racing inserts always agree and first-writer-wins is sound.
+// mint ids exactly once (the CAS winner appends the key), which is what
+// lets contexts agree on every id. The id-indexed stores (state atoms,
+// state vectors, interned keys) are append-only paged arrays read
+// without locks. All cached values are pure functions of their keys, so
+// racing inserts always agree and first-writer-wins is sound.
 //
-// Soundness rules: memo entries are scoped by problem signature,
-// budget-truncated subtrees are never memoized (see searcher.search),
-// and enumeration epochs come from one atomic counter per set so no two
-// reachable-state enumerations — on any context — ever share a problem
-// id. Two more rules keep the set flush-free while calls are in flight:
+// Two rules keep the set flush-free while calls are in flight:
 //
 //   - Registry growth never flushes. State vectors are stored in
 //     canonical form with trailing default-register atoms trimmed, so a
@@ -58,11 +52,10 @@ import (
 type SharedTables struct {
 	gen    atomic.Pointer[sharedGen]
 	swapMu sync.Mutex
-	// maxEntries is the generation-swap threshold; a field (not the
-	// maxTableEntries constant) so tests can force swaps cheaply.
+	// maxEntries is the generation-swap threshold and the bound of each
+	// context's step cache; a field (not the maxTableEntries constant) so
+	// tests can force swaps and flushes cheaply.
 	maxEntries int64
-
-	enumEpoch atomic.Int32
 }
 
 // NewSharedTables returns an empty table set. Derive one SearchContext
@@ -76,18 +69,15 @@ func NewSharedTables() *SharedTables {
 // NewContext returns a SearchContext backed by the table set. The
 // context itself (scratch buffers, resident searcher, counters) is
 // single-goroutine — give each worker its own — but everything it
-// interns, caches and memoizes is shared with every sibling context.
-// Its Stats count its own lookups and the inserts it performed, so the
-// Stats of all contexts of one set sum to the set's totals.
+// interns and caches is shared with every sibling context. Its Stats
+// count its own lookups and the inserts it performed, so the Stats of
+// all contexts of one set sum to the set's totals.
 func (s *SharedTables) NewContext() *SearchContext {
 	c := &SearchContext{
-		tables:         s,
-		objIdx:         make(map[history.ObjID]int32),
-		steps:          make(map[atomStep]atomStepVal),
-		memo:           make(map[memoKey]struct{}),
-		memoWide:       make(map[string]struct{}),
-		memoOwnProblem: -1,
-		initEmpty:      -1,
+		tables:    s,
+		objIdx:    make(map[history.ObjID]int32),
+		steps:     make(map[atomStep]atomStepVal),
+		initEmpty: -1,
 	}
 	c.pin()
 	return c
@@ -116,9 +106,9 @@ func (s *SharedTables) pin() (*sharedGen, bool) {
 }
 
 // sharedGen is one generation of a table set. Everything a stateID,
-// atom id, signature id or problem id can refer to lives in one
-// generation; a generation is immutable in structure (append-only
-// registry, insert-only tables) until it is retired wholesale.
+// atom id or signature id can refer to lives in one generation; a
+// generation is immutable in structure (append-only registry,
+// insert-only tables) until it is retired wholesale.
 type sharedGen struct {
 	atoms *spec.SharedInterner
 
@@ -132,12 +122,9 @@ type sharedGen struct {
 	// The interning indexes: an id is its key's position in the table's
 	// store, and a state vector's key is its canonical atom rendering,
 	// so vecIdx is also the store of the vectors themselves.
-	sigIdx   keyTable
-	problems keyTable
-	vecIdx   keyTable
-	trans    transTable
-	memo     stripedMemo
-	memoWide keyTable
+	sigIdx keyTable
+	vecIdx keyTable
+	trans  transTable
 
 	// entries approximates the generation's total size (all non-atom
 	// inserts) for the swap bound.
@@ -150,9 +137,7 @@ func newSharedGen() *sharedGen {
 		objIdx: make(map[history.ObjID]int32),
 	}
 	g.sigIdx.init()
-	g.problems.init()
 	g.vecIdx.init()
-	g.memoWide.init()
 	g.trans.init()
 	return g
 }
@@ -163,54 +148,6 @@ func (g *sharedGen) size() int64 { return g.entries.Load() + int64(g.atoms.Len()
 // never leave the process, so one random seed per process serves all
 // table sets.
 var hashSeed = maphash.MakeSeed()
-
-// memoStripes must be a power of two. 64 stripes keep typical worker
-// counts (≤16) almost always on distinct stripes.
-const memoStripes = 64
-
-// stripedMemo is the lock-striped memo of problems posed by several
-// contexts. A stripe's map is made on its first insert.
-type stripedMemo struct {
-	stripes [memoStripes]memoStripe
-}
-
-type memoStripe struct {
-	mu sync.RWMutex
-	m  map[memoKey]struct{}
-	// Pad stripes apart so read-lock traffic on neighbours does not
-	// false-share a cache line.
-	_ [24]byte
-}
-
-// stripe picks k's stripe by a cheap avalanche mix of its fields.
-func (s *stripedMemo) stripe(k memoKey) *memoStripe {
-	h := uint64(uint32(k.problem))<<32 | uint64(uint32(k.state))
-	h ^= uint64(uint32(k.last)) ^ k.lo ^ k.hi
-	return &s.stripes[mix64(h)&(memoStripes-1)]
-}
-
-func (s *stripedMemo) has(k memoKey) bool {
-	sp := s.stripe(k)
-	sp.mu.RLock()
-	_, ok := sp.m[k]
-	sp.mu.RUnlock()
-	return ok
-}
-
-// put inserts k if absent and reports whether it inserted.
-func (s *stripedMemo) put(k memoKey) bool {
-	sp := s.stripe(k)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if _, ok := sp.m[k]; ok {
-		return false
-	}
-	if sp.m == nil {
-		sp.m = make(map[memoKey]struct{})
-	}
-	sp.m[k] = struct{}{}
-	return true
-}
 
 // initialSlots is the starting capacity of every open-addressed table;
 // growth doubles it as entries arrive.
@@ -402,8 +339,8 @@ func (t *transTable) put(k transKey, v transVal) bool {
 	}
 }
 
-// keyTable is the lock-free string→id table behind the signature,
-// state-vector, problem and wide-memo indexes, probed with []byte keys.
+// keyTable is the lock-free string→id table behind the signature and
+// state-vector indexes, probed with []byte keys.
 // Like transTable it is insert-only and open-addressed, but keys are
 // arbitrary byte strings, so a slot holds a 64-bit maphash fingerprint
 // plus the key's id — its position in an append-only key store — and
@@ -429,25 +366,6 @@ func fingerprint(key []byte) uint64 {
 
 // key returns the key interned under id.
 func (t *keyTable) key(id int32) string { return t.store.get(id) }
-
-func (t *keyTable) get(key []byte) (int32, bool) {
-	s := t.slots.Load()
-	fp := fingerprint(key)
-	for i := mix64(fp); ; i++ {
-		j := (i & s.mask) * 2
-		kk := s.a[j].Load()
-		if kk == 0 || kk == frozen {
-			return 0, false
-		}
-		if kk == fp {
-			id := int32(loadEntry(s, j) - 1)
-			if t.store.get(id) == string(key) {
-				return id, true
-			}
-			// Fingerprint collision with a different key; keep probing.
-		}
-	}
-}
 
 // intern returns the id of key, appending the key to the store if it is
 // new, and reports whether it did. The claiming CAS ties the append to

@@ -22,7 +22,9 @@ func sharedCorpus(n int, seed int64) []history.History {
 // goroutines, each with its own context derived from one SharedTables,
 // all check the full corpus — so every table entry one worker inserts is
 // probed by the others — and every verdict must match the DisableMemo
-// reference engine. Run with -race in CI.
+// reference engine, and every node count the count of a fresh context:
+// what other workers checked first never changes a check's cost. Run
+// with -race in CI.
 func TestSharedTablesDifferential(t *testing.T) {
 	n := 150
 	if !testing.Short() {
@@ -30,17 +32,23 @@ func TestSharedTablesDifferential(t *testing.T) {
 	}
 	hs := sharedCorpus(n, 31)
 	want := make([]bool, len(hs))
+	wantNodes := make([]int, len(hs))
 	for i, h := range hs {
 		r, err := Check(h, Config{DisableMemo: true})
 		if err != nil {
 			t.Fatalf("history %d: reference: %v", i, err)
 		}
 		want[i] = r.Opaque
+		if r, err = Check(h, Config{}); err != nil {
+			t.Fatalf("history %d: fresh context: %v", i, err)
+		}
+		wantNodes[i] = r.Nodes
 	}
 
 	const goroutines = 8
 	tables := NewSharedTables()
 	got := make([][]bool, goroutines)
+	gotNodes := make([][]int, goroutines)
 	stats := make([]Stats, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
@@ -51,6 +59,7 @@ func TestSharedTablesDifferential(t *testing.T) {
 			ctx := tables.NewContext()
 			cfg := Config{Context: ctx}
 			out := make([]bool, len(hs))
+			nodes := make([]int, len(hs))
 			for i := range hs {
 				// Rotate the order so goroutines race on different
 				// histories at any instant.
@@ -60,9 +69,9 @@ func TestSharedTablesDifferential(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				out[j] = r.Opaque
+				out[j], nodes[j] = r.Opaque, r.Nodes
 			}
-			got[g] = out
+			got[g], gotNodes[g] = out, nodes
 			stats[g] = ctx.Stats()
 		}(g)
 	}
@@ -77,6 +86,10 @@ func TestSharedTablesDifferential(t *testing.T) {
 				t.Fatalf("goroutine %d, history %d: shared tables say opaque=%v, reference says %v:\n%s",
 					g, i, got[g][i], want[i], hs[i].Format())
 			}
+			if gotNodes[g][i] != wantNodes[i] {
+				t.Fatalf("goroutine %d, history %d: %d nodes on shared tables, %d on a fresh context:\n%s",
+					g, i, gotNodes[g][i], wantNodes[i], hs[i].Format())
+			}
 		}
 	}
 
@@ -84,7 +97,7 @@ func TestSharedTablesDifferential(t *testing.T) {
 	for _, st := range stats {
 		s.Add(st)
 	}
-	if s.States == 0 || s.Atoms == 0 || s.TxSigs == 0 || s.Problems == 0 {
+	if s.States == 0 || s.Atoms == 0 || s.TxSigs == 0 {
 		t.Errorf("pool-wide stats not populated: %+v", s)
 	}
 }
@@ -103,7 +116,7 @@ func TestSharedTablesStatesDedupAcrossContexts(t *testing.T) {
 			t.Fatalf("history %d: first pass: %v", i, err)
 		}
 	}
-	if s := ctx1.Stats(); s.States == 0 || s.TxSigs == 0 || s.Problems == 0 {
+	if s := ctx1.Stats(); s.States == 0 || s.TxSigs == 0 {
 		t.Fatalf("first context interned nothing: %+v", s)
 	}
 
@@ -114,9 +127,9 @@ func TestSharedTablesStatesDedupAcrossContexts(t *testing.T) {
 		}
 	}
 	s := ctx2.Stats()
-	if s.States != 0 || s.TxSigs != 0 || s.Problems != 0 {
-		t.Errorf("second context interned %d states, %d signatures, %d problems re-checking the same corpus, want 0",
-			s.States, s.TxSigs, s.Problems)
+	if s.States != 0 || s.TxSigs != 0 {
+		t.Errorf("second context interned %d states and %d signatures re-checking the same corpus, want 0",
+			s.States, s.TxSigs)
 	}
 	if s.TransHits == 0 {
 		t.Errorf("second context never hit the shared transition cache: %+v", s)
@@ -216,8 +229,9 @@ func TestIncrementalAcrossGenerationSwaps(t *testing.T) {
 
 // TestSharedTablesTruncationNotMemoized is the cross-worker soundness
 // test for budget truncation: a context that exhausts its node budget
-// must not have published truncated subtrees as failures, or a sibling
-// context with budget to spare would replay the wrong verdict.
+// must leave nothing in the shared tables that decides a sibling
+// context's verdict, so a sibling with budget to spare reaches the true
+// one.
 func TestSharedTablesTruncationNotMemoized(t *testing.T) {
 	hs := gen.Corpus(gen.Config{Txs: 6, Objs: 3, MaxOps: 4, PStaleRead: 0.3, PLeaveLive: 0.5}, 200, 11)
 	starved := 0
@@ -313,8 +327,8 @@ func TestSharedTablesIncrementalTruncate(t *testing.T) {
 		if got.Opaque != want.Opaque {
 			t.Fatalf("event %d: shared says opaque=%v, reference %v", i, got.Opaque, want.Opaque)
 		}
-		// Truncate at every stable point to exercise the shared
-		// enumeration path (pool-unique enum epochs).
+		// Truncate at every stable point to exercise the enumeration
+		// path on shared tables.
 		if inc.Stable() && inc.LiveLen() > 0 {
 			if _, err := inc.TryTruncate(0); err != nil {
 				t.Fatalf("event %d: TryTruncate: %v", i, err)
@@ -327,9 +341,10 @@ func TestSharedTablesIncrementalTruncate(t *testing.T) {
 }
 
 // TestSharedTablesEnumEpochsUnique: two enumerations of the same stable
-// prefix on sibling contexts must each see the full Reach set — a shared
-// epoch would let the first walk's "visited" entries swallow the
-// second's finals.
+// prefix on sibling contexts must each see the full Reach set. An
+// enumeration's memo is its visited set; one that outlived its walk
+// would let the first walk's "visited" entries swallow the second's
+// finals.
 func TestSharedTablesEnumEpochsUnique(t *testing.T) {
 	h := history.MustParse("w1(x,1) tryC1 C1 w2(x,2) tryC2 C2")
 	tables := NewSharedTables()
@@ -356,8 +371,9 @@ func TestSharedTablesEnumEpochsUnique(t *testing.T) {
 // goroutine interns the same overlapping key set (in rotated orders) and
 // publishes the same transitions, so inserts race with each other and
 // with the many doublings on the way up. Every key must end with exactly
-// one dense id that round-trips to its bytes, and every transition must
-// be readable with its value. Run with -race in CI.
+// one dense id that round-trips to its bytes and that a later intern
+// returns without minting, and every transition must be readable with
+// its value. Run with -race in CI.
 func TestSharedTablesConcurrentGrowth(t *testing.T) {
 	const goroutines = 8
 	const keys = 5000
@@ -411,8 +427,8 @@ func TestSharedTablesConcurrentGrowth(t *testing.T) {
 		if got := kt.key(id); got != string(key(i)) {
 			t.Fatalf("id %d holds key %q, want %q", id, got, key(i))
 		}
-		if got, ok := kt.get(key(i)); !ok || got != id {
-			t.Fatalf("get(key %d) = %d, %v; want %d", i, got, ok, id)
+		if got, fresh := kt.intern(key(i)); fresh || got != id {
+			t.Fatalf("intern(key %d) again = %d, fresh=%v; want %d, not fresh", i, got, fresh, id)
 		}
 		v, ok := tt.get(transKey{state: stateID(i), sig: int32(i * 7)})
 		if !ok || v != val(i) {

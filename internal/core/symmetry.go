@@ -45,24 +45,22 @@ import "math/bits"
 // reduced subtree under this node has no witness", which by completeness
 // equals "no witness at all" — but only for nodes whose placed set is
 // class-downward-closed, the only nodes the reduced engine ever visits
-// or probes. The class map is carried in the problem signature
-// (problemOf), so an unreduced engine variant (DisableSym) or a future
-// variant with a different class definition can never consume these
-// entries, even through a SharedTables pool.
+// or probes. The memo lives for one search, and one search runs under
+// one class map, so no search under another class map — an unreduced
+// one (DisableSym) or another history's — ever consumes these entries.
 //
-// Enumeration. enumerate() applies the same filter: position-swapping
-// interchangeable transactions preserves each serialization's final
-// state (equal signatures, equal decisions), so the class-sorted
-// representatives reach exactly the final-state set of the full walk.
+// Enumeration. enumerateFinals runs the same search, filter included:
+// position-swapping interchangeable transactions preserves each
+// serialization's final state (equal signatures, equal decisions), so
+// the class-sorted representatives reach exactly the final-state set of
+// the full walk.
 
 // computeClasses fills s.classPrev for the current problem: for each
 // transaction, the index of the previous member of its symmetry class,
 // or -1 for the canonical (lowest-index) member and for singletons. With
 // disable set, every transaction is a singleton. Classes are a pure
-// function of (sigs, decide, preds), so every context — including
-// sibling workers of one SharedTables pool — computes the same map for
-// the same problem. Non-singleton classes are counted into
-// Stats.SymClasses.
+// function of (sigs, decide, preds). Non-singleton classes are counted
+// into Stats.SymClasses.
 func (s *searcher) computeClasses(disable bool) {
 	n := s.n
 	s.classPrev = grow(s.classPrev, n)

@@ -46,8 +46,8 @@ func checkWitness(t *testing.T, h history.History, res Result) {
 // on every verdict, the reduced engine must explore no more nodes than
 // the unreduced one, and every opaque verdict must come with a valid
 // witness. The reduced and unreduced engines share one context each
-// across the corpus, so the class map's participation in the memo
-// problem signature is exercised too.
+// across the corpus, so the tables they keep across calls are exercised
+// too.
 func TestSymmetryDifferential(t *testing.T) {
 	n := 60
 	if !testing.Short() {
@@ -154,7 +154,7 @@ func TestClonePermutationInvariance(t *testing.T) {
 
 // TestSharedTablesSymmetricCorpus: the symmetry-reduced engine under one
 // SharedTables pool — several goroutines racing on the same clone-heavy
-// problems, so class-scoped memo entries and interned signatures cross
+// problems, so interned signatures, states and transitions cross
 // workers — must match the unreduced single-context verdicts. Run with
 // -race in CI.
 func TestSharedTablesSymmetricCorpus(t *testing.T) {

@@ -269,10 +269,13 @@ type Stats struct {
 	TruncNodes      int
 	// TableStates, TableAtoms and TableMemoEntries mirror the session
 	// SearchContext's counters (core.Stats.States, .Atoms,
-	// .MemoEntries): how much state the session has interned since it
-	// began. They are cumulative across the table generation swaps that
-	// bound residency, so they never fall and, after the first swap,
-	// exceed what the session currently holds.
+	// .MemoEntries). TableStates and TableAtoms count what the session
+	// has interned since it began; they are cumulative across the table
+	// generation swaps that bound residency, so they never fall and,
+	// after the first swap, exceed what the session currently holds.
+	// TableMemoEntries counts the failure-memo entries recorded by the
+	// session's searches since it began, each search's memo dropped when
+	// that search ends.
 	TableStates      int
 	TableAtoms       int
 	TableMemoEntries int
