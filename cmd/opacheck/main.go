@@ -39,7 +39,11 @@
 //
 // nodes= is the number of search nodes the completion-aware engine
 // explored for that history; the per-history -maxnodes budget meters one
-// unified search covering every completion. -reference switches the
+// unified search covering every completion (default 4,000,000 nodes).
+// Interned state ids are int32: a history whose search interns about
+// 2^31 distinct states panics. The search tables swap generations at
+// 2^20 entries only between histories, so the limit is per history, far
+// beyond what the default budget reaches. -reference switches the
 // batch to the retained per-completion engine (an un-memoized search per
 // completion, no partial-order reduction), so the node-count reduction
 // of the unified engine is directly measurable on any corpus:
@@ -112,7 +116,7 @@ func run() int {
 	explain := flag.Bool("explain", false, "for non-opaque histories, locate the violation and implicated transactions")
 	demo := flag.String("demo", "", "check a built-in paper example: fig1|fig2|h3|h4|counter|writers")
 	parallel := flag.Int("parallel", 0, "batch mode: check histories from files/stdin with N concurrent workers")
-	maxNodes := flag.Int("maxnodes", 0, "batch mode: per-history search-node budget (0 = checker default)")
+	maxNodes := flag.Int("maxnodes", 0, "batch mode: per-history search-node budget (0 = checker default, 4,000,000; a history interning ~2^31 states panics)")
 	reference := flag.Bool("reference", false, "batch mode: use the per-completion reference engine instead of the unified search (for node-count comparisons)")
 	verdicts := flag.String("verdicts", "", "batch mode: write the verdict stream to this storage URI (file:// or mem://) instead of stdout, committed atomically")
 	replay := flag.String("replay", "", "re-check a violation artifact captured by the monitoring control plane (a path or storage URI) and confirm its verdict offline")
@@ -163,7 +167,7 @@ func run() int {
 			return 2
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		code := runBatch(ctx, os.Stdout, os.Stderr, *parallel, *maxNodes, *reference, *counterObjs, *verdicts, flag.Args())
+		code := runBatch(ctx, os.Stdin, os.Stdout, os.Stderr, *parallel, *maxNodes, *reference, *counterObjs, *verdicts, flag.Args())
 		stop()
 		return code
 	}
@@ -270,9 +274,9 @@ func txids(txs []history.TxID) string {
 // leaves no partial verdict object behind. Sink write failures propagate
 // through checkpool.RunTo: the run stops early, the object is aborted,
 // and the error is reported. Cancelling ctx (SIGINT / SIGTERM) stops
-// admission; verdicts for already-admitted histories are still written.
-// It returns the process exit code.
-func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, reference bool, counterObjs, verdicts string, paths []string) int {
+// admission and input reading; verdicts for already-admitted histories
+// are still written. It returns the process exit code.
+func runBatch(ctx context.Context, stdin io.Reader, out, errW io.Writer, workers, maxNodes int, reference bool, counterObjs, verdicts string, paths []string) int {
 	var stats core.Stats
 	pool := checkpool.New(checkpool.Options{
 		Workers: workers,
@@ -284,6 +288,11 @@ func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, r
 		Stats: &stats,
 	})
 
+	// feedCtx stops the producer as well as the pool: on interruption,
+	// and when the sink fails (RunTo's own cancel never reaches the
+	// producer, which would otherwise read all remaining input).
+	feedCtx, stopFeed := context.WithCancel(ctx)
+	defer stopFeed()
 	in := make(chan checkpool.Item)
 	go func() {
 		defer close(in)
@@ -292,16 +301,23 @@ func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, r
 		}
 		for _, path := range paths {
 			if path == "-" {
-				feedLines(in, os.Stdin, "stdin")
+				if !feedLines(feedCtx, in, stdin, "stdin") {
+					return
+				}
 				continue
 			}
 			r, err := storage.OpenURI(path)
 			if err != nil {
-				in <- checkpool.Item{Source: path, Err: err}
+				if !send(feedCtx, in, checkpool.Item{Source: path, Err: err}) {
+					return
+				}
 				continue
 			}
-			feedLines(in, r, path)
+			ok := feedLines(feedCtx, in, r, path)
 			r.Close()
+			if !ok {
+				return
+			}
 		}
 	}()
 
@@ -318,7 +334,7 @@ func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, r
 
 	opaque, nonOpaque, errored := 0, 0, 0
 	totalNodes := 0
-	runErr := pool.RunTo(ctx, in, func(v checkpool.Verdict) error {
+	runErr := pool.RunTo(feedCtx, in, func(v checkpool.Verdict) error {
 		totalNodes += v.Result.Nodes
 		switch {
 		case v.Err != nil:
@@ -329,6 +345,9 @@ func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, r
 			nonOpaque++
 		}
 		_, err := w.WriteString(v.Line() + "\n")
+		if err != nil {
+			stopFeed()
+		}
 		return err
 	})
 	flushErr := w.Flush()
@@ -368,8 +387,9 @@ func runBatch(ctx context.Context, out, errW io.Writer, workers, maxNodes int, r
 // item labeled "name:lineno". Parse failures become errored items so the
 // verdict stream stays aligned with the input. Lines are read without a
 // length cap (a bufio.Reader, not a Scanner), so one oversized line
-// cannot silently swallow the rest of its file.
-func feedLines(in chan<- checkpool.Item, r io.Reader, name string) {
+// cannot silently swallow the rest of its file. Reading stops once ctx
+// is cancelled; feedLines then reports false.
+func feedLines(ctx context.Context, in chan<- checkpool.Item, r io.Reader, name string) bool {
 	br := bufio.NewReader(r)
 	for lineno := 1; ; lineno++ {
 		line, err := br.ReadString('\n')
@@ -378,16 +398,27 @@ func feedLines(in chan<- checkpool.Item, r io.Reader, name string) {
 			if line != "" && !strings.HasPrefix(line, "#") {
 				item := checkpool.Item{Source: fmt.Sprintf("%s:%d", name, lineno)}
 				item.History, item.Err = history.Parse(line)
-				in <- item
+				if !send(ctx, in, item) {
+					return false
+				}
 			}
 		}
 		if err == io.EOF {
-			return
+			return true
 		}
 		if err != nil {
-			in <- checkpool.Item{Source: fmt.Sprintf("%s:%d", name, lineno), Err: err}
-			return
+			return send(ctx, in, checkpool.Item{Source: fmt.Sprintf("%s:%d", name, lineno), Err: err})
 		}
+	}
+}
+
+// send hands item to the pool, or reports false once ctx is cancelled.
+func send(ctx context.Context, in chan<- checkpool.Item, item checkpool.Item) bool {
+	select {
+	case in <- item:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 

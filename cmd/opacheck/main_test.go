@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"otm/internal/criteria"
 	"otm/internal/history"
@@ -126,7 +127,7 @@ func TestRunBatch(t *testing.T) {
 		reference bool
 	}{{name: "default"}, {name: "reference", reference: true}} {
 		var out, errOut strings.Builder
-		code := runBatch(context.Background(), &out, &errOut, 4, 0, mode.reference, "", "", []string{path})
+		code := runBatch(context.Background(), nil, &out, &errOut, 4, 0, mode.reference, "", "", []string{path})
 		if code != 1 {
 			t.Errorf("%s: exit code %d, want 1 (one line fails to parse)", mode.name, code)
 		}
@@ -165,7 +166,7 @@ func TestRunBatchSummaries(t *testing.T) {
 	run := func(reference bool) string {
 		t.Helper()
 		var out, errOut strings.Builder
-		if code := runBatch(context.Background(), &out, &errOut, 4, 0, reference, "", "", []string{path}); code != 0 {
+		if code := runBatch(context.Background(), nil, &out, &errOut, 4, 0, reference, "", "", []string{path}); code != 0 {
 			t.Fatalf("reference=%v: exit code %d, stderr:\n%s", reference, code, errOut.String())
 		}
 		return errOut.String()
@@ -205,7 +206,7 @@ func TestRunBatchCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out, errOut strings.Builder
-	if code := runBatch(ctx, &out, &errOut, 2, 0, false, "", "", []string{path}); code != 1 {
+	if code := runBatch(ctx, nil, &out, &errOut, 2, 0, false, "", "", []string{path}); code != 1 {
 		t.Errorf("exit code %d, want 1 for a cancelled batch", code)
 	}
 	if out.Len() != 0 {
@@ -221,7 +222,7 @@ func TestRunBatchBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
-	if code := runBatch(context.Background(), &out, &errOut, 2, 1, false, "", "", []string{path}); code != 1 {
+	if code := runBatch(context.Background(), nil, &out, &errOut, 2, 1, false, "", "", []string{path}); code != 1 {
 		t.Errorf("exit code %d, want 1 under a 1-node budget", code)
 	}
 	if !strings.Contains(out.String(), "error") {
@@ -231,7 +232,7 @@ func TestRunBatchBudget(t *testing.T) {
 
 func TestRunBatchMissingFile(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := runBatch(context.Background(), &out, &errOut, 2, 0, false, "", "", []string{"/nonexistent/histories.txt"}); code != 1 {
+	if code := runBatch(context.Background(), nil, &out, &errOut, 2, 0, false, "", "", []string{"/nonexistent/histories.txt"}); code != 1 {
 		t.Errorf("exit code %d, want 1 for an unreadable file", code)
 	}
 }
@@ -256,7 +257,7 @@ func TestRunBatchStorageURIs(t *testing.T) {
 	uri := "mem://opacheck-test-corpus/histories.txt"
 
 	var out, errOut strings.Builder
-	if code := runBatch(context.Background(), &out, &errOut, 2, 0, false, "", "", []string{uri}); code != 0 {
+	if code := runBatch(context.Background(), nil, &out, &errOut, 2, 0, false, "", "", []string{uri}); code != 0 {
 		t.Fatalf("URI input: exit %d, stderr:\n%s", code, errOut.String())
 	}
 	if !strings.HasPrefix(out.String(), uri+":1 opaque ") {
@@ -266,7 +267,7 @@ func TestRunBatchStorageURIs(t *testing.T) {
 	// Same run again, with the verdicts going to a storage object.
 	sinkURI := "mem://opacheck-test-corpus/verdicts.log"
 	var out2, errOut2 strings.Builder
-	if code := runBatch(context.Background(), &out2, &errOut2, 2, 0, false, "", sinkURI, []string{uri}); code != 0 {
+	if code := runBatch(context.Background(), nil, &out2, &errOut2, 2, 0, false, "", sinkURI, []string{uri}); code != 0 {
 		t.Fatalf("-verdicts run: exit %d, stderr:\n%s", code, errOut2.String())
 	}
 	if out2.Len() != 0 {
@@ -294,10 +295,80 @@ func TestRunBatchVerdictsNotCommittedOnInterrupt(t *testing.T) {
 	cancel()
 	sinkURI := "mem://opacheck-test-interrupt/verdicts.log"
 	var out, errOut strings.Builder
-	if code := runBatch(ctx, &out, &errOut, 2, 0, false, "", sinkURI, []string{path}); code != 1 {
+	if code := runBatch(ctx, nil, &out, &errOut, 2, 0, false, "", sinkURI, []string{path}); code != 1 {
 		t.Errorf("interrupted run: exit %d, want 1", code)
 	}
 	if _, err := storage.OpenURI(sinkURI); err == nil {
 		t.Error("interrupted run committed a verdict object")
+	}
+}
+
+// endless is an input that never runs dry: one history line over and
+// over, like `yes 'w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2'`.
+type endless struct {
+	line string
+	off  int
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], e.line[e.off:])
+		n += c
+		e.off = (e.off + c) % len(e.line)
+	}
+	return n, nil
+}
+
+// cancelOnWrite cancels a batch once its first verdicts reach the sink.
+type cancelOnWrite struct{ cancel context.CancelFunc }
+
+func (w cancelOnWrite) Write(p []byte) (int, error) {
+	w.cancel()
+	return len(p), nil
+}
+
+// failingSink fails every write, as a full disk would.
+type failingSink struct{}
+
+func (failingSink) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// runBatchBounded runs a batch over an endless stdin and fails the test
+// if it does not return within a deadline: a batch must stop reading its
+// input once it is cancelled or its sink fails.
+func runBatchBounded(t *testing.T, ctx context.Context, out io.Writer) (int, string) {
+	t.Helper()
+	var errOut strings.Builder
+	done := make(chan int, 1)
+	go func() {
+		done <- runBatch(ctx, &endless{line: demos["h4"] + "\n"}, out, &errOut, 2, 0, false, "", "", []string{"-"})
+	}()
+	select {
+	case code := <-done:
+		return code, errOut.String()
+	case <-time.After(30 * time.Second):
+		t.Fatal("runBatch still reading an endless input 30s after it should have stopped")
+		return 0, ""
+	}
+}
+
+// TestRunBatchStopsReadingOnCancel: SIGINT/SIGTERM mid-batch stops the
+// input reader too, so "remaining input skipped" holds on an input that
+// never ends.
+func TestRunBatchStopsReadingOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	code, errOut := runBatchBounded(t, ctx, cancelOnWrite{cancel})
+	if code != 1 || !strings.Contains(errOut, "interrupted; remaining input skipped") {
+		t.Errorf("exit %d, stderr:\n%s\nwant exit 1 and the interruption note", code, errOut)
+	}
+}
+
+// TestRunBatchStopsReadingOnSinkError: a failing verdict sink stops the
+// input reader, not only the pool.
+func TestRunBatchStopsReadingOnSinkError(t *testing.T) {
+	code, errOut := runBatchBounded(t, context.Background(), failingSink{})
+	if code != 1 || !strings.Contains(errOut, "verdict sink: disk full") || strings.Contains(errOut, "interrupted") {
+		t.Errorf("exit %d, stderr:\n%s\nwant exit 1 and the sink error only", code, errOut)
 	}
 }

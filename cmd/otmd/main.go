@@ -24,7 +24,11 @@
 // byte-identical to a single-process `opacheck -parallel` run over the
 // same corpus — to stdout (or -o). Planning flags mirror cmd/histgen
 // (-gen/-seed/-txs/-objs/-ops/-stale/-init) and cmd/opacheck
-// (-counter/-maxnodes).
+// (-counter/-maxnodes). -maxnodes bounds each history's search (default
+// 4,000,000 nodes); interned state ids are int32, so a history whose
+// search interns about 2^31 distinct states panics its worker. The
+// search tables swap generations at 2^20 entries only between
+// histories, so the limit is per history.
 //
 // # Work
 //
@@ -133,7 +137,7 @@ func (p *planFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&p.label, "label", "", "verdict source label (default: the corpus path, or \"gen\")")
 	fs.StringVar(&p.runID, "run-id", "", "run identifier recorded in the manifest")
 	fs.StringVar(&p.counter, "counter", "", "comma-separated object names to treat as counters")
-	fs.IntVar(&p.maxNodes, "maxnodes", 0, "per-history search-node budget (0 = checker default)")
+	fs.IntVar(&p.maxNodes, "maxnodes", 0, "per-history search-node budget (0 = checker default, 4,000,000; a history interning ~2^31 states panics)")
 }
 
 func (p *planFlags) options() dist.PlanOptions {

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"otm/internal/core"
@@ -64,16 +65,29 @@ func (v Verdict) Opaque() bool { return v.Err == nil && v.Result.Opaque }
 //
 // Keeping the rendering here — next to the Verdict — is what makes a
 // merged distributed log byte-comparable with a single-process run: both
-// paths print exactly this.
+// paths print exactly this. It is built by strconv appends into one
+// buffer, byte for byte what fmt's %s, %d and %q verbs render.
 func (v Verdict) Line() string {
+	b := make([]byte, 0, len(v.Source)+48)
+	b = append(b, v.Source...)
 	switch {
 	case v.Err != nil:
-		return fmt.Sprintf("%s error %v", v.Source, v.Err)
+		b = append(b, " error "...)
+		b = append(b, v.Err.Error()...)
 	case v.Result.Opaque:
-		return fmt.Sprintf("%s opaque nodes=%d order=%q", v.Source, v.Result.Nodes, v.Result.Witness)
+		b = append(b, " opaque nodes="...)
+		b = strconv.AppendInt(b, int64(v.Result.Nodes), 10)
+		b = append(b, " order="...)
+		if w := v.Result.Witness; w != nil {
+			b = strconv.AppendQuote(b, w.String())
+		} else {
+			b = append(b, "<nil>"...) // what %q prints for a nil *Witness
+		}
 	default:
-		return fmt.Sprintf("%s non-opaque nodes=%d", v.Source, v.Result.Nodes)
+		b = append(b, " non-opaque nodes="...)
+		b = strconv.AppendInt(b, int64(v.Result.Nodes), 10)
 	}
+	return string(b)
 }
 
 // Options tunes a Pool.

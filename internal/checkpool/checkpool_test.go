@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"otm/internal/core"
@@ -282,5 +284,62 @@ func TestVerdictLine(t *testing.T) {
 	v = Verdict{Source: "corpus.txt:5", Err: errors.New(`parse: bad token "zzz"`)}
 	if got := v.Line(); got != `corpus.txt:5 error parse: bad token "zzz"` {
 		t.Errorf("error Line() = %q", got)
+	}
+}
+
+// fmtWitness renders a witness order the way Witness.String did before
+// it moved to strconv appends: one fmt.Sprintf per transaction.
+type fmtWitness struct{ order []history.TxID }
+
+func (w *fmtWitness) String() string {
+	parts := make([]string, len(w.order))
+	for i, tx := range w.order {
+		parts[i] = fmt.Sprintf("T%d", int(tx))
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestVerdictLineMatchesFmt pins Line and Witness.String byte for byte
+// to the fmt renderings they replace, on sources that need quoting
+// care, node counts at both ends of the range, edge-case witness
+// orders and error verdicts.
+func TestVerdictLineMatchesFmt(t *testing.T) {
+	sources := []string{"", "corpus.txt:3", "a \"quoted\" \\ path\t:1", "ünïcödé:2", "bad\xffutf8:3"}
+	nodes := []int{0, 42, int(int64(1)<<31 + 5), math.MaxInt}
+	orders := [][]history.TxID{nil, {}, {1}, {2, -1, 3}, {-7}, {10, 200, 3000}}
+	errs := []error{
+		errors.New(`parse: bad token "zzz"`),
+		fmt.Errorf("history: parsing %q: %w", "x\xff", errors.New("unrecognized token")),
+		fmt.Errorf("prefix of length 3: %w", core.ErrSearchLimit),
+		errors.New("tab\tand newline\n"),
+	}
+	for _, src := range sources {
+		for _, n := range nodes {
+			for _, order := range orders {
+				w := &core.Witness{Order: order}
+				if got, want := w.String(), (&fmtWitness{order}).String(); got != want {
+					t.Fatalf("Witness%v.String() = %q, want %q", order, got, want)
+				}
+				v := Verdict{Source: src, Result: core.Result{Opaque: true, Nodes: n, Witness: w}}
+				want := fmt.Sprintf("%s opaque nodes=%d order=%q", src, n, &fmtWitness{order})
+				if got := v.Line(); got != want {
+					t.Errorf("opaque Line() = %q, want %q", got, want)
+				}
+			}
+			v := Verdict{Source: src, Result: core.Result{Opaque: true, Nodes: n}}
+			if got, want := v.Line(), fmt.Sprintf("%s opaque nodes=%d order=%q", src, n, (*core.Witness)(nil)); got != want {
+				t.Errorf("nil-witness Line() = %q, want %q", got, want)
+			}
+			v = Verdict{Source: src, Result: core.Result{Nodes: n}}
+			if got, want := v.Line(), fmt.Sprintf("%s non-opaque nodes=%d", src, n); got != want {
+				t.Errorf("non-opaque Line() = %q, want %q", got, want)
+			}
+		}
+		for _, err := range errs {
+			v := Verdict{Source: src, Result: core.Result{Nodes: 7}, Err: err}
+			if got, want := v.Line(), fmt.Sprintf("%s error %v", src, err); got != want {
+				t.Errorf("error Line() = %q, want %q", got, want)
+			}
+		}
 	}
 }

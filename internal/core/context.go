@@ -163,6 +163,10 @@ type SearchContext struct {
 	keyBuf []byte
 	vecBuf []int32
 	srch   searcher
+
+	// batch is what a one-shot Check appends its history to (see
+	// oneShot).
+	batch liveSuffix
 }
 
 // NewSearchContext returns a context over its own fresh table set,
@@ -171,6 +175,28 @@ func NewSearchContext() *SearchContext { return NewSharedTables().NewContext() }
 
 // Stats returns a snapshot of the context's counters.
 func (c *SearchContext) Stats() Stats { return c.stats }
+
+// oneShot returns the live suffix a one-shot check appends its history
+// to: the context's own Appender, emptied, with no cached signature or
+// root state, so nothing carries from one checked history to the next.
+// Reset clears the Appender's maps, which costs their capacity, so an
+// Appender a large history grew is replaced instead (the memo's bound
+// applies). A call made while a search is active on the context — a
+// re-entrant check — gets a fresh suffix and leaves the outer call's
+// views intact.
+func (c *SearchContext) oneShot() *liveSuffix {
+	if c.srch.active {
+		return &liveSuffix{app: history.NewAppender()}
+	}
+	l := &c.batch
+	if l.app == nil || len(l.app.Transactions()) > memoReuseBound || len(l.app.Objects()) > memoReuseBound {
+		l.app = history.NewAppender()
+	} else {
+		l.app.Reset()
+	}
+	l.reset()
+	return l
+}
 
 // pin fixes the generation the context's next call runs on, swapping in
 // a fresh generation first when the table set outgrew its bound.

@@ -361,3 +361,81 @@ func TestStatsAdd(t *testing.T) {
 		t.Errorf("Add: got %+v, want %+v", a, want)
 	}
 }
+
+// TestOneShotCheckOnWarmContext: a one-shot Check appends its history to
+// the context's own Appender, so the Appender's state must never leak
+// from one history to the next — not after a malformed history it
+// rejected midway, not after an empty one, and not after one large
+// enough to have its Appender replaced. Each check must match a check
+// on a fresh context and the reference engine's verdict, and a rejected
+// history must get exactly the error WellFormed reports, which is what
+// the reference engine returns.
+func TestOneShotCheckOnWarmContext(t *testing.T) {
+	var chain history.History
+	for tx := history.TxID(1); tx <= 300; tx++ {
+		chain = append(chain, history.Inv(tx, "x", "write", int(tx)), history.Ret(tx, "x", "write", history.OK),
+			history.TryC(tx), history.Commit(tx))
+	}
+	hs := []history.History{
+		history.MustParse("w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2"),
+		history.MustParse("w1(x,1) tryC1 C1 C1"),       // rejected at its last event
+		history.MustParse("w1(x,1) r2(x)->1 tryC1 C2"), // rejected with T1 commit-pending
+		nil,
+		history.MustParse("w1(x,1) w2(x,2) tryC1 C1 r3(x)->2 tryC3 C3 tryC2"),
+		chain,
+		history.MustParse("r1(x)->1 tryC1 C1"),
+		history.MustParse("w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2"),
+	}
+	ctx := NewSearchContext()
+	for i, h := range hs {
+		got, err := Check(h, Config{Context: ctx})
+		want, wantErr := Check(h, Config{})
+		ref, refErr := Check(h, Config{DisableMemo: true})
+		if wfErr := h.WellFormed(); wfErr != nil {
+			for _, e := range []error{err, wantErr, refErr} {
+				if e == nil || e.Error() != wfErr.Error() {
+					t.Fatalf("history %d: Check errors %v / fresh context %v / reference %v, WellFormed %v", i, err, wantErr, refErr, wfErr)
+				}
+			}
+			var we *history.WellFormedError
+			if !errors.As(err, &we) {
+				t.Fatalf("history %d: error %T is not a *WellFormedError", i, err)
+			}
+			continue
+		}
+		if err != nil || wantErr != nil || refErr != nil {
+			t.Fatalf("history %d: %v / fresh context %v / reference %v", i, err, wantErr, refErr)
+		}
+		if got.Opaque != ref.Opaque || got.Opaque != want.Opaque || got.Nodes != want.Nodes || fmt.Sprint(got.Witness) != fmt.Sprint(want.Witness) {
+			t.Fatalf("history %d: warm context opaque=%v nodes=%d order=%v, fresh opaque=%v nodes=%d order=%v",
+				i, got.Opaque, got.Nodes, got.Witness, want.Opaque, want.Nodes, want.Witness)
+		}
+	}
+}
+
+// TestOneShotCheckReentrant: a Check made on a context from inside a
+// search active on that same context gets its own Appender, so both the
+// inner verdicts and the outer search stay correct.
+func TestOneShotCheckReentrant(t *testing.T) {
+	ctx := NewSearchContext()
+	inner := history.MustParse("w1(x,1) tryC1 C1 r2(x)->2 tryC2 C2")
+	outer := history.MustParse("w1(y,1) tryC1 C1 r2(y)->1 tryC2 C2")
+	calls := 0
+	ser, err := FindSerialization(SerializeOptions{
+		Source: outer,
+		Txs:    outer.Transactions(),
+		Decide: func(history.TxID) Decision {
+			calls++
+			r, err := Check(inner, Config{Context: ctx})
+			if err != nil || r.Opaque {
+				t.Errorf("re-entrant Check: opaque=%v err=%v, want non-opaque", r.Opaque, err)
+			}
+			return DecideCommitted
+		},
+		RealTime: outer,
+		Context:  ctx,
+	})
+	if err != nil || ser == nil || fmtOrder(ser.Order) != "T1 T2" || calls != 2 {
+		t.Fatalf("outer search: order %v, err %v, %d Decide calls", ser, err, calls)
+	}
+}

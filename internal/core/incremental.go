@@ -223,19 +223,7 @@ func (inc *Incremental) check() error {
 	for ri := range inc.rootCount() {
 		inc.live.root = (inc.rootPref + ri) % inc.rootCount()
 		ser, err = FindSerialization(SerializeOptions{
-			Txs: txs,
-			Decide: func(tx history.TxID) Decision {
-				// O(1) from the appender's maintained phases; Check derives
-				// the same decisions from History.Status scans.
-				switch inc.app.Status(tx) {
-				case history.StatusCommitted:
-					return DecideCommitted
-				case history.StatusCommitPending:
-					return DecideBranch
-				default:
-					return DecideAborted
-				}
-			},
+			Txs:        txs,
 			Objects:    inc.rootAt(inc.live.root),
 			MaxNodes:   maxNodes,
 			Nodes:      &nodes, // accumulates: one budget across all roots
@@ -346,7 +334,8 @@ func (inc *Incremental) checkReference() error {
 // registry grows: an initial state is a vector over the registered
 // objects, so a configured object that first appears later changes the
 // vector. The Incremental drops both on truncation, which replaces the
-// transactions and the roots.
+// transactions and the roots. A one-shot Check sets its search up from a
+// liveSuffix too, emptied for every history (SearchContext.oneShot).
 type liveSuffix struct {
 	app  *history.Appender
 	root int // the root the current call starts from

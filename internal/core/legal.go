@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"otm/internal/history"
 	"otm/internal/spec"
@@ -143,13 +143,15 @@ func txIndex(txs []history.TxID) map[history.TxID]int {
 	return idx
 }
 
+// fmtOrder renders a serialization order as "T2 T1 T3".
 func fmtOrder(order []history.TxID) string {
-	s := ""
+	b := make([]byte, 0, 4*len(order))
 	for i, tx := range order {
 		if i > 0 {
-			s += " "
+			b = append(b, ' ')
 		}
-		s += fmt.Sprintf("T%d", int(tx))
+		b = append(b, 'T')
+		b = strconv.AppendInt(b, int64(tx), 10)
 	}
-	return s
+	return string(b)
 }

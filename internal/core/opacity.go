@@ -103,21 +103,26 @@ func Check(h history.History, cfg Config) (Result, error) {
 
 // check is the engine shared by Check and CheckStrong: extraPreds adds
 // ordering constraints on top of the real-time order ≺H.
+//
+// The unified engine reads h once, appending every event to the
+// context's history.Appender: Append rejects an ill-formed history with
+// the same *WellFormedError WellFormed returns, and the Appender's views
+// — transactions, statuses, executions, spans, objects — are what the
+// search setup runs on, as it does for Incremental.
 func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result, error) {
-	if err := h.WellFormed(); err != nil {
-		return Result{}, err
-	}
-
-	txs := h.Transactions()
-	if len(txs) == 0 {
-		return Result{Opaque: true, Witness: &Witness{}}, nil
-	}
 	maxNodes := cfg.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = defaultMaxNodes
 	}
 
 	if cfg.DisableMemo {
+		if err := h.WellFormed(); err != nil {
+			return Result{}, err
+		}
+		txs := h.Transactions()
+		if len(txs) == 0 {
+			return Result{Opaque: true, Witness: &Witness{}}, nil
+		}
 		// ≺H is the real-time order of the *original* history h:
 		// Definition 1 requires S to preserve the real-time order of H,
 		// not of the completion.
@@ -126,32 +131,31 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 		return checkPerCompletion(h, cfg, txs, preds, maxNodes)
 	}
 
+	ctx := cfg.Context
+	if ctx == nil {
+		ctx = NewSearchContext()
+	}
+	live := ctx.oneShot()
+	for _, ev := range h {
+		if err := live.app.Append(ev); err != nil {
+			return Result{}, err
+		}
+	}
+	txs := live.app.Transactions()
+	if len(txs) == 0 {
+		return Result{Opaque: true, Witness: &Witness{}}, nil
+	}
+
 	res := Result{}
 	ser, err := FindSerialization(SerializeOptions{
-		Source: h,
-		Txs:    txs,
-		Decide: func(tx history.TxID) Decision {
-			switch h.Status(tx) {
-			case history.StatusCommitted:
-				return DecideCommitted
-			case history.StatusCommitPending:
-				return DecideBranch
-			default:
-				// Aborted, or live without a commit-try: every completion
-				// aborts it.
-				return DecideAborted
-			}
-		},
-		Preds: extraPreds,
-		// ≺H of the original h, derived from spans inside the searcher
-		// (Definition 1 preserves the real-time order of H, not of the
-		// completion).
-		RealTime:   h,
+		Txs:        txs,
+		Preds:      extraPreds,
 		Objects:    cfg.Objects,
 		MaxNodes:   maxNodes,
 		Nodes:      &res.Nodes,
-		Context:    cfg.Context,
+		Context:    ctx,
 		DisableSym: cfg.DisableSym,
+		live:       live,
 	})
 	if err != nil {
 		return res, err

@@ -26,10 +26,26 @@ const (
 	DecideBranch
 )
 
+// decisionOf is how Definition 1 places a transaction of the given
+// status: a committed one's effects are visible, a commit-pending one
+// branches on both fates, and an aborted or live one (no commit-try)
+// aborts in every completion.
+func decisionOf(st history.Status) Decision {
+	switch st {
+	case history.StatusCommitted:
+		return DecideCommitted
+	case history.StatusCommitPending:
+		return DecideBranch
+	default:
+		return DecideAborted
+	}
+}
+
 // SerializeOptions parameterizes the serialization search shared by the
 // opacity checker and the weaker criteria of internal/criteria.
 type SerializeOptions struct {
-	// Source supplies the per-transaction event sequences. For opacity
+	// Source supplies the per-transaction event sequences (the opacity
+	// checkers pass their history.Appender as live instead). For opacity
 	// this is the history under test itself: completions only append
 	// commit/abort events, so the operation executions of every
 	// transaction are identical across all of Complete(H).
@@ -89,11 +105,13 @@ type SerializeOptions struct {
 	// production paths.
 	DisableSym bool
 
-	// live, when non-nil, stands in for Source and RealTime: Txs are
-	// the transactions of an Incremental checker's live suffix, and
-	// their executions, objects, spans, replay signatures and the
-	// initial state come from its maintained views and caches instead
-	// of scans of the history (see liveSuffix).
+	// live, when non-nil, stands in for Source, RealTime and Decide:
+	// Txs are the transactions of a history.Appender (an Incremental
+	// checker's live suffix, or the history a one-shot check appended),
+	// and their executions, objects, spans, opacity decisions (see
+	// decisionOf), replay signatures and the initial state come from its
+	// maintained views and caches instead of scans of the history (see
+	// liveSuffix).
 	live *liveSuffix
 }
 
@@ -275,10 +293,11 @@ func (s *searcher) setup(o SerializeOptions, maxNodes int, nodes *int) {
 	for i, tx := range o.Txs {
 		if live != nil {
 			s.sigs[i] = live.sig(ctx, i, s.execs[i])
+			s.decide[i] = decisionOf(live.app.Status(tx))
 		} else {
 			s.sigs[i] = ctx.sigOf(s.execs[i])
+			s.decide[i] = o.Decide(tx)
 		}
-		s.decide[i] = o.Decide(tx)
 	}
 
 	// preds, foot, succ and placed share one zeroed word block.

@@ -14,8 +14,8 @@ import (
 
 // BenchmarkDistributed measures end-to-end distributed throughput: plan
 // a generated corpus, run W in-process workers against the HTTP API, and
-// merge. Reported as shards/s and histories/s so benchjson can track
-// coordination overhead separately from raw checking speed.
+// merge. Reported as shards/s and histories/s, so coordination overhead
+// reads separately from raw checking speed.
 func BenchmarkDistributed(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"otm/internal/checkpool"
+	"otm/internal/core"
 	"otm/internal/gen"
 	"otm/internal/history"
 	"otm/internal/storage"
@@ -434,5 +437,46 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	time.Sleep(250 * time.Millisecond) // past the original 300ms deadline, within the extension
 	if ack := c.Heartbeat(resp.Lease.ID); ack.Ignored {
 		t.Error("lease expired despite a timely heartbeat")
+	}
+}
+
+// failingLogs is a store whose verdict logs fail on their first write,
+// as on a full disk.
+type failingLogs struct{ storage.FS }
+
+func (failingLogs) Create(string) (storage.Writer, error) { return failingLog{}, nil }
+
+type failingLog struct{}
+
+func (failingLog) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (failingLog) Close() error              { return nil }
+func (failingLog) Abort() error              { return nil }
+
+// TestCheckShardStopsFeedOnSinkError: once a shard's verdict log fails,
+// the worker stops producing the shard's histories instead of checking
+// the rest of the shard into a log that can no longer commit. The shard
+// here is practically endless, so only a stopped feed lets it return.
+func TestCheckShardStopsFeedOnSinkError(t *testing.T) {
+	const uri = "mem://dist-test-sink-error"
+	w := &Worker{Parallel: 2, tables: core.NewSharedTables(), store: failingLogs{storage.Mem("dist-test-sink-error")}, storeURI: uri}
+	lease := &Lease{
+		ID:       "l1",
+		Shard:    ShardSpec{Hi: math.MaxInt32},
+		Gen:      &GenSpec{N: math.MaxInt32, Seed: 1, Txs: 4, Objs: 2, MaxOps: 3},
+		Label:    "gen",
+		StoreURI: uri,
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.checkShard(context.Background(), lease)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("checkShard = %v, want the sink's error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("checkShard still feeding its shard 30s after the verdict log failed")
 	}
 }

@@ -203,6 +203,10 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 	if err != nil {
 		return DoneRecord{}, err
 	}
+	// A sink failure stops the feed too: RunTo's own cancel never
+	// reaches it, and it would otherwise parse the rest of the shard.
+	ctx, stopFeed := context.WithCancel(ctx)
+	defer stopFeed()
 	in := make(chan checkpool.Item)
 	feedErr := make(chan error, 1)
 	go func() {
@@ -240,6 +244,9 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 			rec.NonOpaque++
 		}
 		_, err := bw.WriteString(v.Line() + "\n")
+		if err != nil {
+			stopFeed()
+		}
 		return err
 	})
 	// Counted even if the shard fails: its inserts stay in the tables.

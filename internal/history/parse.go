@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Parse parses the textual history notation used by cmd/opacheck and by
@@ -24,26 +26,68 @@ import (
 // constant; anything else parses as a string. Blank lines are ignored,
 // and a token starting with '#' comments out the rest of its line — so
 // both full-line comments and the trailing "# seed=N" annotations of
-// cmd/histgen parse cleanly.
+// cmd/histgen parse cleanly. Whitespace is what unicode.IsSpace accepts,
+// so U+0085 and U+00A0 separate tokens too.
+//
+// The input is scanned once and every event is appended straight into
+// the result; blank input yields a nil History.
 func Parse(s string) (History, error) {
 	var h History
-	for _, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	for i := 0; i < len(s); {
+		if n := spaceAt(s, i); n > 0 {
+			i += n
 			continue
 		}
-		for _, tok := range strings.Fields(line) {
-			if strings.HasPrefix(tok, "#") {
+		// Stepping byte by byte is sound: no byte inside a non-space
+		// rune starts a space rune.
+		j := i + 1
+		for j < len(s) && spaceAt(s, j) == 0 {
+			j++
+		}
+		tok := s[i:j]
+		if tok[0] == '#' {
+			// A comment runs to the end of its line.
+			nl := strings.IndexByte(s[j:], '\n')
+			if nl < 0 {
 				break
 			}
-			evs, err := parseToken(tok)
-			if err != nil {
-				return nil, fmt.Errorf("history: parsing %q: %w", tok, err)
-			}
-			h = append(h, evs...)
+			i = j + nl
+			continue
 		}
+		if h == nil {
+			// Events take about six input bytes each, so this is one
+			// allocation for most inputs; the cap keeps a long
+			// comment-heavy input from reserving far more than it fills.
+			h = make(History, 0, min((len(s)-i)/6+2, 256))
+		}
+		var err error
+		if h, err = appendToken(h, tok); err != nil {
+			return nil, fmt.Errorf("history: parsing %q: %w", tok, err)
+		}
+		i = j
 	}
 	return h, nil
+}
+
+// asciiSpace is 1 at the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// spaceAt returns the width of the whitespace rune starting at s[i], or
+// 0 if s[i] does not start one. An invalid byte is never whitespace, as
+// in strings.Fields.
+func spaceAt(s string, i int) int {
+	if c := s[i]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
+	}
+	return wideSpace(s[i:])
+}
+
+// wideSpace is spaceAt for a non-ASCII first byte.
+func wideSpace(s string) int {
+	if r, n := utf8.DecodeRuneInString(s); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
 }
 
 // MustParse is Parse, panicking on error; for tests and fixtures.
@@ -95,19 +139,28 @@ func splitHead(tok string) (name string, tx TxID, inner string, ok bool) {
 	return head[:i], TxID(n), inner, true
 }
 
-func parseToken(tok string) ([]Event, error) {
-	// Control events first: tryC7, tryA7, C7, A7.
-	for _, p := range []struct {
+// controlEvent parses tok as a control event — tryC7, tryA7, C7 or A7.
+func controlEvent(tok string) (Event, bool) {
+	for _, p := range [...]struct {
 		prefix string
-		make   func(TxID) Event
+		kind   Kind
 	}{
-		{"tryC", TryC}, {"tryA", TryA}, {"C", Commit}, {"A", Abort},
+		{"tryC", KindTryCommit}, {"tryA", KindTryAbort}, {"C", KindCommit}, {"A", KindAbort},
 	} {
 		if strings.HasPrefix(tok, p.prefix) {
 			if n, err := strconv.Atoi(tok[len(p.prefix):]); err == nil {
-				return []Event{p.make(TxID(n))}, nil
+				return Event{Kind: p.kind, Tx: TxID(n)}, true
 			}
 		}
+	}
+	return Event{}, false
+}
+
+// appendToken appends the events of one token to h. A token holds no
+// whitespace, so none of its parts needs trimming.
+func appendToken(h History, tok string) (History, error) {
+	if ev, ok := controlEvent(tok); ok {
+		return append(h, ev), nil
 	}
 
 	// Operation-like tokens: head(inner) or head(inner)->ret.
@@ -117,25 +170,25 @@ func parseToken(tok string) ([]Event, error) {
 	}
 	name, tx, inner, ok := splitHead(body)
 	if !ok {
-		return nil, fmt.Errorf("unrecognized token")
+		return h, fmt.Errorf("unrecognized token")
 	}
 
 	switch name {
 	case "inv":
 		obj, op, arg, err := parseObjOp(inner)
 		if err != nil {
-			return nil, err
+			return h, err
 		}
-		return []Event{Inv(tx, obj, op, arg)}, nil
+		return append(h, Inv(tx, obj, op, arg)), nil
 	case "ret":
 		obj, op, _, err := parseObjOp(inner)
 		if err != nil {
-			return nil, err
+			return h, err
 		}
 		if !hasRet {
-			return nil, fmt.Errorf("ret token requires ->value")
+			return h, fmt.Errorf("ret token requires ->value")
 		}
-		return []Event{Ret(tx, obj, op, parseValue(retStr))}, nil
+		return append(h, Ret(tx, obj, op, parseValue(retStr))), nil
 	}
 
 	// Operation execution: r2(x)->1, w1(x,1), inc3(c)->ok, ...
@@ -146,11 +199,10 @@ func parseToken(tok string) ([]Event, error) {
 	if op == "w" {
 		op = "write"
 	}
-	parts := strings.SplitN(inner, ",", 2)
-	obj := ObjID(strings.TrimSpace(parts[0]))
+	obj := ObjID(inner)
 	var arg Value
-	if len(parts) == 2 {
-		arg = parseValue(strings.TrimSpace(parts[1]))
+	if c := strings.IndexByte(inner, ','); c >= 0 {
+		obj, arg = ObjID(inner[:c]), parseValue(inner[c+1:])
 	}
 	var ret Value
 	switch {
@@ -159,21 +211,21 @@ func parseToken(tok string) ([]Event, error) {
 	case op == "write":
 		ret = OK
 	default:
-		return nil, fmt.Errorf("operation %q requires ->value", op)
+		return h, fmt.Errorf("operation %q requires ->value", op)
 	}
 	if op == "read" && arg != nil {
-		return nil, fmt.Errorf("read takes no argument")
+		return h, fmt.Errorf("read takes no argument")
 	}
-	return []Event{Inv(tx, obj, op, arg), Ret(tx, obj, op, ret)}, nil
+	return append(h, Inv(tx, obj, op, arg), Ret(tx, obj, op, ret)), nil
 }
 
 // parseObjOp parses "obj.op" or "obj.op,arg".
 func parseObjOp(inner string) (ObjID, string, Value, error) {
 	var argStr string
-	if i := strings.Index(inner, ","); i >= 0 {
-		inner, argStr = inner[:i], strings.TrimSpace(inner[i+1:])
+	if i := strings.IndexByte(inner, ','); i >= 0 {
+		inner, argStr = inner[:i], inner[i+1:]
 	}
-	dot := strings.Index(inner, ".")
+	dot := strings.IndexByte(inner, '.')
 	if dot < 0 {
 		return "", "", nil, fmt.Errorf("expected obj.op")
 	}
@@ -181,5 +233,5 @@ func parseObjOp(inner string) (ObjID, string, Value, error) {
 	if argStr != "" {
 		arg = parseValue(argStr)
 	}
-	return ObjID(strings.TrimSpace(inner[:dot])), strings.TrimSpace(inner[dot+1:]), arg, nil
+	return ObjID(inner[:dot]), inner[dot+1:], arg, nil
 }

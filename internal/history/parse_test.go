@@ -174,3 +174,51 @@ func TestParseTrailingComment(t *testing.T) {
 		}
 	}
 }
+
+// TestParseEdges pins the whitespace, comment and token-boundary edges
+// of the one-pass scanner: every unicode.IsSpace rune separates tokens,
+// invalid UTF-8 stays inside its token, '#' comments only at the start
+// of a token, and blank input yields a nil History.
+func TestParseEdges(t *testing.T) {
+	w1 := []Event{Inv(1, "x", "write", 1), Ret(1, "x", "write", OK)}
+	for _, tc := range []struct {
+		src  string
+		want History
+		err  string
+	}{
+		{src: "w1(x,1) tryC1\r\nC1\r\n", want: append(History(w1), TryC(1), Commit(1))},
+		{src: "\vw1(x,1)\ftryC1\tC1", want: append(History(w1), TryC(1), Commit(1))},
+		{src: "w1(x,1)\u0085tryC1 C1", want: append(History(w1), TryC(1), Commit(1))},
+		{src: "w1(x\xff,1)", want: History{Inv(1, "x\xff", "write", 1), Ret(1, "x\xff", "write", OK)}},
+		{src: "C1 \xc2", err: `history: parsing "\xc2": unrecognized token`},
+		{src: "\xc2\u0085C1", err: `history: parsing "\xc2": unrecognized token`},
+		{src: "w1(x,1) # tryC1\nC1", want: append(History(w1), Commit(1))},
+		{src: "w1(x,1)#c", err: `history: parsing "w1(x,1)#c": unrecognized token`},
+		{src: "\n\n  \t\n"},
+		{src: "# only a comment\n#"},
+		{src: "C", err: `history: parsing "C": unrecognized token`},
+		{src: "tryC", err: `history: parsing "tryC": unrecognized token`},
+		{src: "r1(x)->", want: History{Inv(1, "x", "read", nil), Ret(1, "x", "read", "")}},
+		{src: "w1(x,1)->", want: History{Inv(1, "x", "write", 1), Ret(1, "x", "write", "")}},
+		{src: "w1(x,)", want: History{Inv(1, "x", "write", ""), Ret(1, "x", "write", OK)}},
+		{src: "r1(x,)->1", err: `history: parsing "r1(x,)->1": read takes no argument`},
+	} {
+		h, err := Parse(tc.src)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("Parse(%q) error = %v, want %q", tc.src, err, tc.err)
+			}
+			if h != nil {
+				t.Errorf("Parse(%q) = %v alongside its error, want nil", tc.src, h)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.src, err)
+			continue
+		}
+		if (h == nil) != (tc.want == nil) || !equalEvents(h, tc.want) {
+			t.Errorf("Parse(%q) = %#v, want %#v", tc.src, h, tc.want)
+		}
+	}
+}

@@ -30,7 +30,8 @@ func (e *WellFormedError) Error() string {
 }
 
 // wfErr builds the error for one offending event. A plain function, not
-// a per-event closure: WellFormed runs on every checker call.
+// a per-event closure: WellFormed and Appender.Append, which the
+// checkers run, share it.
 func wfErr(i int, e Event, msg string) error {
 	return &WellFormedError{Index: i, Ev: e, Msg: msg}
 }
@@ -46,10 +47,9 @@ func wfErr(i int, e Event, msg string) error {
 //   - an abort event may arrive in place of an operation response.
 func (h History) WellFormed() error {
 	// Per-transaction state lives in small parallel slices scanned
-	// linearly — WellFormed guards every checker call, and for the
-	// transaction counts of checkable histories a map (and the
-	// per-event closure the previous implementation allocated for its
-	// error path) costs more than the scan.
+	// linearly — for the transaction counts of checkable histories a
+	// map (and the per-event closure the previous implementation
+	// allocated for its error path) costs more than the scan.
 	txs := make([]TxID, 0, 8)
 	phases := make([]txPhase, 0, 8)
 	pendings := make([]Event, 0, 8)

@@ -30,9 +30,10 @@ import (
 // Ids are int32, so one interner can hold at most 2^31-1 distinct
 // states; Intern panics loudly if the limit is ever reached instead of
 // silently wrapping ids (see maxInternStates). In practice the search
-// tables of internal/core rebuild long before then, but a days-long
-// session over a huge value domain must shard or flush rather than rely
-// on the id space (ROADMAP: per-checkpoint table compaction).
+// tables of internal/core swap in a fresh generation long before then,
+// between checks; only a single check interning about 2^31 states can
+// reach the limit, which is why opacheck and otmd document it next to
+// -maxnodes.
 type SharedInterner struct {
 	stripes [internStripes]internStripe
 	states  pagedStates
@@ -60,7 +61,7 @@ func checkInternLimit(n int64) {
 	if n >= maxInternStates {
 		panic(fmt.Sprintf(
 			"spec: interner overflow: %d distinct states already interned, int32 id space exhausted; "+
-				"shard the corpus or flush/rebuild the search context (see ROADMAP: per-checkpoint table compaction)", n))
+				"lower the per-history node budget (-maxnodes) or flush/rebuild the search context", n))
 	}
 }
 
