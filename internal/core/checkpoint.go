@@ -50,9 +50,6 @@ const (
 // since the last checkpoint (all events, while no checkpoint exists).
 func (inc *Incremental) LiveLen() int { return inc.app.Len() }
 
-// LiveTxs returns the number of transactions in the live suffix.
-func (inc *Incremental) LiveTxs() int { return len(inc.app.Transactions()) }
-
 // Stable reports whether the live suffix is a stable prefix: every
 // transaction in it has completed, so the real-time order forces it
 // before everything that can still arrive, and TryTruncate may collapse
@@ -92,15 +89,6 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 		maxNodes = defaultTruncNodes
 	}
 
-	txs := inc.app.Transactions()
-	decide := func(tx history.TxID) Decision {
-		if inc.app.Status(tx) == history.StatusCommitted {
-			return DecideCommitted
-		}
-		// Stability means no live or commit-pending transactions remain.
-		return DecideAborted
-	}
-
 	// Enumerate Reach(suffix) from every current root. Final vectors are
 	// materialized to durable Objects immediately after each per-root
 	// walk — before the next walk's setup, which may swap out the table
@@ -111,17 +99,20 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 		newRoots []spec.Objects
 		seen     = map[string]struct{}{}
 	)
+	s := acquire(inc.ctx)
+	defer s.release()
 	for ri := range inc.rootCount() {
 		var finals []stateID
 		dedup := map[stateID]struct{}{}
 		inc.live.root = ri
-		err := enumerateFinals(SerializeOptions{
-			Txs:     txs,
-			Decide:  decide,
-			Objects: inc.rootAt(ri),
-			Context: inc.ctx,
-			live:    &inc.live,
-		}, maxNodes, &nodes, func(vid stateID) {
+		// Stability means no live or commit-pending transaction remains,
+		// so every transaction's fate is fixed by its status.
+		err := s.enumerateFinals(serializeOptions{
+			live:     &inc.live,
+			objects:  inc.rootAt(ri),
+			maxNodes: maxNodes,
+			nodes:    &nodes,
+		}, func(vid stateID) {
 			if _, ok := dedup[vid]; !ok {
 				dedup[vid] = struct{}{}
 				finals = append(finals, vid)

@@ -117,11 +117,11 @@ type atomStepVal struct {
 
 // SearchContext is one goroutine's handle on a set of search tables
 // (SharedTables) — the atom, signature and state-vector interners and
-// the transition cache — plus its own atom step cache and resident
-// searcher. A fresh context over a fresh table set is created internally
-// for every call that does not supply one; supplying one
-// (Config.Context, SerializeOptions.Context) reuses the tables across
-// calls, which is what makes the O(n) prefix scan of
+// the transition cache — plus its own atom step cache, resident searcher
+// and the history.Appender a one-shot check appends to. A fresh context
+// over a fresh table set is created internally for every call that does
+// not supply one; supplying one (Config.Context) reuses the tables
+// across calls, which is what makes the O(n) prefix scan of
 // FirstNonOpaquePrefix, the per-removed-transaction re-checks of
 // Diagnose, and long batch runs amortize their state exploration.
 //
@@ -135,7 +135,9 @@ type atomStepVal struct {
 // A SearchContext is not safe for concurrent use. Give each goroutine
 // its own: NewSearchContext for a private table set, or
 // SharedTables.NewContext for a context over a set that other
-// goroutines' contexts populate too.
+// goroutines' contexts populate too. Nor does it nest: one checker call
+// at a time runs on it, and a call made from inside another on the same
+// context (a custom spec.State whose Step calls the checker) panics.
 type SearchContext struct {
 	// tables is the table set behind this context; gen is its
 	// generation pinned for the current call. The atom step cache (steps
@@ -181,13 +183,8 @@ func (c *SearchContext) Stats() Stats { return c.stats }
 // root state, so nothing carries from one checked history to the next.
 // Reset clears the Appender's maps, which costs their capacity, so an
 // Appender a large history grew is replaced instead (the memo's bound
-// applies). A call made while a search is active on the context — a
-// re-entrant check — gets a fresh suffix and leaves the outer call's
-// views intact.
+// applies).
 func (c *SearchContext) oneShot() *liveSuffix {
-	if c.srch.active {
-		return &liveSuffix{app: history.NewAppender()}
-	}
 	l := &c.batch
 	if l.app == nil || len(l.app.Transactions()) > memoReuseBound || len(l.app.Objects()) > memoReuseBound {
 		l.app = history.NewAppender()
@@ -202,11 +199,10 @@ func (c *SearchContext) oneShot() *liveSuffix {
 // a fresh generation first when the table set outgrew its bound.
 // Crossing into a new generation invalidates everything local that
 // referred to the old one: the registry mirror, the default-register
-// atom, the empty-initial-state id and the step cache. Callers must not
-// pin from a re-entrant call
-// (searcher.setup skips pinning when it runs on a non-resident
-// searcher), or the generation would move out from under the outer
-// call's stateIDs.
+// atom, the empty-initial-state id and the step cache. searcher.setup
+// pins before a search interns anything, so the only stateIDs a swap
+// could strand would be an outer call's — and acquire refuses nested
+// calls.
 func (c *SearchContext) pin() {
 	g, swapped := c.tables.pin()
 	if swapped {

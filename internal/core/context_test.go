@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"otm/internal/gen"
@@ -66,7 +67,10 @@ func TestTransitionCacheMatchesReplay(t *testing.T) {
 	ctx := NewSearchContext()
 	for hi, h := range hs {
 		txs := h.Transactions()
-		execs := h.OpExecsFor(txs)
+		execs := make([][]history.OpExec, len(txs))
+		for i, tx := range txs {
+			execs[i] = h.OpExecs(tx)
+		}
 		ctx.registerObjects(h.Objects())
 
 		for round := 0; round < 2; round++ { // second round must hit the cache
@@ -413,29 +417,41 @@ func TestOneShotCheckOnWarmContext(t *testing.T) {
 	}
 }
 
-// TestOneShotCheckReentrant: a Check made on a context from inside a
-// search active on that same context gets its own Appender, so both the
-// inner verdicts and the outer search stay correct.
-func TestOneShotCheckReentrant(t *testing.T) {
+// nestingState is an object whose Step runs a Check on ctx: a checker
+// call nested inside the search that steps it. Its Key differs from the
+// plain register's; with equal Keys the interner would hand the search
+// the register instead, and Step would never run.
+type nestingState struct {
+	ctx   *SearchContext
+	inner history.History
+}
+
+func (nestingState) Name() string { return "nesting" }
+func (nestingState) Key() string  { return "nesting" }
+
+func (st nestingState) Step(string, history.Value, history.Value) (spec.State, bool) {
+	_, _ = Check(st.inner, Config{Context: st.ctx})
+	return st, true
+}
+
+// TestNestedCheckPanics: a Check made on a context from inside a search
+// active on that same context would reset the outer search's searcher,
+// Appender and generation under it, so it panics instead — and the
+// outer call, unwound by the panic, leaves the context usable.
+func TestNestedCheckPanics(t *testing.T) {
 	ctx := NewSearchContext()
-	inner := history.MustParse("w1(x,1) tryC1 C1 r2(x)->2 tryC2 C2")
-	outer := history.MustParse("w1(y,1) tryC1 C1 r2(y)->1 tryC2 C2")
-	calls := 0
-	ser, err := FindSerialization(SerializeOptions{
-		Source: outer,
-		Txs:    outer.Transactions(),
-		Decide: func(history.TxID) Decision {
-			calls++
-			r, err := Check(inner, Config{Context: ctx})
-			if err != nil || r.Opaque {
-				t.Errorf("re-entrant Check: opaque=%v err=%v, want non-opaque", r.Opaque, err)
+	objs := spec.Objects{"x": nestingState{ctx: ctx, inner: history.MustParse("w1(y,1) tryC1 C1")}}
+	outer := history.MustParse("w1(x,1) tryC1 C1")
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "inside a search") {
+				t.Fatalf("nested Check recovered %v, want the nesting panic", r)
 			}
-			return DecideCommitted
-		},
-		RealTime: outer,
-		Context:  ctx,
-	})
-	if err != nil || ser == nil || fmtOrder(ser.Order) != "T1 T2" || calls != 2 {
-		t.Fatalf("outer search: order %v, err %v, %d Decide calls", ser, err, calls)
+		}()
+		_, _ = Check(outer, Config{Objects: objs, Context: ctx})
+	}()
+	r, err := Check(history.MustParse("w1(x,1) tryC1 C1 r2(x)->2 tryC2 C2"), Config{Context: ctx})
+	if err != nil || r.Opaque {
+		t.Fatalf("check after the panic: opaque=%v err=%v, want non-opaque", r.Opaque, err)
 	}
 }

@@ -64,10 +64,9 @@ type IncrementalResult struct {
 // so object states interned and transitions cached while checking one
 // prefix serve every longer prefix. On top of that, each check first
 // revalidates the previous prefix's witness serialization (extended with
-// any new transactions) via SerializeOptions.Hint: for histories a
-// correct TM emits, the witness almost always extends, making the
-// per-event cost a linear replay over cached transitions instead of a
-// search. The check's setup is incremental too (see liveSuffix): the
+// any new transactions) before searching: for histories a correct TM
+// emits, the witness almost always extends, making the per-event cost a
+// linear replay over cached transitions instead of a search. The check's setup is incremental too (see liveSuffix): the
 // transactions' executions, spans and objects are views the
 // history.Appender maintains, and only the transaction the event
 // changed is re-signed. Two event classes skip checking entirely:
@@ -95,7 +94,7 @@ type Incremental struct {
 
 	res  IncrementalResult
 	err  error
-	hint *Serialization
+	hint *serialization
 	cand []history.TxID // scratch for the extended candidate
 	live liveSuffix
 
@@ -218,19 +217,19 @@ func (inc *Incremental) check() error {
 	}
 	var nodes int
 	hint := inc.candidate(txs)
-	var ser *Serialization
+	var ser *serialization
 	var err error
+	s := acquire(inc.ctx)
+	defer s.release()
 	for ri := range inc.rootCount() {
 		inc.live.root = (inc.rootPref + ri) % inc.rootCount()
-		ser, err = FindSerialization(SerializeOptions{
-			Txs:        txs,
-			Objects:    inc.rootAt(inc.live.root),
-			MaxNodes:   maxNodes,
-			Nodes:      &nodes, // accumulates: one budget across all roots
-			Context:    inc.ctx,
-			Hint:       hint,
-			DisableSym: inc.cfg.DisableSym,
+		ser, err = s.findSerialization(serializeOptions{
 			live:       &inc.live,
+			objects:    inc.rootAt(inc.live.root),
+			maxNodes:   maxNodes,
+			nodes:      &nodes, // accumulates: one budget across all roots
+			hint:       hint,
+			disableSym: inc.cfg.DisableSym,
 		})
 		if err != nil || ser != nil {
 			if ser != nil {
@@ -286,15 +285,15 @@ func (inc *Incremental) rootAt(i int) spec.Objects {
 // transaction list only grows between truncations (which drop the
 // witness), so the new transactions are exactly the list's tail past
 // the witness's length.
-func (inc *Incremental) candidate(txs []history.TxID) *Serialization {
+func (inc *Incremental) candidate(txs []history.TxID) *serialization {
 	if inc.hint == nil {
 		return nil
 	}
-	if len(inc.hint.Order) == len(txs) {
+	if len(inc.hint.order) == len(txs) {
 		return inc.hint
 	}
-	inc.cand = append(append(inc.cand[:0], inc.hint.Order...), txs[len(inc.hint.Order):]...)
-	return &Serialization{Order: inc.cand, Commits: inc.hint.Commits}
+	inc.cand = append(append(inc.cand[:0], inc.hint.order...), txs[len(inc.hint.order):]...)
+	return &serialization{order: inc.cand, commits: inc.hint.commits}
 }
 
 // checkReference is the DisableMemo path: a fresh one-shot Check of the

@@ -64,9 +64,10 @@ type Config struct {
 	// backtracking search without partial-order reduction.
 	// Differential-testing hook; not for production paths.
 	DisableMemo bool
-	// DisableSym turns off the symmetry reduction of the unified engine
-	// (see SerializeOptions.DisableSym). Differential-testing hook; not
-	// for production paths.
+	// DisableSym turns off the symmetry reduction of the unified engine:
+	// every transaction is its own class and interchangeable placements
+	// are all explored. Differential-testing hook; not for production
+	// paths.
 	DisableSym bool
 }
 
@@ -86,7 +87,7 @@ func Opaque(h history.History) (Result, error) {
 // The search is completion-aware: instead of enumerating the 2^k members
 // of Complete(H) as an outer loop, the fate of each commit-pending
 // transaction is decided lazily when the transaction is placed in the
-// serialization (see DecideBranch), so one memo table and one node
+// serialization (see decideBranch), so one memo table and one node
 // budget serve the whole verdict. A transaction may be appended to the
 // partial order when all its ≺H-predecessors have been placed and its
 // operation executions are legal on the object states produced by the
@@ -126,8 +127,7 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 		// ≺H is the real-time order of the *original* history h:
 		// Definition 1 requires S to preserve the real-time order of H,
 		// not of the completion.
-		preds := h.RealTimeOrderOf(txs)
-		preds = append(preds, extraPreds...)
+		preds := append(h.RealTimeOrder(), extraPreds...)
 		return checkPerCompletion(h, cfg, txs, preds, maxNodes)
 	}
 
@@ -135,6 +135,8 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	if ctx == nil {
 		ctx = NewSearchContext()
 	}
+	s := acquire(ctx)
+	defer s.release()
 	live := ctx.oneShot()
 	for _, ev := range h {
 		if err := live.app.Append(ev); err != nil {
@@ -147,15 +149,13 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	}
 
 	res := Result{}
-	ser, err := FindSerialization(SerializeOptions{
-		Txs:        txs,
-		Preds:      extraPreds,
-		Objects:    cfg.Objects,
-		MaxNodes:   maxNodes,
-		Nodes:      &res.Nodes,
-		Context:    ctx,
-		DisableSym: cfg.DisableSym,
+	ser, err := s.findSerialization(serializeOptions{
 		live:       live,
+		preds:      extraPreds,
+		objects:    cfg.Objects,
+		maxNodes:   maxNodes,
+		nodes:      &res.Nodes,
+		disableSym: cfg.DisableSym,
 	})
 	if err != nil {
 		return res, err
@@ -163,12 +163,12 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	if ser == nil {
 		return res, nil
 	}
-	hc := h.CompleteWith(ser.Commits)
+	hc := h.CompleteWith(ser.commits)
 	res.Opaque = true
 	res.Witness = &Witness{
 		Completion: hc,
-		Order:      ser.Order,
-		Sequential: buildSequential(hc, ser.Order),
+		Order:      ser.order,
+		Sequential: buildSequential(hc, ser.order),
 	}
 	return res, nil
 }
@@ -183,30 +183,16 @@ func checkPerCompletion(h history.History, cfg Config, txs []history.TxID, preds
 	var searchErr error
 
 	h.EachCompletion(func(hc history.History) bool {
-		ser, err := FindSerialization(SerializeOptions{
-			Source: hc,
-			Txs:    txs,
-			Decide: func(tx history.TxID) Decision {
-				if hc.Committed(tx) {
-					return DecideCommitted
-				}
-				return DecideAborted
-			},
-			Preds:       preds,
-			Objects:     cfg.Objects,
-			MaxNodes:    maxNodes,
-			Nodes:       &res.Nodes,
-			DisableMemo: true,
-		})
+		order, err := findSerializationRef(hc, txs, preds, cfg.Objects, maxNodes, &res.Nodes)
 		if err != nil {
 			searchErr = err
 			return false
 		}
-		if ser != nil {
+		if order != nil {
 			found = &Witness{
 				Completion: hc,
-				Order:      ser.Order,
-				Sequential: buildSequential(hc, ser.Order),
+				Order:      order,
+				Sequential: buildSequential(hc, order),
 			}
 			return false // stop enumerating completions
 		}

@@ -6,19 +6,19 @@ import (
 )
 
 // refSearcher is the reference serialization engine preserved for
-// differential testing (SerializeOptions.DisableMemo): a plain
-// backtracking search that replays candidate transactions on
-// copy-on-write spec.Objects maps, with no state interning, no
-// memoization, no transition caching and no partial-order reduction. It
-// shares nothing with the interned engine beyond the bitset type and
-// replayTx, which is what makes agreement between the two engines
-// meaningful as a correctness oracle.
+// differential testing (Config.DisableMemo): a plain backtracking search
+// over one completion, replaying candidate transactions on copy-on-write
+// spec.Objects maps, with no state interning, no memoization, no
+// transition caching and no partial-order reduction. It takes its
+// problem from the completion directly (History.OpExecs and the
+// completion's statuses) and shares nothing with the interned engine
+// beyond the bitset type and replayTx, which is what makes agreement
+// between the two engines meaningful as a correctness oracle.
 type refSearcher struct {
 	n        int
 	txs      []history.TxID
 	execs    [][]history.OpExec
-	decide   []Decision
-	fate     []bool
+	commit   []bool // whether the completion commits each transaction
 	preds    []bitset
 	maxNodes int
 	nodes    *int
@@ -29,7 +29,7 @@ type refSearcher struct {
 // for the shared conventions. Exceeding the node budget surfaces as a
 // plain failure here — findSerializationRef tells exhaustion from
 // failure by comparing the node counter against the budget afterwards.
-func (s *refSearcher) search(placed bitset, count int, states spec.Objects, last int) bool {
+func (s *refSearcher) search(placed bitset, count int, states spec.Objects) bool {
 	if *s.nodes >= s.maxNodes {
 		return false
 	}
@@ -45,25 +45,12 @@ func (s *refSearcher) search(placed bitset, count int, states spec.Objects, last
 		if !legal {
 			continue
 		}
+		if !s.commit[i] {
+			next = states
+		}
 		s.order = append(s.order, s.txs[i])
 		placed.set(i)
-		found := false
-		switch s.decide[i] {
-		case DecideCommitted:
-			s.fate[i] = true
-			found = s.search(placed, count+1, next, i)
-		case DecideAborted:
-			s.fate[i] = false
-			found = s.search(placed, count+1, states, i)
-		case DecideBranch:
-			s.fate[i] = false
-			found = s.search(placed, count+1, states, i)
-			if !found {
-				s.fate[i] = true
-				found = s.search(placed, count+1, next, i)
-			}
-		}
-		if found {
+		if s.search(placed, count+1, next) {
 			return true
 		}
 		placed.clear(i)
@@ -72,58 +59,43 @@ func (s *refSearcher) search(placed bitset, count int, states spec.Objects, last
 	return false
 }
 
-// findSerializationRef is FindSerialization on the reference engine.
-func findSerializationRef(o SerializeOptions, maxNodes int, nodes *int) (*Serialization, error) {
-	n := len(o.Txs)
-	idx := txIndex(o.Txs)
-	preds := make([]bitset, n)
-	for i := range preds {
-		preds[i] = newBitset(n)
-	}
-	pairs := o.Preds
-	if o.RealTime != nil {
-		pairs = append(o.RealTime.RealTimeOrderOf(o.Txs), pairs...)
-	}
-	for _, p := range pairs {
-		i, oki := idx[p[0]]
-		j, okj := idx[p[1]]
-		if oki && okj {
-			preds[j].set(i)
-		}
-	}
-
+// findSerializationRef searches the completion hc for an order of txs
+// that respects preds (pairs (a, b): a before b) in which every
+// transaction is legal on the object states the committed transactions
+// placed before it produce, from the initial states objs. It returns the
+// order, nil if none exists, or ErrSearchLimit when the node budget ran
+// out first.
+func findSerializationRef(hc history.History, txs []history.TxID, preds [][2]history.TxID, objs spec.Objects, maxNodes int, nodes *int) ([]history.TxID, error) {
+	n := len(txs)
 	s := &refSearcher{
 		n:        n,
-		txs:      o.Txs,
+		txs:      txs,
 		execs:    make([][]history.OpExec, n),
-		decide:   make([]Decision, n),
-		fate:     make([]bool, n),
-		preds:    preds,
+		commit:   make([]bool, n),
+		preds:    make([]bitset, n),
 		maxNodes: maxNodes,
 		nodes:    nodes,
 		order:    make([]history.TxID, 0, n),
 	}
-	for i, tx := range o.Txs {
-		s.execs[i] = o.Source.OpExecs(tx)
-		s.decide[i] = o.Decide(tx)
+	for i, tx := range txs {
+		s.execs[i] = hc.OpExecs(tx)
+		s.commit[i] = hc.Committed(tx)
+		s.preds[i] = newBitset(n)
 	}
-
-	baseObjs := o.Objects
-	if baseObjs == nil {
-		baseObjs = spec.Objects{}
-	}
-
-	if s.search(newBitset(n), 0, baseObjs, -1) {
-		ser := &Serialization{Order: append([]history.TxID(nil), s.order...)}
-		for i, tx := range o.Txs {
-			if s.decide[i] == DecideBranch {
-				if ser.Commits == nil {
-					ser.Commits = make(map[history.TxID]bool)
-				}
-				ser.Commits[tx] = s.fate[i]
-			}
+	idx := txIndex(txs)
+	for _, p := range preds {
+		i, oki := idx[p[0]]
+		j, okj := idx[p[1]]
+		if oki && okj {
+			s.preds[j].set(i)
 		}
-		return ser, nil
+	}
+
+	if objs == nil {
+		objs = spec.Objects{}
+	}
+	if s.search(newBitset(n), 0, objs) {
+		return s.order, nil
 	}
 	if *nodes >= maxNodes {
 		return nil, ErrSearchLimit

@@ -5,125 +5,88 @@ import (
 	"otm/internal/spec"
 )
 
-// Decision tells the serialization search how to treat one transaction's
+// decision tells the serialization search how to treat one transaction's
 // commit status when the transaction is placed.
-type Decision int
+type decision int
 
 const (
-	// DecideCommitted: the transaction's effects update the object states
+	// decideCommitted: the transaction's effects update the object states
 	// seen by transactions placed after it.
-	DecideCommitted Decision = iota
-	// DecideAborted: the transaction is checked for legality but leaves
+	decideCommitted decision = iota
+	// decideAborted: the transaction is checked for legality but leaves
 	// no trace on the object states.
-	DecideAborted
-	// DecideBranch marks a commit-pending transaction whose fate the
+	decideAborted
+	// decideBranch marks a commit-pending transaction whose fate the
 	// search chooses: placement branches on committing it (its effects
 	// become visible) versus aborting it (no trace). This is how the
 	// search covers Complete(H) without enumerating the 2^k completions
 	// as an outer loop — each completion corresponds to one assignment of
 	// fates along a search path, and the memo table and node budget of the
 	// one search are shared across all of them.
-	DecideBranch
+	decideBranch
 )
 
 // decisionOf is how Definition 1 places a transaction of the given
 // status: a committed one's effects are visible, a commit-pending one
 // branches on both fates, and an aborted or live one (no commit-try)
 // aborts in every completion.
-func decisionOf(st history.Status) Decision {
+func decisionOf(st history.Status) decision {
 	switch st {
 	case history.StatusCommitted:
-		return DecideCommitted
+		return decideCommitted
 	case history.StatusCommitPending:
-		return DecideBranch
+		return decideBranch
 	default:
-		return DecideAborted
+		return decideAborted
 	}
 }
 
-// SerializeOptions parameterizes the serialization search shared by the
-// opacity checker and the weaker criteria of internal/criteria.
-type SerializeOptions struct {
-	// Source supplies the per-transaction event sequences (the opacity
-	// checkers pass their history.Appender as live instead). For opacity
-	// this is the history under test itself: completions only append
-	// commit/abort events, so the operation executions of every
-	// transaction are identical across all of Complete(H).
-	Source history.History
-	// Txs are the transactions to serialize. For opacity this is every
-	// transaction of the history; for serializability-style criteria,
-	// only the committed ones.
-	Txs []history.TxID
-	// Decide maps each transaction to how its placement treats the object
-	// states (committed, aborted, or branch on both).
-	Decide func(history.TxID) Decision
-	// Preds are ordering constraints: each pair (a, b) requires a to be
-	// serialized before b. Pairs mentioning transactions outside Txs are
-	// ignored.
-	Preds [][2]history.TxID
-	// RealTime, when non-nil, additionally constrains the order by the
-	// real-time order ≺ of this history restricted to Txs (a completed
-	// transaction precedes every transaction whose first event follows
-	// its last). The searcher derives the constraint bitsets straight
-	// from the transaction spans, so hot callers avoid materializing
-	// the quadratic pair list of History.RealTimeOrder.
-	RealTime history.History
-	// Objects are the initial object states; nil entries default to
-	// integer registers initialized to 0.
-	Objects spec.Objects
-	// MaxNodes bounds the search (0 = default); *Nodes accumulates the
-	// node count across calls when non-nil.
-	MaxNodes int
-	Nodes    *int
-	// Context supplies the interned-state tables (state interner,
-	// transition cache) the search runs on. nil means a fresh context for
-	// this call; passing one reuses the tables across calls — see
-	// SearchContext for why that is sound. Ignored by the DisableMemo
-	// reference engine.
-	Context *SearchContext
-	// Hint optionally supplies a candidate serialization — an order over
-	// exactly Txs plus commit fates for the DecideBranch transactions —
-	// to validate before searching. A candidate that places every
-	// transaction legally under the ordering constraints is returned as
-	// the result without exploring a single search node; an invalid one
-	// costs one linear walk over cached transitions and falls back to
-	// the full search. Incremental prefix checking threads the previous
-	// prefix's witness through here, which is what makes the common
-	// "history still opaque" append a replay instead of a search.
-	// Ignored by the DisableMemo reference engine.
-	Hint *Serialization
-	// DisableMemo runs the reference engine instead: the plain
-	// backtracking search on copy-on-write spec.Objects maps, with no
-	// interning, no memoization and no partial-order reduction. It exists
-	// as the independent implementation the interned engine is
-	// differentially tested against and should not be set on production
-	// paths.
-	DisableMemo bool
-	// DisableSym turns off the symmetry reduction: every transaction is
-	// its own class and interchangeable placements are all explored.
-	// Differential-testing hook for isolating the reduction; not for
-	// production paths.
-	DisableSym bool
-
-	// live, when non-nil, stands in for Source, RealTime and Decide:
-	// Txs are the transactions of a history.Appender (an Incremental
-	// checker's live suffix, or the history a one-shot check appended),
-	// and their executions, objects, spans, opacity decisions (see
-	// decisionOf), replay signatures and the initial state come from its
-	// maintained views and caches instead of scans of the history (see
-	// liveSuffix).
+// serializeOptions parameterizes one serialization search. The problem
+// comes from a history.Appender (live): an Incremental checker's live
+// suffix, or the history a one-shot check appended. The transactions,
+// their executions, objects, spans and statuses are its maintained
+// views, and their replay signatures and the initial state come from the
+// liveSuffix caches (see liveSuffix). Completions only append commit or
+// abort events, so the executions of every transaction are the same
+// across all of Complete(H), and the real-time order the search
+// preserves is the one of the appended history itself.
+type serializeOptions struct {
 	live *liveSuffix
+	// preds are ordering constraints on top of the real-time order: each
+	// pair (a, b) requires a to be serialized before b. Pairs mentioning
+	// transactions outside the history are ignored.
+	preds [][2]history.TxID
+	// objects are the initial object states of the live suffix's current
+	// root; nil entries default to integer registers initialized to 0.
+	objects spec.Objects
+	// maxNodes bounds the search; *nodes accumulates the node count
+	// across calls.
+	maxNodes int
+	nodes    *int
+	// hint optionally supplies a candidate serialization — an order over
+	// exactly the history's transactions plus commit fates for the
+	// decideBranch ones — to validate before searching. A candidate that
+	// places every transaction legally under the ordering constraints is
+	// returned as the result without exploring a single search node; an
+	// invalid one costs one linear walk over cached transitions and falls
+	// back to the full search. Incremental prefix checking threads the
+	// previous prefix's witness through here, which is what makes the
+	// common "history still opaque" append a replay instead of a search.
+	hint *serialization
+	// disableSym turns off the symmetry reduction: every transaction is
+	// its own class and interchangeable placements are all explored.
+	disableSym bool
 }
 
-// Serialization is the successful outcome of FindSerialization.
-type Serialization struct {
-	// Order is the serialization of the transactions.
-	Order []history.TxID
-	// Commits records the fate the search chose for every DecideBranch
+// serialization is the successful outcome of findSerialization.
+type serialization struct {
+	// order is the serialization of the transactions.
+	order []history.TxID
+	// commits records the fate the search chose for every decideBranch
 	// transaction: true = committed, false = aborted. Transactions with a
-	// fixed Decision do not appear. The map is in the shape expected by
+	// fixed decision do not appear. The map is in the shape expected by
 	// history.CompleteWith.
-	Commits map[history.TxID]bool
+	commits map[history.TxID]bool
 }
 
 // outcome is the tri-state result of one search subtree. Distinguishing
@@ -139,7 +102,7 @@ const (
 )
 
 // searcher is the interned-state serialization engine. One instance
-// serves one FindSerialization or enumerateFinals call at a time, on
+// serves one findSerialization or enumerateFinals call at a time, on
 // tables that live in the SearchContext and persist across calls: object
 // states are interned to stateIDs (vector comparison is word equality,
 // not string building) and each transaction's replay is cached per
@@ -159,13 +122,11 @@ type searcher struct {
 	txIdx  map[history.TxID]int32 // index into txs; nil for small n
 	execs  [][]history.OpExec
 	sigs   []int32
-	decide []Decision
+	decide []decision
 	fate   []bool // chosen fate per placed transaction (branch txs)
 	preds  []bitset
 	foot   []bitset // per-transaction object footprint (bit per object)
 	words  []uint64 // shared backing store of preds, foot, succ and placed
-	spans  []int    // scratch: first/last event index per transaction
-	compl  []bool   // scratch: completed flag per transaction
 	placed bitset
 	order  []history.TxID
 	init   stateID
@@ -236,25 +197,27 @@ func grow[T any](s []T, n int) []T {
 // setup prepares the searcher for one call, reusing the scratch slices
 // of previous calls on the same context. It derives what validating a
 // hint needs — executions, replay signatures, decisions, ordering
-// constraints and the initial state; prepare adds what only a search
-// needs.
-func (s *searcher) setup(o SerializeOptions, maxNodes int, nodes *int) {
-	n := len(o.Txs)
+// constraints and the initial state — from o.live's views; prepare adds
+// what only a search needs.
+func (s *searcher) setup(o serializeOptions) {
 	ctx := s.ctx
+	live := o.live
+	txs := live.app.Transactions()
+	n := len(txs)
 	s.n = n
-	s.txs = o.Txs
-	s.maxNodes = maxNodes
-	s.nodes = nodes
+	s.txs = txs
+	s.maxNodes = o.maxNodes
+	s.nodes = o.nodes
 
-	// Enough transactions to make the linear indexOf scans of setup,
-	// addRealTimePreds and validate quadratic: build an index map.
+	// Enough transactions to make the linear indexOf scans of setup and
+	// validate quadratic: build an index map.
 	if n > 32 {
 		if s.txIdx == nil {
 			s.txIdx = make(map[history.TxID]int32, n)
 		} else {
 			clear(s.txIdx)
 		}
-		for i, tx := range o.Txs {
+		for i, tx := range txs {
 			s.txIdx[tx] = int32(i)
 		}
 	} else {
@@ -263,41 +226,26 @@ func (s *searcher) setup(o SerializeOptions, maxNodes int, nodes *int) {
 
 	// Between calls is the only safe point to bound the tables: nothing
 	// for this call has been interned yet. The context pins (and possibly
-	// rotates) the generation of its table set here — unless this is a
-	// re-entrant call on a borrowed searcher (s != &ctx.srch), whose
-	// outer call still holds stateIDs into the pinned generation.
-	if s == &ctx.srch {
-		ctx.pin()
-		// The step cache grows independently of the generation; dropping
-		// it is always sound and only costs re-derivation.
-		if int64(len(ctx.steps)) > ctx.tables.maxEntries {
-			clear(ctx.steps)
-		}
+	// rotates) the generation of its table set here.
+	ctx.pin()
+	// The step cache grows independently of the generation; dropping it
+	// is always sound and only costs re-derivation.
+	if int64(len(ctx.steps)) > ctx.tables.maxEntries {
+		clear(ctx.steps)
 	}
 
 	// Registry order only needs to be stable within the generation —
 	// state vectors are never compared across table sets — so
 	// first-appearance order does fine and skips a sort per call.
-	live := o.live
-	if live != nil {
-		ctx.registerObjects(live.app.Objects())
-		live.sync(ctx)
-		s.execs = live.app.OpExecs()
-	} else {
-		ctx.registerObjects(o.Source.Objects())
-		s.execs = o.Source.OpExecsFor(o.Txs)
-	}
+	ctx.registerObjects(live.app.Objects())
+	live.sync(ctx)
+	s.execs = live.app.OpExecs()
 	s.sigs = grow(s.sigs, n)
 	s.decide = grow(s.decide, n)
 	s.fate = grow(s.fate, n)
-	for i, tx := range o.Txs {
-		if live != nil {
-			s.sigs[i] = live.sig(ctx, i, s.execs[i])
-			s.decide[i] = decisionOf(live.app.Status(tx))
-		} else {
-			s.sigs[i] = ctx.sigOf(s.execs[i])
-			s.decide[i] = o.Decide(tx)
-		}
+	for i, tx := range txs {
+		s.sigs[i] = live.sig(ctx, i, s.execs[i])
+		s.decide[i] = decisionOf(live.app.Status(tx))
 	}
 
 	// preds, foot, succ and placed share one zeroed word block.
@@ -323,18 +271,14 @@ func (s *searcher) setup(o SerializeOptions, maxNodes int, nodes *int) {
 	}
 	s.placed = bitset(s.words[off : off+tw])
 
-	for _, p := range o.Preds {
+	for _, p := range o.preds {
 		i := s.indexOfTx(p[0])
 		j := s.indexOfTx(p[1])
 		if i >= 0 && j >= 0 {
 			s.preds[j].set(i)
 		}
 	}
-	if live != nil {
-		s.addSpanPreds(live.app.Spans())
-	} else if o.RealTime != nil {
-		s.addRealTimePreds(o.RealTime)
-	}
+	s.addSpanPreds(live.app.Spans())
 
 	if cap(s.order) < n {
 		s.order = make([]history.TxID, 0, n)
@@ -342,19 +286,15 @@ func (s *searcher) setup(o SerializeOptions, maxNodes int, nodes *int) {
 		s.order = s.order[:0]
 	}
 
-	// A nil Objects map reads like an empty one, so no defaulting
+	// A nil objects map reads like an empty one, so no defaulting
 	// allocation is needed.
-	if live != nil {
-		s.init = live.initial(ctx, o.Objects)
-	} else {
-		s.init = ctx.initialState(o.Objects)
-	}
+	s.init = live.initial(ctx, o.objects)
 }
 
 // prepare completes setup for a search: footprints, symmetry classes,
 // the legality watch, an empty memo and the leaf sink (nil to find a
 // witness). A call whose hint validates never needs them, so
-// FindSerialization derives them only once it has to search.
+// findSerialization derives them only once it has to search.
 func (s *searcher) prepare(disableSym bool, sink func(stateID)) {
 	ctx := s.ctx
 	for i := 0; i < s.n; i++ {
@@ -469,8 +409,7 @@ func (s *searcher) memoInsert(placed bitset, last int, vid stateID) {
 // addSpanPreds sets the predecessor bits induced by the real-time order,
 // from the spans a history.Appender maintains, indexed like s.txs: a
 // completed transaction precedes exactly the transactions whose span
-// starts after its ends. Identical constraints to addRealTimePreds,
-// without its O(events) span-derivation scan.
+// starts after its ends.
 func (s *searcher) addSpanPreds(spans []history.Span) {
 	n := s.n
 	for i := 0; i < n; i++ {
@@ -480,47 +419,6 @@ func (s *searcher) addSpanPreds(spans []history.Span) {
 		last := spans[i].Last
 		for j := 0; j < n; j++ {
 			if i != j && spans[j].First > last {
-				s.preds[j].set(i)
-			}
-		}
-	}
-}
-
-// addRealTimePreds sets the predecessor bits induced by the real-time
-// order of src over s.txs: one event scan computes each transaction's
-// span and whether it completed (last event commit or abort), and a
-// completed transaction precedes exactly the transactions whose span
-// starts after its ends.
-func (s *searcher) addRealTimePreds(src history.History) {
-	n := s.n
-	s.spans = grow(s.spans, 2*n)
-	first, last := s.spans[:n], s.spans[n:]
-	for i := range first {
-		first[i] = -1
-		last[i] = -1
-	}
-	s.compl = grow(s.compl, n)
-	completed := s.compl
-	for i := range completed {
-		completed[i] = false
-	}
-	for hi, e := range src {
-		j := s.indexOfTx(e.Tx)
-		if j < 0 {
-			continue
-		}
-		if first[j] < 0 {
-			first[j] = hi
-		}
-		last[j] = hi
-		completed[j] = e.Kind == history.KindCommit || e.Kind == history.KindAbort
-	}
-	for i := 0; i < n; i++ {
-		if !completed[i] {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if i != j && first[j] > last[i] {
 				s.preds[j].set(i)
 			}
 		}
@@ -539,8 +437,8 @@ func (s *searcher) indexOfTx(tx history.TxID) int {
 	return indexOf(s.txs, tx)
 }
 
-// validate checks one full candidate serialization — hint.Order over
-// exactly s.txs plus hint.Commits fates for the DecideBranch
+// validate checks one full candidate serialization — hint.order over
+// exactly s.txs plus hint.commits fates for the decideBranch
 // transactions (absent entries default to abort, which never perturbs
 // the object states) — without searching: each transaction in turn must
 // have its predecessors already placed and replay legally on the current
@@ -549,13 +447,13 @@ func (s *searcher) indexOfTx(tx history.TxID) int {
 // failure the walk state is rolled back so the full search starts clean.
 // Validation runs entirely on the transition cache and explores no
 // search nodes.
-func (s *searcher) validate(hint *Serialization) bool {
-	if len(hint.Order) != s.n {
+func (s *searcher) validate(hint *serialization) bool {
+	if len(hint.order) != s.n {
 		return false
 	}
 	vid := s.init
 	ok := true
-	for _, tx := range hint.Order {
+	for _, tx := range hint.order {
 		i := s.indexOfTx(tx)
 		if i < 0 || s.placed.has(i) || !s.placed.covers(s.preds[i]) {
 			ok = false
@@ -568,10 +466,10 @@ func (s *searcher) validate(hint *Serialization) bool {
 		}
 		fate := false
 		switch s.decide[i] {
-		case DecideCommitted:
+		case decideCommitted:
 			fate = true
-		case DecideBranch:
-			fate = hint.Commits[tx]
+		case decideBranch:
+			fate = hint.commits[tx]
 		}
 		if fate {
 			vid = next
@@ -588,17 +486,17 @@ func (s *searcher) validate(hint *Serialization) bool {
 	return false
 }
 
-// result assembles the Serialization from the searcher's final walk
-// state (s.order and, for DecideBranch transactions, s.fate) — shared by
+// result assembles the serialization from the searcher's final walk
+// state (s.order and, for decideBranch transactions, s.fate) — shared by
 // the search success path and the validated-hint fast path.
-func (s *searcher) result(o SerializeOptions) *Serialization {
-	ser := &Serialization{Order: append([]history.TxID(nil), s.order...)}
-	for i, tx := range o.Txs {
-		if s.decide[i] == DecideBranch {
-			if ser.Commits == nil {
-				ser.Commits = make(map[history.TxID]bool)
+func (s *searcher) result() *serialization {
+	ser := &serialization{order: append([]history.TxID(nil), s.order...)}
+	for i, tx := range s.txs {
+		if s.decide[i] == decideBranch {
+			if ser.commits == nil {
+				ser.commits = make(map[history.TxID]bool)
 			}
-			ser.Commits[tx] = s.fate[i]
+			ser.commits[tx] = s.fate[i]
 		}
 	}
 	return ser
@@ -660,13 +558,13 @@ func (s *searcher) search(placed bitset, count int, vid stateID, last int) outco
 		placed.set(i)
 		var out outcome
 		switch s.decide[i] {
-		case DecideCommitted:
+		case decideCommitted:
 			s.fate[i] = true
 			out = s.searchCommitted(placed, count, vid, next, i)
-		case DecideAborted:
+		case decideAborted:
 			s.fate[i] = false
 			out = s.search(placed, count+1, vid, i)
-		case DecideBranch:
+		case decideBranch:
 			// Abort first: it keeps the object states unchanged, matching
 			// the reference engine's enumeration order (completion mask 0
 			// aborts every commit-pending transaction).
@@ -707,62 +605,39 @@ func (s *searcher) searchCommitted(placed bitset, count int, vid, next stateID, 
 	return out
 }
 
-// FindSerialization searches for an order of o.Txs such that every
-// ordering constraint holds and every transaction is legal on the object
-// states produced by the committed transactions placed before it,
-// choosing a commit/abort fate for every DecideBranch transaction along
-// the way. It returns the serialization on success and nil if no order
-// (under any fate assignment) exists. ErrSearchLimit is returned when the
-// node budget is exhausted first.
-func FindSerialization(o SerializeOptions) (*Serialization, error) {
-	n := len(o.Txs)
-	if n == 0 {
-		return &Serialization{}, nil
+// findSerialization searches for an order of the history's transactions
+// such that every ordering constraint holds and every transaction is
+// legal on the object states produced by the committed transactions
+// placed before it, choosing a commit/abort fate for every decideBranch
+// transaction along the way. It returns the serialization on success and
+// nil if no order (under any fate assignment) exists. ErrSearchLimit is
+// returned when the node budget is exhausted first.
+func (s *searcher) findSerialization(o serializeOptions) (*serialization, error) {
+	s.setup(o)
+	if o.hint != nil && s.validate(o.hint) {
+		return s.result(), nil
 	}
-	maxNodes := o.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = defaultMaxNodes
-	}
-	var localNodes int
-	nodes := o.Nodes
-	if nodes == nil {
-		nodes = &localNodes
-	}
-
-	if o.DisableMemo {
-		return findSerializationRef(o, maxNodes, nodes)
-	}
-
-	s := acquire(o.Context)
-	defer s.release()
-	s.setup(o, maxNodes, nodes)
-
-	if o.Hint != nil && s.validate(o.Hint) {
-		return s.result(o), nil
-	}
-
-	s.prepare(o.DisableSym, nil)
+	s.prepare(o.disableSym, nil)
 	switch s.search(s.placed, 0, s.init, -1) {
 	case outFound:
-		return s.result(o), nil
+		return s.result(), nil
 	case outTruncated:
 		return nil, ErrSearchLimit
 	}
 	return nil, nil
 }
 
-// acquire returns the searcher for one call on ctx (a fresh context when
-// nil), marked active until release: the context's resident searcher,
-// unless a call is already active on it (re-entrancy through a Decide
-// callback would be the only path; none exists today, but correctness is
-// cheap).
+// acquire returns ctx's searcher, marked active for one checker call
+// until release. Every call of the package runs on the context's one
+// searcher, Appender and pinned generation, so a call made while another
+// is active on the same context — possible only through a custom
+// spec.State whose Step calls the checker on that context — would reset
+// them under the outer search. acquire panics instead, before the nested
+// call touches anything.
 func acquire(ctx *SearchContext) *searcher {
-	if ctx == nil {
-		ctx = NewSearchContext()
-	}
 	s := &ctx.srch
 	if s.active {
-		s = &searcher{}
+		panic("core: checker called on a SearchContext from inside a search on it")
 	}
 	s.ctx = ctx
 	s.active = true
@@ -772,26 +647,22 @@ func acquire(ctx *SearchContext) *searcher {
 func (s *searcher) release() { s.active = false }
 
 // enumerateFinals runs the reachable-final-state enumeration for a fully
-// decided problem (no DecideBranch transactions): the search runs with a
+// decided problem (no decideBranch transactions): the search runs with a
 // sink at its leaves, so sink receives the interned final object-state
-// vector of every legal serialization of o.Txs — one canonical
-// representative per class of the partial-order and symmetry reductions,
-// which agree on the final state, so the reductions lose nothing. The
-// memo then records states already enumerated: the reachable-final set
-// below a (placed, last, state) node is a pure function of the node, so
-// a second visit contributes nothing new. The caller deduplicates if
-// desired (distinct classes may sink one vector several times). It
-// returns ErrSearchLimit when the node budget is exhausted before the
-// enumeration completes — the caller must then discard everything sunk,
-// since uncovered serializations may reach states never reported.
-func enumerateFinals(o SerializeOptions, maxNodes int, nodes *int, sink func(stateID)) error {
-	if len(o.Txs) == 0 {
-		return nil
-	}
-	s := acquire(o.Context)
-	defer s.release()
-	s.setup(o, maxNodes, nodes)
-	s.prepare(o.DisableSym, sink)
+// vector of every legal serialization of the history's transactions — one
+// canonical representative per class of the partial-order and symmetry
+// reductions, which agree on the final state, so the reductions lose
+// nothing. The memo then records states already enumerated: the
+// reachable-final set below a (placed, last, state) node is a pure
+// function of the node, so a second visit contributes nothing new. The
+// caller deduplicates if desired (distinct classes may sink one vector
+// several times). It returns ErrSearchLimit when the node budget is
+// exhausted before the enumeration completes — the caller must then
+// discard everything sunk, since uncovered serializations may reach
+// states never reported.
+func (s *searcher) enumerateFinals(o serializeOptions, sink func(stateID)) error {
+	s.setup(o)
+	s.prepare(o.disableSym, sink)
 	if s.search(s.placed, 0, s.init, -1) == outTruncated {
 		return ErrSearchLimit
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"otm/internal/core"
@@ -160,31 +161,13 @@ func TestUnifiedBudgetIsSharedAndExact(t *testing.T) {
 	}
 }
 
-// TestFindSerializationDefaults: the exported entry point fills in every
-// optional knob — empty Txs short-circuits, and a call with no MaxNodes,
-// Nodes counter or Context gets the defaults and a private context.
-func TestFindSerializationDefaults(t *testing.T) {
-	if ser, err := core.FindSerialization(core.SerializeOptions{}); err != nil || ser == nil || len(ser.Order) != 0 {
-		t.Fatalf("empty options: ser=%v err=%v, want the empty serialization", ser, err)
-	}
-	h := history.History{
-		history.Inv(1, "x", "write", 1), history.Ret(1, "x", "write", history.OK),
-		history.TryC(1), history.Commit(1),
-	}.MustWellFormed()
-	ser, err := core.FindSerialization(core.SerializeOptions{
-		Source: h,
-		Txs:    h.Transactions(),
-		Decide: func(history.TxID) core.Decision { return core.DecideCommitted },
-	})
-	if err != nil || ser == nil {
-		t.Fatalf("defaults path: ser=%v err=%v", ser, err)
-	}
-}
-
 // TestFindSerializationManyTxs: above 32 transactions the searcher
-// builds (and on reuse, rebuilds) a transaction index map; a chain of 40
-// value-linked writers has exactly one serialization, found twice on one
-// shared context.
+// builds (and on reuse, rebuilds) a transaction index map, which
+// resolves CheckStrong's extra ordering constraints and the witness
+// hints of the prefix scan. A chain of 40 value-linked writers has
+// exactly one serialization: Check finds it twice on one shared context,
+// CheckStrong finds it under the operation order, and every prefix is
+// opaque.
 func TestFindSerializationManyTxs(t *testing.T) {
 	var h history.History
 	for i := 1; i <= 40; i++ {
@@ -195,19 +178,18 @@ func TestFindSerializationManyTxs(t *testing.T) {
 			history.TryC(tx), history.Commit(tx))
 	}
 	h = h.MustWellFormed()
+	want := h.Transactions()
 	ctx := core.NewSearchContext()
-	for round := range 2 {
-		ser, err := core.FindSerialization(core.SerializeOptions{
-			Source:  h,
-			Txs:     h.Transactions(),
-			Decide:  func(history.TxID) core.Decision { return core.DecideCommitted },
-			Context: ctx,
-		})
-		if err != nil || ser == nil {
-			t.Fatalf("round %d: ser=%v err=%v", round, ser, err)
+	for round, check := range []func(history.History, core.Config) (core.Result, error){core.Check, core.Check, core.CheckStrong} {
+		r, err := check(h, core.Config{Context: ctx})
+		if err != nil || !r.Opaque {
+			t.Fatalf("round %d: opaque=%v err=%v", round, r.Opaque, err)
 		}
-		if len(ser.Order) != 40 {
-			t.Fatalf("round %d: |order| = %d, want 40", round, len(ser.Order))
+		if !slices.Equal(r.Witness.Order, want) {
+			t.Fatalf("round %d: order %v, want %v", round, r.Witness.Order, want)
 		}
+	}
+	if n, err := core.FirstNonOpaquePrefix(h, core.Config{Context: ctx}); err != nil || n != -1 {
+		t.Fatalf("prefix scan: first non-opaque prefix %d, err %v; want every prefix opaque", n, err)
 	}
 }

@@ -8,8 +8,9 @@
 // is not opaque.
 //
 // All criteria share the model of internal/history and the sequential
-// specifications of internal/spec, and reuse the serialization search of
-// internal/core.
+// specifications of internal/spec; the serializability-style ones are
+// decided by internal/core's opacity checker on the committed
+// projection.
 package criteria
 
 import (
@@ -37,27 +38,45 @@ func CommittedProjection(h history.History) history.History {
 	return out
 }
 
-// serializable is the shared engine: does the committed projection of h
-// have a legal sequential equivalent, optionally preserving the
-// real-time order of h?
+// serializable decides the serializability-style criteria on core.Check.
+// When every transaction of a history is committed, Complete(H) = {H}
+// and Definition 1 asks for exactly a legal sequential equivalent that
+// preserves ≺H, so opacity of the committed projection is strict
+// serializability of h (the projection keeps the relative order of its
+// events, so its ≺ is ≺H restricted to the committed transactions).
+// Without real time, commitsLast first erases ≺ altogether.
 func serializable(h history.History, objs spec.Objects, realTime bool) (bool, error) {
-	proj := CommittedProjection(h)
-	txs := proj.Transactions()
-	var rt history.History
-	if realTime {
-		// ≺H of the original history h: its restriction to the committed
-		// transactions is exactly the constraint strict serializability
-		// adds (pairs involving removed transactions are ignored).
-		rt = h
+	// Check sees only the projection, which drops the events of an
+	// ill-formed transaction that is not committed.
+	if err := h.WellFormed(); err != nil {
+		return false, err
 	}
-	ser, err := core.FindSerialization(core.SerializeOptions{
-		Source:   proj,
-		Txs:      txs,
-		Decide:   func(history.TxID) core.Decision { return core.DecideCommitted },
-		RealTime: rt,
-		Objects:  objs,
-	})
-	return ser != nil, err
+	proj := CommittedProjection(h)
+	if !realTime {
+		proj = commitsLast(proj)
+	}
+	r, err := core.Check(proj, core.Config{Objects: objs})
+	return r.Opaque, err
+}
+
+// commitsLast moves every commit event of h to the end, in order. A
+// commit is the last event of its transaction, so each H|Ti is
+// unchanged; and since no transaction of a well-formed history starts
+// with its commit, no transaction completes before another's first
+// event: the result has no ≺ pair.
+func commitsLast(h history.History) history.History {
+	out := make(history.History, 0, len(h))
+	for _, e := range h {
+		if e.Kind != history.KindCommit {
+			out = append(out, e)
+		}
+	}
+	for _, e := range h {
+		if e.Kind == history.KindCommit {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Serializable reports whether h is serializable (§3.2): all committed
@@ -66,14 +85,16 @@ func serializable(h history.History, objs spec.Objects, realTime bool) (bool, er
 // transactions. Real-time order is NOT required. objs supplies the object
 // semantics (nil = registers initialized to 0); with arbitrary objects
 // this is the paper's global atomicity (§3.4), which generalizes
-// serializability beyond read/write registers.
+// serializability beyond read/write registers. An ill-formed h gets its
+// *history.WellFormedError, not a verdict.
 func Serializable(h history.History, objs spec.Objects) (bool, error) {
 	return serializable(h, objs, false)
 }
 
 // StrictlySerializable reports whether h is serializable in the strict
 // sense: the witness sequential history must additionally preserve the
-// real-time order ≺H of the committed transactions.
+// real-time order ≺H of the committed transactions. An ill-formed h gets
+// its *history.WellFormedError, not a verdict.
 func StrictlySerializable(h history.History, objs spec.Objects) (bool, error) {
 	return serializable(h, objs, true)
 }
@@ -85,7 +106,8 @@ func StrictlySerializable(h history.History, objs spec.Objects) (bool, error) {
 // committed transactions. In this model — which already supports
 // arbitrary objects and multiple versions — global atomicity with
 // real-time order coincides with strict serializability of the committed
-// projection; the function exists to keep the paper's vocabulary.
+// projection; the function exists to keep the paper's vocabulary. An
+// ill-formed h gets its *history.WellFormedError, not a verdict.
 func GloballyAtomic(h history.History, objs spec.Objects) (bool, error) {
 	return serializable(h, objs, true)
 }

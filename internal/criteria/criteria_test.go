@@ -1,9 +1,12 @@
 package criteria
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"otm/internal/core"
+	"otm/internal/gen"
 	"otm/internal/history"
 	"otm/internal/spec"
 )
@@ -282,5 +285,144 @@ func TestOpacityImpliesStrictSerializability(t *testing.T) {
 	}
 	if !rep.StrictlySerializable {
 		t.Error("opacity implies strict serializability")
+	}
+}
+
+// permute calls visit with every ordering of txs (rearranged in place)
+// until visit returns false, and reports whether it ran to the end.
+func permute(txs []history.TxID, k int, visit func([]history.TxID) bool) bool {
+	if k == len(txs) {
+		return visit(txs)
+	}
+	for i := k; i < len(txs); i++ {
+		txs[k], txs[i] = txs[i], txs[k]
+		if !permute(txs, k+1, visit) {
+			return false
+		}
+		txs[k], txs[i] = txs[i], txs[k]
+	}
+	return true
+}
+
+// bruteSerializable is the §3 definition run literally: some ordering of
+// the committed transactions, concatenated as their H|Ti blocks, is a
+// legal sequential history — one that, with realTime, also preserves the
+// real-time order of the committed projection. It shares nothing with
+// the opacity search but core.AllLegal.
+func bruteSerializable(h history.History, objs spec.Objects, realTime bool) bool {
+	proj := CommittedProjection(h)
+	txs := proj.Transactions()
+	blocks := make(map[history.TxID]history.History, len(txs))
+	for _, tx := range txs {
+		blocks[tx] = proj.Sub(tx)
+	}
+	s := make(history.History, 0, len(proj))
+	return !permute(txs, 0, func(order []history.TxID) bool {
+		s = s[:0]
+		for _, tx := range order {
+			s = append(s, blocks[tx]...)
+		}
+		if realTime && !history.PreservesRealTimeOrder(proj, s) {
+			return true
+		}
+		_, legal := core.AllLegal(s, objs)
+		return !legal
+	})
+}
+
+// asCounters rewrites the register operations on the objects of objs as
+// counter operations — a write becomes inc, a read becomes get with the
+// same return value — so a register corpus exercises counter semantics.
+func asCounters(h history.History, objs spec.Objects) history.History {
+	out := h.Clone()
+	for i, e := range out {
+		if _, ok := objs[e.Obj]; !ok || (e.Kind != history.KindInv && e.Kind != history.KindRet) {
+			continue
+		}
+		switch e.Op {
+		case "write":
+			e.Op, e.Arg = "inc", nil
+		case "read":
+			e.Op = "get"
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// TestCriteriaMatchBruteForce pins Serializable and StrictlySerializable
+// (and GloballyAtomic, its synonym) to the brute-force definition on
+// generated histories of at most 6 committed transactions, over
+// registers and over a counter.
+func TestCriteriaMatchBruteForce(t *testing.T) {
+	n := 100
+	if !testing.Short() {
+		n = 300
+	}
+	counter := spec.ParseCounters("x0")
+	for _, env := range []struct {
+		name string
+		objs spec.Objects
+	}{{"registers", nil}, {"counter", counter}} {
+		var yes, no [2]int
+		serialOnly := 0 // serializable, but not strictly
+		for i, h := range gen.Corpus(gen.Config{Txs: 6, Objs: 2, MaxOps: 2, PStaleRead: 0.3, PCommit: 0.9, PLeaveLive: 0.05}, n, 500) {
+			if env.objs != nil {
+				h = asCounters(h, env.objs)
+			}
+			if c := len(CommittedProjection(h).Transactions()); c > 6 {
+				t.Fatalf("history %d has %d committed transactions", i, c)
+			}
+			var got [2]bool
+			for k, decide := range []func(history.History, spec.Objects) (bool, error){Serializable, StrictlySerializable} {
+				ok, err := decide(h, env.objs)
+				if err != nil {
+					t.Fatalf("%s history %d: %v", env.name, i, err)
+				}
+				if want := bruteSerializable(h, env.objs, k == 1); ok != want {
+					t.Fatalf("%s history %d, real time %v: criterion says %v, brute force %v:\n%s",
+						env.name, i, k == 1, ok, want, h.Format())
+				}
+				got[k] = ok
+				if ok {
+					yes[k]++
+				} else {
+					no[k]++
+				}
+			}
+			if ga, err := GloballyAtomic(h, env.objs); err != nil || ga != got[1] {
+				t.Fatalf("%s history %d: GloballyAtomic %v (err %v), StrictlySerializable %v", env.name, i, ga, err, got[1])
+			}
+			if got[0] && !got[1] {
+				serialOnly++
+			}
+		}
+		for k := range yes {
+			if min := n / 20; yes[k] < min || no[k] < min {
+				t.Errorf("%s, real time %v: %d yes and %d no verdicts, want ≥%d of each", env.name, k == 1, yes[k], no[k], min)
+			}
+		}
+		if serialOnly == 0 {
+			t.Errorf("%s: no history is serializable without being strictly serializable", env.name)
+		}
+		t.Logf("%s: serializable %d/%d, strictly %d/%d, serializable only %d", env.name, yes[0], n, yes[1], n, serialOnly)
+	}
+}
+
+// TestCriteriaRejectIllFormed: an ill-formed history gets its
+// *WellFormedError from every serializability-style criterion, even when
+// the offending event belongs to a transaction the committed projection
+// drops.
+func TestCriteriaRejectIllFormed(t *testing.T) {
+	// T2 reads after its abort (event 8); T1 alone is well-formed.
+	h := history.MustParse("w1(x,1) tryC1 C1 w2(x,2) tryA2 A2 r2(x)->1")
+	for name, decide := range map[string]func(history.History, spec.Objects) (bool, error){
+		"Serializable": Serializable, "StrictlySerializable": StrictlySerializable, "GloballyAtomic": GloballyAtomic,
+	} {
+		ok, err := decide(h, nil)
+		var we *history.WellFormedError
+		if !errors.As(err, &we) || we.Index != 8 {
+			t.Errorf("%s = %v, %v; want the *WellFormedError at event 8", name, ok, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,13 +131,19 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// genDistRuns numbers the runs of TestGenCorpusDistributed. mem://
+// stores are process-global and Plan refuses a store that already has a
+// manifest, so each run (there are several under -count) plans into a
+// store of its own.
+var genDistRuns atomic.Int32
+
 // TestGenCorpusDistributed is the gen-mode e2e over a shared named mem
 // store, the configuration `otmd run` uses in-process: generator-defined
 // corpora ship no bytes — workers regenerate exactly their slice — and
 // still merge to the same log as a single process generating the whole
 // corpus.
 func TestGenCorpusDistributed(t *testing.T) {
-	storeURI := "mem://test-gen-dist"
+	storeURI := fmt.Sprintf("mem://test-gen-dist-%d", genDistRuns.Add(1))
 	store, err := storage.Resolve(storeURI)
 	if err != nil {
 		t.Fatal(err)

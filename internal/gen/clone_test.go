@@ -30,7 +30,6 @@ func TestCloneHistoryShape(t *testing.T) {
 		if len(txs) != cfg.Txs*cfg.Clones {
 			t.Fatalf("seed %d: %d transactions, want %d", seed, len(txs), cfg.Txs*cfg.Clones)
 		}
-		execs := h.OpExecsFor(txs)
 		for tpl := 0; tpl < cfg.Txs; tpl++ {
 			canonical := history.TxID(1 + tpl*cfg.Clones)
 			for c := 1; c < cfg.Clones; c++ {
@@ -39,7 +38,7 @@ func TestCloneHistoryShape(t *testing.T) {
 				if i < 0 || j < 0 {
 					t.Fatalf("seed %d: ids %d/%d missing from %v", seed, canonical, clone, txs)
 				}
-				if history.OpSignature(execs[i]) != history.OpSignature(execs[j]) {
+				if history.OpSignature(h.OpExecs(canonical)) != history.OpSignature(h.OpExecs(clone)) {
 					t.Fatalf("seed %d: T%d and T%d are clones but differ behaviorally:\n%s",
 						seed, canonical, clone, h.Format())
 				}

@@ -17,13 +17,14 @@ type Span struct {
 
 // Appender grows a history one event at a time while maintaining
 // well-formedness incrementally: Append rejects (and does not record) any
-// event that would make the history ill-formed, using the same
-// per-transaction state machine as WellFormed but paying O(1) per event
-// instead of re-scanning the whole history. It is the append-driven
-// counterpart of Builder, built for consumers that interleave appends
-// with checks on the growing history — the online opacity monitor taps a
-// live STM run into one Appender and hands every prefix to the
-// incremental checker without ever re-validating from scratch.
+// event that would make the history ill-formed, paying O(1) per event
+// instead of re-scanning the whole history. Its per-transaction state
+// machine is the package's one decision procedure for well-formedness:
+// WellFormed runs it too. It is the append-driven counterpart of
+// Builder, built for consumers that interleave appends with checks on
+// the growing history — the online opacity monitor taps a live STM run
+// into one Appender and hands every prefix to the incremental checker
+// without ever re-validating from scratch.
 //
 // Alongside the phase machine the Appender maintains the transaction
 // list (first-event order), per-transaction spans and operation
@@ -193,10 +194,10 @@ func (a *Appender) Transactions() []TxID { return a.txs }
 func (a *Appender) Spans() []Span { return a.spans }
 
 // OpExecs returns the operation executions of every transaction, indexed
-// like Transactions, exactly as History().OpExecsFor(Transactions())
-// would: completed executions in order, then the pending invocation, if
-// any. Same view semantics as Transactions; an Append may also complete
-// the last execution of a returned slice in place.
+// like Transactions, exactly as History().OpExecs would report each one:
+// completed executions in order, then the pending invocation, if any.
+// Same view semantics as Transactions; an Append may also complete the
+// last execution of a returned slice in place.
 func (a *Appender) OpExecs() [][]OpExec { return a.execs }
 
 // Objects returns the objects operated on in the history built so far,

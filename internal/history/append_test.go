@@ -7,9 +7,65 @@ import (
 	"testing"
 )
 
-// TestAppenderMatchesWellFormed: the Appender accepts exactly the event
-// sequences WellFormed accepts, event by event — the incremental state
-// machine and the batch scanner are the same decision procedure.
+// wellFormedRef decides well-formedness independently of the Appender —
+// one pass over the history, per-transaction phases and pending
+// invocation events in maps — as the reference the Appender's state
+// machine, and so WellFormed, is pinned to.
+func wellFormedRef(h History) error {
+	phases := make(map[TxID]txPhase)
+	pendings := make(map[TxID]Event)
+	for i, e := range h {
+		switch phases[e.Tx] {
+		case phaseCommitted:
+			return wfErr(i, e, "event follows commit event")
+		case phaseAborted:
+			return wfErr(i, e, "event follows abort event")
+		case phaseIdle:
+			switch e.Kind {
+			case KindInv:
+				phases[e.Tx] = phaseOpPending
+				pendings[e.Tx] = e
+			case KindTryCommit:
+				phases[e.Tx] = phaseCommitPending
+			case KindTryAbort:
+				phases[e.Tx] = phaseAbortPending
+			default:
+				return wfErr(i, e, "response event with no pending invocation")
+			}
+		case phaseOpPending:
+			switch e.Kind {
+			case KindRet:
+				if !Matches(pendings[e.Tx], e) {
+					return wfErr(i, e, fmt.Sprintf("response does not match pending invocation %s", pendings[e.Tx]))
+				}
+				phases[e.Tx] = phaseIdle
+			case KindAbort:
+				phases[e.Tx] = phaseAborted
+			default:
+				return wfErr(i, e, "invocation while an operation response is pending")
+			}
+		case phaseCommitPending:
+			switch e.Kind {
+			case KindCommit:
+				phases[e.Tx] = phaseCommitted
+			case KindAbort:
+				phases[e.Tx] = phaseAborted
+			default:
+				return wfErr(i, e, "only commit or abort may follow a commit-try")
+			}
+		case phaseAbortPending:
+			if e.Kind != KindAbort {
+				return wfErr(i, e, "only abort may follow an abort-try")
+			}
+			phases[e.Tx] = phaseAborted
+		}
+	}
+	return nil
+}
+
+// TestAppenderMatchesWellFormed: the Appender — which WellFormed runs —
+// accepts exactly the event sequences the reference batch scanner
+// accepts, rejecting the same first event with the same message.
 func TestAppenderMatchesWellFormed(t *testing.T) {
 	// A pool of events covering every kind, over two transactions and two
 	// objects; exhaustive depth-limited enumeration of sequences.
@@ -29,25 +85,17 @@ func TestAppenderMatchesWellFormed(t *testing.T) {
 		}
 		for _, ev := range pool {
 			seq = append(seq, ev)
-			batchErr := seq.WellFormed()
-			// Replay the whole sequence through a fresh Appender; the
-			// first rejected event must coincide with the batch verdict.
-			a := NewAppender()
-			var incErr error
-			for _, e := range seq {
-				if incErr = a.Append(e); incErr != nil {
-					break
-				}
-			}
+			batchErr := wellFormedRef(seq)
+			incErr := seq.WellFormed()
 			if (batchErr == nil) != (incErr == nil) {
-				t.Fatalf("divergence on %v: WellFormed=%v Appender=%v", seq, batchErr, incErr)
+				t.Fatalf("divergence on %v: reference=%v Appender=%v", seq, batchErr, incErr)
 			}
 			if batchErr != nil {
 				var be, ie *WellFormedError
 				if !errors.As(batchErr, &be) || !errors.As(incErr, &ie) {
 					t.Fatalf("non-WellFormedError on %v: %v / %v", seq, batchErr, incErr)
 				}
-				if be.Index != ie.Index || be.Msg != ie.Msg {
+				if be.Index != ie.Index || be.Msg != ie.Msg || be.Ev != ie.Ev {
 					t.Fatalf("divergent error on %v: batch (%d, %q) vs incremental (%d, %q)",
 						seq, be.Index, be.Msg, ie.Index, ie.Msg)
 				}
@@ -158,19 +206,18 @@ func TestAppenderViewAndReset(t *testing.T) {
 }
 
 // checkViews requires the maintained OpExecs and Objects views to equal
-// what History().OpExecsFor(Transactions()) and History().Objects()
-// derive by scanning the history built so far.
+// what History().OpExecs and History().Objects derive by scanning the
+// history built so far.
 func checkViews(t *testing.T, a *Appender, when string) {
 	t.Helper()
 	h := a.History()
-	want := h.OpExecsFor(a.Transactions())
 	got := a.OpExecs()
-	if len(got) != len(want) {
-		t.Fatalf("%s: OpExecs() covers %d transactions, scan says %d", when, len(got), len(want))
+	if len(got) != len(a.Transactions()) {
+		t.Fatalf("%s: OpExecs() covers %d transactions, Transactions() has %d", when, len(got), len(a.Transactions()))
 	}
-	for i := range want {
-		if !slices.Equal(got[i], want[i]) {
-			t.Fatalf("%s: OpExecs()[T%d] = %v, scan says %v", when, int(a.Transactions()[i]), got[i], want[i])
+	for i, tx := range a.Transactions() {
+		if want := h.OpExecs(tx); !slices.Equal(got[i], want) {
+			t.Fatalf("%s: OpExecs()[T%d] = %v, scan says %v", when, int(tx), got[i], want)
 		}
 	}
 	if got, want := a.Objects(), h.Objects(); !slices.Equal(got, want) {

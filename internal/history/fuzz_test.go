@@ -17,6 +17,9 @@ var parseSeeds = []string{
 	"))((",
 	"w(x)",
 	"",
+	// Operation names a merged op<tx>(...)->ret token cannot carry.
+	"inv1(x.r) ret1(x.r)->1 inv2(x.a7) ret2(x.a7)->ok inv3(x.ret) ret3(x.ret)->0",
+	"inv4(x.#a) ret4(x.#a)->1 inv5(x.a(b) ret5(x.a(b)->1",
 }
 
 // FuzzParse checks that the textual-history parser never panics and that

@@ -43,77 +43,23 @@ func (h History) Concurrent(ti, tj TxID) bool {
 }
 
 // RealTimeOrder returns ≺H as an explicit list of ordered pairs, useful
-// for display and for constructing the Lrt edges of the opacity graph.
+// for display, for constructing the Lrt edges of the opacity graph and
+// for the reference opacity engine.
 func (h History) RealTimeOrder() [][2]TxID {
-	return h.RealTimeOrderOf(h.Transactions())
-}
-
-// RealTimeOrderOf is RealTimeOrder restricted to the given transactions,
-// for callers that already hold h.Transactions() — the checkers compute
-// the transaction list once per call and this variant avoids deriving it
-// (and the per-transaction span map) a second time. txs must not contain
-// duplicates; transactions without events in h are ignored.
-func (h History) RealTimeOrderOf(txs []TxID) [][2]TxID {
-	n := len(txs)
-	// Spans and completion per transaction, indexed like txs, in one
-	// event scan: a transaction is completed exactly when its last event
-	// is a commit or an abort, so the span already answers it.
-	spans := make([]txSpan, n)
-	completed := make([]bool, n)
-	for i := range spans {
-		spans[i] = txSpan{first: -1}
-	}
-	for i, e := range h {
-		j := indexOfTx(txs, e.Tx)
-		if j < 0 {
+	txs := h.Transactions()
+	sp := h.spans()
+	var out [][2]TxID
+	for _, ti := range txs {
+		if !h.Completed(ti) {
 			continue
 		}
-		if spans[j].first < 0 {
-			spans[j].first = i
-		}
-		spans[j].last = i
-		completed[j] = e.Kind == KindCommit || e.Kind == KindAbort
-	}
-	// Count, then fill exactly — ≺H pairs are quadratic in the worst
-	// case and append-growing the slice showed up in checker profiles.
-	pairs := 0
-	for i := range txs {
-		if !completed[i] {
-			continue
-		}
-		for j := range txs {
-			if i != j && spans[j].first > spans[i].last {
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return nil
-	}
-	out := make([][2]TxID, 0, pairs)
-	for i, ti := range txs {
-		if !completed[i] {
-			continue
-		}
-		for j, tj := range txs {
-			if i != j && spans[j].first > spans[i].last {
+		for _, tj := range txs {
+			if sp[tj].first > sp[ti].last {
 				out = append(out, [2]TxID{ti, tj})
 			}
 		}
 	}
 	return out
-}
-
-// indexOfTx returns the position of tx in txs, or -1. Linear scan: the
-// checker hot path has small transaction counts and no allocation to
-// spare for a map.
-func indexOfTx(txs []TxID, tx TxID) int {
-	for i, t := range txs {
-		if t == tx {
-			return i
-		}
-	}
-	return -1
 }
 
 // PreservesRealTimeOrder reports whether h2 preserves the real-time order

@@ -27,8 +27,7 @@ func (h History) Obj(ob ObjID) History {
 // Transactions returns the transactions in h (Ti ∈ H iff H|Ti is
 // non-empty), in order of their first event.
 func (h History) Transactions() []TxID {
-	// Histories under checking rarely have more than a handful of
-	// transactions, and Transactions sits on every checker call: dedup by
+	// Histories rarely have more than a handful of transactions: dedup by
 	// linear scan of the output and fall back to a map only when the
 	// transaction count makes the scan quadratic enough to matter.
 	out := make([]TxID, 0, 8)
@@ -79,7 +78,7 @@ func (h History) Contains(tx TxID) bool {
 // invocation or response appears in h, in order of first appearance.
 func (h History) Objects() []ObjID {
 	// Same linear-scan dedup rationale as Transactions: object counts are
-	// small on the checker hot path.
+	// small.
 	out := make([]ObjID, 0, 8)
 scan:
 	for _, e := range h {
@@ -162,98 +161,6 @@ func (h History) OpExecs(tx TxID) []OpExec {
 	}
 	if pend != nil {
 		out = append(out, *pend)
-	}
-	return out
-}
-
-// OpExecsFor returns OpExecs(tx) for every transaction of txs, indexed
-// like txs, in one pass over h. The per-transaction slices share one
-// backing array, so bulk consumers (the serialization search prepares
-// every transaction of a history at once) pay O(len(h)) and a constant
-// number of allocations instead of one scan and one growing slice per
-// transaction.
-func (h History) OpExecsFor(txs []TxID) [][]OpExec {
-	n := len(txs)
-	var pos map[TxID]int
-	if n > 32 {
-		pos = make(map[TxID]int, n)
-		for i, tx := range txs {
-			pos[tx] = i
-		}
-	}
-	at := func(tx TxID) int {
-		if pos != nil {
-			if i, ok := pos[tx]; ok {
-				return i
-			}
-			return -1
-		}
-		return indexOfTx(txs, tx)
-	}
-	// First pass: per-transaction execution counts, mirroring the pending
-	// logic of OpExecs (a response completes the latest invocation; a
-	// trailing invocation is emitted as pending). counts, offs, fill and
-	// the pending flags share one allocation.
-	ints := make([]int, 4*n)
-	counts, offs, fill, pendSet := ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
-	for _, e := range h {
-		i := at(e.Tx)
-		if i < 0 {
-			continue
-		}
-		switch e.Kind {
-		case KindInv:
-			pendSet[i] = 1
-		case KindRet:
-			if pendSet[i] == 1 {
-				counts[i]++
-				pendSet[i] = 0
-			}
-		}
-	}
-	total := 0
-	for i, c := range counts {
-		offs[i] = total
-		total += c
-		if pendSet[i] == 1 {
-			total++
-		}
-		pendSet[i] = 0
-	}
-	// Second pass: fill, constructing each execution directly in its
-	// final slot from the recorded invocation event — pendAt holds the
-	// event index of the latest unanswered invocation per transaction
-	// (-1 when none), so no OpExec is ever built twice or copied.
-	buf := make([]OpExec, total)
-	pendAt := counts // counts is spent; reuse its allocation
-	for i := range pendAt {
-		pendAt[i] = -1
-	}
-	for hi, e := range h {
-		i := at(e.Tx)
-		if i < 0 {
-			continue
-		}
-		switch e.Kind {
-		case KindInv:
-			pendAt[i] = hi
-		case KindRet:
-			if pendAt[i] >= 0 {
-				inv := h[pendAt[i]]
-				buf[offs[i]+fill[i]] = OpExec{Tx: e.Tx, Obj: inv.Obj, Op: inv.Op, Arg: inv.Arg, Ret: e.Ret}
-				fill[i]++
-				pendAt[i] = -1
-			}
-		}
-	}
-	out := make([][]OpExec, n)
-	for i, tx := range txs {
-		if pendAt[i] >= 0 {
-			inv := h[pendAt[i]]
-			buf[offs[i]+fill[i]] = OpExec{Tx: tx, Obj: inv.Obj, Op: inv.Op, Arg: inv.Arg, Pending: true}
-			fill[i]++
-		}
-		out[i] = buf[offs[i] : offs[i]+fill[i]]
 	}
 	return out
 }

@@ -30,11 +30,7 @@ func TestOpSignatureValueTypes(t *testing.T) {
 // the signatures.
 func TestOpSignatureIdentity(t *testing.T) {
 	execsOf := func(src string, tx TxID) []OpExec {
-		h := MustParse(src)
-		for _, e := range h.OpExecsFor([]TxID{tx}) {
-			return e
-		}
-		return nil
+		return MustParse(src).OpExecs(tx)
 	}
 
 	t.Run("tx-identity-irrelevant", func(t *testing.T) {
@@ -47,8 +43,7 @@ func TestOpSignatureIdentity(t *testing.T) {
 
 	t.Run("pending-excluded", func(t *testing.T) {
 		done := execsOf("r1(x)->0 tryC1", 1)
-		h := MustParse("r1(x)->0")
-		pending := append(h.OpExecsFor([]TxID{1})[0], OpExec{Tx: 1, Obj: "y", Op: "read", Pending: true})
+		pending := append(MustParse("r1(x)->0").OpExecs(1), OpExec{Tx: 1, Obj: "y", Op: "read", Pending: true})
 		if OpSignature(done) != OpSignature(pending) {
 			t.Error("a pending invocation must not perturb the signature")
 		}
@@ -85,7 +80,7 @@ func TestOpSignatureIdentity(t *testing.T) {
 // buffer in place — the interning hot path in internal/core depends on
 // it not allocating a fresh rendering per call.
 func TestAppendOpSignatureReusesBuffer(t *testing.T) {
-	execs := MustParse("w1(x,1) tryC1 C1").OpExecsFor([]TxID{1})[0]
+	execs := MustParse("w1(x,1) tryC1 C1").OpExecs(1)
 	buf := make([]byte, 0, 256)
 	out := AppendOpSignature(buf, execs)
 	if len(out) == 0 || &out[0] != &buf[:1][0] {

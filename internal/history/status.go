@@ -41,7 +41,7 @@ func (s Status) Live() bool { return !s.Completed() }
 // Status returns the status of tx in h. A transaction with no events in h
 // is reported live (it has not completed); use Contains to distinguish.
 // Only the last event of tx matters, so the scan runs backwards and
-// allocates nothing — Status sits on the hot path of every checker call.
+// allocates nothing.
 func (h History) Status(tx TxID) Status {
 	for i := len(h) - 1; i >= 0; i-- {
 		if h[i].Tx != tx {

@@ -33,13 +33,15 @@ func (e Event) String() string {
 
 // String renders the history as a single line of events separated by
 // spaces, merging each matching inv/ret pair into one operation-execution
-// token where possible (pairs separated by other events stay split).
+// token where possible (pairs separated by other events stay split, and
+// so do pairs whose operation name the merged token cannot carry — see
+// mergeable).
 func (h History) String() string {
 	var parts []string
 	i := 0
 	for i < len(h) {
 		e := h[i]
-		if e.Kind == KindInv && i+1 < len(h) && h[i+1].Kind == KindRet && Matches(e, h[i+1]) {
+		if e.Kind == KindInv && i+1 < len(h) && h[i+1].Kind == KindRet && Matches(e, h[i+1]) && mergeable(e.Op) {
 			r := h[i+1]
 			if e.Arg != nil {
 				parts = append(parts, fmt.Sprintf("%s%d(%s,%v)->%v", e.Op, int(e.Tx), e.Obj, e.Arg, r.Ret))
@@ -53,6 +55,21 @@ func (h History) String() string {
 		i++
 	}
 	return strings.Join(parts, " ")
+}
+
+// mergeable reports whether an operation named op survives the merged
+// token op<tx>(...)->ret: Parse reads the transaction number as the
+// head's trailing digit run up to the first '(' and gives the names "r",
+// "w", "inv" and "ret" and a leading '#' their own meanings, so an empty
+// name, one ending in a digit or holding a '(', those four names and a
+// leading '#' would parse back as a different token.
+func mergeable(op string) bool {
+	switch op {
+	case "", "r", "w", "inv", "ret":
+		return false
+	}
+	last := op[len(op)-1]
+	return op[0] != '#' && (last < '0' || last > '9') && !strings.Contains(op, "(")
 }
 
 // Format renders the history as a per-transaction timeline, one line per

@@ -122,25 +122,18 @@ type Options struct {
 	Objects spec.Objects
 	// MaxNodes bounds each prefix check, as in core.Config.
 	MaxNodes int
-	// DisableDiagnosis skips the core.Diagnose run on the violating
-	// prefix (the Violation then carries only the prefix and event).
-	DisableDiagnosis bool
-	// TruncateAfterEvents and TruncateAfterTxs arm automatic
-	// checkpointed truncation: whenever the live suffix (events since
-	// the last checkpoint) reaches TruncateAfterEvents events or
-	// TruncateAfterTxs transactions, the session attempts
+	// TruncateAfterEvents arms automatic checkpointed truncation:
+	// whenever the live suffix (events since the last checkpoint)
+	// reaches TruncateAfterEvents events, the session attempts
 	// core.Incremental.TryTruncate at the next quiescent point,
 	// collapsing the suffix into its reachable final states so per-event
 	// cost stays O(live-suffix) no matter how long the session runs.
-	// Both zero (the default) disables truncation — the session retains
-	// the full history. A threshold that is never reached at a quiescent
-	// point simply never truncates; declined attempts are free.
+	// Zero (the default) disables truncation — the session retains the
+	// full history. A threshold that is never reached at a quiescent
+	// point simply never truncates; declined attempts are free, and so
+	// is an attempt whose enumeration outgrows the core's default
+	// budget: it is abandoned, it does not fail the session.
 	TruncateAfterEvents int
-	TruncateAfterTxs    int
-	// TruncateMaxNodes bounds each truncation attempt's enumeration
-	// (0 = the core default). Blown budgets abandon the attempt, they do
-	// not fail the session.
-	TruncateMaxNodes int
 	// TruncateBarrier arms an admission barrier that makes truncation
 	// effective under workloads that never quiesce on their own.
 	// Truncation can only collapse the suffix at a quiescent point —
@@ -160,7 +153,7 @@ type Options struct {
 	// The stalls are counted in Stats (BarrierStalls, BarrierWaitNanos):
 	// a bounded, observable pause in exchange for bounded monitor state.
 	// 0 (default) disables the barrier. A positive barrier with no
-	// TruncateAfterEvents/Txs threshold arms truncation at the barrier
+	// TruncateAfterEvents threshold arms truncation at the barrier
 	// length itself.
 	TruncateBarrier int
 	// OnViolation, if non-nil, is called once, with the violation, when
@@ -184,8 +177,7 @@ type Violation struct {
 	// live suffix since the last checkpoint otherwise.
 	Prefix history.History
 	// Diagnosis names the implicated transactions (valid when Diagnosed
-	// is true; diagnosis is skipped by DisableDiagnosis and abandoned on
-	// internal error).
+	// is true; diagnosis is abandoned on internal error).
 	Diagnosis core.Diagnosis
 	Diagnosed bool
 }
@@ -584,7 +576,7 @@ func (s *Session) check(ev history.Event) *Violation {
 		// error). A successful truncation — or a decline at a quiescent
 		// point, which was the barrier's best shot — releases any
 		// appenders stalled on the admission barrier.
-		ok, terr := s.inc.TryTruncate(s.opts.TruncateMaxNodes)
+		ok, terr := s.inc.TryTruncate(0)
 		if terr != nil {
 			err = terr
 		} else if ok || s.inc.Stable() {
@@ -600,18 +592,15 @@ func (s *Session) check(ev history.Event) *Violation {
 			Event:     suffix[len(suffix)-1],
 			Prefix:    suffix,
 		}
-		if !s.opts.DisableDiagnosis {
-			// The checkpoint-aware diagnosis judges the retained suffix
-			// from the checkpoint roots (the whole history, from the
-			// configured initial state, when the session never
-			// truncated), sharing the monitoring SearchContext so the
-			// per-removed-transaction re-checks reuse everything interned
-			// so far.
-			d, derr := s.inc.Diagnose()
-			if derr == nil {
-				v.Diagnosis = d
-				v.Diagnosed = true
-			}
+		// The checkpoint-aware diagnosis judges the retained suffix from
+		// the checkpoint roots (the whole history, from the configured
+		// initial state, when the session never truncated), sharing the
+		// monitoring SearchContext so the per-removed-transaction
+		// re-checks reuse everything interned so far.
+		d, derr := s.inc.Diagnose()
+		if derr == nil {
+			v.Diagnosis = d
+			v.Diagnosed = true
 		}
 	}
 	// Mirror the incremental result and the search-table residency into
@@ -657,10 +646,8 @@ func (s *Session) check(ev history.Event) *Violation {
 // appenders always have a truncation attempt to wait for. Callers
 // hold incMu.
 func (s *Session) truncateDue() bool {
-	ae, at, b := s.opts.TruncateAfterEvents, s.opts.TruncateAfterTxs, s.opts.TruncateBarrier
-	return (ae > 0 && s.inc.LiveLen() >= ae) ||
-		(at > 0 && s.inc.LiveTxs() >= at) ||
-		(b > 0 && s.inc.LiveLen() >= b)
+	ae, b := s.opts.TruncateAfterEvents, s.opts.TruncateBarrier
+	return (ae > 0 && s.inc.LiveLen() >= ae) || (b > 0 && s.inc.LiveLen() >= b)
 }
 
 // Verdict returns a snapshot of the session's state. For Async sessions

@@ -128,7 +128,7 @@ func TestSessionPrefixDifferential(t *testing.T) {
 				break
 			}
 		}
-		s := monitor.New(monitor.Options{DisableDiagnosis: true})
+		s := monitor.New(monitor.Options{})
 		for i, ev := range h {
 			v := s.Append(ev)
 			wantStatus := monitor.StatusOpaque

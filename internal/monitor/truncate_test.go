@@ -48,24 +48,6 @@ func TestAutoTruncationBoundsState(t *testing.T) {
 	}
 }
 
-// TestTruncateAfterTxs: the transaction-count threshold triggers
-// truncation too.
-func TestTruncateAfterTxs(t *testing.T) {
-	b := history.NewBuilder()
-	for i := 1; i <= 40; i++ {
-		tx := history.TxID(i)
-		b.Write(tx, "x", i).Commits(tx)
-	}
-	s := monitor.New(monitor.Options{TruncateAfterTxs: 4})
-	for _, ev := range b.MustHistory() {
-		s.Append(ev)
-	}
-	v := s.Close()
-	if v.Status != monitor.StatusOpaque || v.Checkpoints == 0 {
-		t.Fatalf("verdict %+v, want opaque with checkpoints", v)
-	}
-}
-
 // TestTruncatedSessionCatchesViolation: a violation after several
 // checkpoints is flagged at the correct global prefix length, with the
 // live suffix as evidence and a diagnosis naming the culprit.
@@ -138,7 +120,7 @@ func TestTruncatingSessionDifferential(t *testing.T) {
 				break
 			}
 		}
-		s := monitor.New(monitor.Options{TruncateAfterEvents: 1, DisableDiagnosis: true})
+		s := monitor.New(monitor.Options{TruncateAfterEvents: 1})
 		var v monitor.Verdict
 		for i, ev := range h {
 			v = s.Append(ev)
