@@ -80,6 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"os/signal"
 	"runtime"
@@ -172,7 +173,14 @@ func run() int {
 		return code
 	}
 
-	var inputs []string
+	exit := 0
+	report := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "opacheck: %v\n", err)
+			exit = 1
+		}
+		fmt.Println()
+	}
 	switch {
 	case *demo != "":
 		src, ok := demos[*demo]
@@ -181,26 +189,21 @@ func run() int {
 			return 2
 		}
 		fmt.Printf("# demo %s\n", *demo)
-		inputs = []string{src}
+		report(checkOne(src, *counterObjs, *graph, *explain))
 	case flag.NArg() > 0:
-		inputs = flag.Args()
+		for _, src := range flag.Args() {
+			report(checkOne(src, *counterObjs, *graph, *explain))
+		}
 	default:
-		sc := bufio.NewScanner(os.Stdin)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line != "" && !strings.HasPrefix(line, "#") {
-				inputs = append(inputs, line)
+		// A read error arrives as an errored item, so it is reported
+		// and fails the run like a parse error.
+		for item := range checkpool.Lines(os.Stdin, "stdin", 1, nil) {
+			err := item.Err
+			if err == nil {
+				err = checkHistory(item.History, *counterObjs, *graph, *explain)
 			}
+			report(err)
 		}
-	}
-
-	exit := 0
-	for _, src := range inputs {
-		if err := checkOne(src, *counterObjs, *graph, *explain); err != nil {
-			fmt.Fprintf(os.Stderr, "opacheck: %v\n", err)
-			exit = 1
-		}
-		fmt.Println()
 	}
 	return exit
 }
@@ -271,11 +274,11 @@ func txids(txs []history.TxID) string {
 // input line, in input order; the summary lines go to errW. With a
 // -verdicts URI the verdict stream goes to that storage object instead
 // of out, committed atomically on success — a failed or interrupted run
-// leaves no partial verdict object behind. Sink write failures propagate
-// through checkpool.RunTo: the run stops early, the object is aborted,
-// and the error is reported. Cancelling ctx (SIGINT / SIGTERM) stops
-// admission and input reading; verdicts for already-admitted histories
-// are still written. It returns the process exit code.
+// leaves no partial verdict object behind. A sink write failure stops
+// the pool's admission and input reading, the object is aborted, and
+// the error is reported. Cancelling ctx (SIGINT / SIGTERM) stops them
+// the same way; verdicts for already-admitted histories are still
+// written. It returns the process exit code.
 func runBatch(ctx context.Context, stdin io.Reader, out, errW io.Writer, workers, maxNodes int, reference bool, counterObjs, verdicts string, paths []string) int {
 	var stats core.Stats
 	pool := checkpool.New(checkpool.Options{
@@ -288,39 +291,6 @@ func runBatch(ctx context.Context, stdin io.Reader, out, errW io.Writer, workers
 		Stats: &stats,
 	})
 
-	// feedCtx stops the producer as well as the pool: on interruption,
-	// and when the sink fails (RunTo's own cancel never reaches the
-	// producer, which would otherwise read all remaining input).
-	feedCtx, stopFeed := context.WithCancel(ctx)
-	defer stopFeed()
-	in := make(chan checkpool.Item)
-	go func() {
-		defer close(in)
-		if len(paths) == 0 {
-			paths = []string{"-"}
-		}
-		for _, path := range paths {
-			if path == "-" {
-				if !feedLines(feedCtx, in, stdin, "stdin") {
-					return
-				}
-				continue
-			}
-			r, err := storage.OpenURI(path)
-			if err != nil {
-				if !send(feedCtx, in, checkpool.Item{Source: path, Err: err}) {
-					return
-				}
-				continue
-			}
-			ok := feedLines(feedCtx, in, r, path)
-			r.Close()
-			if !ok {
-				return
-			}
-		}
-	}()
-
 	var sinkObj storage.Writer
 	w := bufio.NewWriter(out)
 	if verdicts != "" {
@@ -332,22 +302,10 @@ func runBatch(ctx context.Context, stdin io.Reader, out, errW io.Writer, workers
 		w = bufio.NewWriter(sinkObj)
 	}
 
-	opaque, nonOpaque, errored := 0, 0, 0
-	totalNodes := 0
-	runErr := pool.RunTo(feedCtx, in, func(v checkpool.Verdict) error {
-		totalNodes += v.Result.Nodes
-		switch {
-		case v.Err != nil:
-			errored++
-		case v.Result.Opaque:
-			opaque++
-		default:
-			nonOpaque++
-		}
+	var tally checkpool.Tally
+	runErr := pool.RunTo(ctx, batchInputs(stdin, paths), func(v checkpool.Verdict) error {
+		tally.Add(v)
 		_, err := w.WriteString(v.Line() + "\n")
-		if err != nil {
-			stopFeed()
-		}
 		return err
 	})
 	flushErr := w.Flush()
@@ -364,8 +322,7 @@ func runBatch(ctx context.Context, stdin io.Reader, out, errW io.Writer, workers
 	if runErr != nil && ctx.Err() == nil {
 		fmt.Fprintf(errW, "opacheck: verdict sink: %v\n", runErr)
 	}
-	fmt.Fprintf(errW, "opacheck: %d histories: %d opaque, %d non-opaque, %d errors; %d search nodes\n",
-		opaque+nonOpaque+errored, opaque, nonOpaque, errored, totalNodes)
+	fmt.Fprintf(errW, "opacheck: %s\n", tally)
 	// The reference engine runs without search tables, so it gets an
 	// explicit note instead of a zeroed counter line.
 	if reference {
@@ -377,56 +334,58 @@ func runBatch(ctx context.Context, stdin io.Reader, out, errW io.Writer, workers
 		fmt.Fprintln(errW, "opacheck: interrupted; remaining input skipped")
 		return 1
 	}
-	if runErr != nil || flushErr != nil || errored > 0 {
+	if runErr != nil || flushErr != nil || tally.Errored > 0 {
 		return 1
 	}
 	return 0
 }
 
-// feedLines parses each non-blank, non-comment line of r into a batch
-// item labeled "name:lineno". Parse failures become errored items so the
-// verdict stream stays aligned with the input. Lines are read without a
-// length cap (a bufio.Reader, not a Scanner), so one oversized line
-// cannot silently swallow the rest of its file. Reading stops once ctx
-// is cancelled; feedLines then reports false.
-func feedLines(ctx context.Context, in chan<- checkpool.Item, r io.Reader, name string) bool {
-	br := bufio.NewReader(r)
-	for lineno := 1; ; lineno++ {
-		line, err := br.ReadString('\n')
-		if line != "" {
-			line = strings.TrimSpace(line)
-			if line != "" && !strings.HasPrefix(line, "#") {
-				item := checkpool.Item{Source: fmt.Sprintf("%s:%d", name, lineno)}
-				item.History, item.Err = history.Parse(line)
-				if !send(ctx, in, item) {
-					return false
+// batchInputs yields the batch items of each input in turn: the lines
+// of a file (a path or storage URI; "-" is stdin), or one errored item
+// labeled with the path for a file that cannot be opened.
+func batchInputs(stdin io.Reader, paths []string) iter.Seq[checkpool.Item] {
+	if len(paths) == 0 {
+		paths = []string{"-"}
+	}
+	return func(yield func(checkpool.Item) bool) {
+		for _, path := range paths {
+			r, label := io.NopCloser(stdin), "stdin"
+			if path != "-" {
+				var err error
+				if r, err = storage.OpenURI(path); err != nil {
+					if !yield(checkpool.Item{Source: path, Err: err}) {
+						return
+					}
+					continue
+				}
+				label = path
+			}
+			more := true
+			for item := range checkpool.Lines(r, label, 1, nil) {
+				if more = yield(item); !more {
+					break
 				}
 			}
-		}
-		if err == io.EOF {
-			return true
-		}
-		if err != nil {
-			return send(ctx, in, checkpool.Item{Source: fmt.Sprintf("%s:%d", name, lineno), Err: err})
+			r.Close()
+			if !more {
+				return
+			}
 		}
 	}
 }
 
-// send hands item to the pool, or reports false once ctx is cancelled.
-func send(ctx context.Context, in chan<- checkpool.Item, item checkpool.Item) bool {
-	select {
-	case in <- item:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
+// checkOne parses one history and checks it in single-history mode.
 func checkOne(src, counterObjs string, graph, explain bool) error {
 	h, err := history.Parse(src)
 	if err != nil {
 		return err
 	}
+	return checkHistory(h, counterObjs, graph, explain)
+}
+
+// checkHistory prints h, its criteria table and, on request, the
+// violation diagnosis and the Theorem 2 graph search.
+func checkHistory(h history.History, counterObjs string, graph, explain bool) error {
 	if err := h.WellFormed(); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"otm/internal/criteria"
@@ -370,5 +371,102 @@ func TestRunBatchStopsReadingOnSinkError(t *testing.T) {
 	code, errOut := runBatchBounded(t, context.Background(), failingSink{})
 	if code != 1 || !strings.Contains(errOut, "verdict sink: disk full") || strings.Contains(errOut, "interrupted") {
 		t.Errorf("exit %d, stderr:\n%s\nwant exit 1 and the sink error only", code, errOut)
+	}
+}
+
+// runSingle re-executes the running test as `opacheck` in
+// single-history mode with the given stdin (see singleModeChild),
+// returning stdout, stderr and the exit code.
+func runSingle(t *testing.T, stdin io.Reader) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+	cmd.Env = append(os.Environ(), "OPACHECK_TEST_SINGLE=1")
+	cmd.Stdin = stdin
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	code := 0
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.String(), stderr.String(), code
+}
+
+// singleModeChild is the child side of runSingle: in the re-executed
+// test binary it runs opacheck without arguments and exits.
+func singleModeChild() {
+	if os.Getenv("OPACHECK_TEST_SINGLE") != "" {
+		os.Args = []string{"opacheck"}
+		os.Exit(run())
+	}
+}
+
+// TestSingleModeLongStdinLine: single-history mode reads stdin without a
+// line-length cap. A line over bufio.Scanner's 64 KiB limit used to end
+// the input silently — nothing printed, exit 0 — dropping it and every
+// line after it.
+func TestSingleModeLongStdinLine(t *testing.T) {
+	singleModeChild()
+	long := "r1(x)->0 tryC1 C1 # " + strings.Repeat("padding ", 10_000) // 80 KB
+	stdout, stderr, code := runSingle(t, strings.NewReader(long+"\n"+"w1(x,1) tryC1 C1 r2(x)->0 tryC2 C2\n"))
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	}
+	var verdicts []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "opacity" {
+			verdicts = append(verdicts, f[1])
+		}
+	}
+	if strings.Join(verdicts, " ") != "yes NO" {
+		t.Errorf("opacity verdicts %q, want [yes NO] for the long line and the one after it; stdout:\n%s", verdicts, stdout)
+	}
+}
+
+// TestSingleModeStdinReadError: a stdin that cannot be read is reported
+// and fails the run.
+func TestSingleModeStdinReadError(t *testing.T) {
+	singleModeChild()
+	dir, err := os.Open(t.TempDir()) // reading a directory fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	_, stderr, code := runSingle(t, dir)
+	if code != 1 || !strings.Contains(stderr, "opacheck: read ") {
+		t.Errorf("exit %d, stderr:\n%s\nwant exit 1 and the read error", code, stderr)
+	}
+}
+
+// TestRunBatchReadErrorMidInput: an input that fails partway through
+// yields one error line for the line the failure cut, and the batch goes
+// on with the next file and exits 1.
+func TestRunBatchReadErrorMidInput(t *testing.T) {
+	next := filepath.Join(t.TempDir(), "next.txt")
+	if err := os.WriteFile(next, []byte(demos["h4"]+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The third line is cut after "w1(x,1) tryC1": whole, it would read
+	// as a different history.
+	stdin := io.MultiReader(strings.NewReader(demos["h4"]+"\n"+demos["fig1"]+"\nw1(x,1) tryC1"), iotest.ErrReader(errors.New("device gone")))
+	var out, errOut strings.Builder
+	if code := runBatch(context.Background(), stdin, &out, &errOut, 2, 0, false, "", "", []string{"-", next}); code != 1 {
+		t.Errorf("exit code %d, want 1 for a failed read", code)
+	}
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	want := []string{"stdin:1 opaque ", "stdin:2 non-opaque ", "stdin:3 error device gone", next + ":1 opaque "}
+	if len(lines) != len(want) {
+		t.Fatalf("%d verdict lines, want %d:\n%s", len(lines), len(want), out.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
+	}
+	if !strings.Contains(errOut.String(), "opacheck: 4 histories: 2 opaque, 1 non-opaque, 1 errors;") {
+		t.Errorf("summary does not count the read error:\n%s", errOut.String())
 	}
 }

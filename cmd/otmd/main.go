@@ -158,28 +158,6 @@ func (p *planFlags) options() dist.PlanOptions {
 	return opts
 }
 
-// planOrResume loads the store's manifest if one is committed, otherwise
-// plans a fresh run from the flags.
-func planOrResume(store storage.FS, p *planFlags, logf func(string, ...any)) (*dist.Manifest, *dist.Checkpoint, error) {
-	man, err := dist.LoadManifest(store)
-	switch {
-	case err == nil:
-		logf("otmd: resuming run %s from the store's manifest", man.Run)
-	case errors.Is(err, dist.ErrNoManifest):
-		if man, err = dist.Plan(store, p.options()); err != nil {
-			return nil, nil, err
-		}
-		logf("otmd: planned run %s: %d shards", man.Run, len(man.Shards))
-	default:
-		return nil, nil, err
-	}
-	cp, err := dist.LoadCheckpoint(store, man)
-	if err != nil {
-		return nil, nil, err
-	}
-	return man, cp, nil
-}
-
 func coordinate(args []string) int {
 	fs := flag.NewFlagSet("otmd coordinate", flag.ExitOnError)
 	var p planFlags
@@ -196,69 +174,12 @@ func coordinate(args []string) int {
 		fmt.Fprintln(os.Stderr, "otmd coordinate: -store is required")
 		return 2
 	}
-	logf := logger(*verbose)
-
-	store, err := storage.Resolve(*storeURI)
-	if err != nil {
-		return fail(err)
-	}
-	man, cp, err := planOrResume(store, &p, logf)
-	if err != nil {
-		return fail(err)
-	}
-	c := dist.NewCoordinator(store, man, cp, dist.CoordinatorOptions{
+	return serveRun(&p, *listen, *out, dist.CoordinatorOptions{
 		StoreURI:   *storeURI,
 		LeaseFor:   *leaseFor,
 		MaxRetries: *retries,
-		Logf:       logf,
-	})
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return fail(err)
-	}
-	srv := &http.Server{Handler: c.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "otmd: coordinating run %s on http://%s (%d/%d shards done)\n",
-		man.Run, ln.Addr(), cp.NumDone(), len(man.Shards))
-
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	merged := make(chan error, 1)
-	go func() { merged <- c.MergeTo(w) }()
-	select {
-	case err := <-merged:
-		if err != nil {
-			return fail(err)
-		}
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "otmd: interrupted; checkpoint is durable — re-run coordinate with the same store to resume")
-		return 1
-	}
-
-	st := c.Status()
-	fmt.Fprintf(os.Stderr, "otmd: run %s complete: %d shards, %d histories: %d opaque, %d non-opaque, %d errors; %d search nodes, %d requeues, %.1fs\n",
-		st.Run, st.Shards, st.Histories, st.Opaque, st.NonOpaque, st.Errored, st.Nodes, st.Retries, st.ElapsedSecs)
-	// Give polling workers a beat to see Done before the API goes away.
-	select {
-	case <-time.After(*linger):
-	case <-ctx.Done():
-	}
-	if st.Errored > 0 {
-		return 1
-	}
-	return 0
+		Logf:       logger(*verbose),
+	}, *linger, 0, 0)
 }
 
 func work(args []string) int {
@@ -310,30 +231,61 @@ func runLocal(args []string) int {
 	if *storeURI == "" {
 		*storeURI = fmt.Sprintf("mem://otmd-run-%d", os.Getpid())
 	}
-	logf := logger(*verbose)
+	return serveRun(&p, "127.0.0.1:0", *out, dist.CoordinatorOptions{StoreURI: *storeURI, Logf: logger(*verbose)}, 0, *workers, *parallel)
+}
 
-	store, err := storage.Resolve(*storeURI)
+// serveRun is the coordinator path coordinate and run share: resolve
+// the store copts names, plan or resume, serve the lease API on listen,
+// merge the verdict log to out (stdout if empty) under the signal
+// context, and print the run's totals. The exit code is 1 if the run
+// failed, was interrupted or has errored histories.
+//
+// With no in-process workers this is a standalone coordinator: it
+// announces its address, stops at the first merge failure or
+// interruption (the checkpoint is durable), and lingers after a
+// complete merge so polling workers see the run end. Otherwise it runs
+// that many workers of the given width against its own API and reports
+// them once the merge has ended, however it ended.
+func serveRun(p *planFlags, listen, out string, copts dist.CoordinatorOptions, linger time.Duration, workers, parallel int) int {
+	store, err := storage.Resolve(copts.StoreURI)
 	if err != nil {
 		return fail(err)
 	}
-	man, cp, err := planOrResume(store, &p, logf)
+	// Resume the run the store's manifest describes, or plan a new one.
+	man, err := dist.LoadManifest(store)
+	switch {
+	case err == nil:
+		copts.Logf("otmd: resuming run %s from the store's manifest", man.Run)
+	case errors.Is(err, dist.ErrNoManifest):
+		if man, err = dist.Plan(store, p.options()); err != nil {
+			return fail(err)
+		}
+		copts.Logf("otmd: planned run %s: %d shards", man.Run, len(man.Shards))
+	default:
+		return fail(err)
+	}
+	cp, err := dist.LoadCheckpoint(store, man)
 	if err != nil {
 		return fail(err)
 	}
-	c := dist.NewCoordinator(store, man, cp, dist.CoordinatorOptions{StoreURI: *storeURI, Logf: logf})
+	c := dist.NewCoordinator(store, man, cp, copts)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return fail(err)
 	}
 	srv := &http.Server{Handler: c.Handler()}
 	go srv.Serve(ln)
 	defer srv.Close()
-	url := "http://" + ln.Addr().String()
+	standalone := workers == 0
+	if standalone {
+		fmt.Fprintf(os.Stderr, "otmd: coordinating run %s on http://%s (%d/%d shards done)\n",
+			man.Run, ln.Addr(), cp.NumDone(), len(man.Shards))
+	}
 
 	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
+	if out != "" {
+		f, err := os.Create(out)
 		if err != nil {
 			return fail(err)
 		}
@@ -343,29 +295,17 @@ func runLocal(args []string) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	type workerDone struct {
-		name  string
-		stats dist.RunStats
-		err   error
-	}
-	results := make([]workerDone, *workers)
+	stats := make([]dist.RunStats, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < *workers; i++ {
+	for i := range workers {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			name := fmt.Sprintf("w%d", i+1)
-			wk := &dist.Worker{
-				Coordinator: url,
-				Name:        name,
-				Parallel:    *parallel,
-				Logf:        logf,
-			}
-			stats, err := wk.Run(ctx)
-			results[i] = workerDone{name, stats, err}
-		}(i)
+			wk := &dist.Worker{Coordinator: "http://" + ln.Addr().String(), Name: fmt.Sprintf("w%d", i+1), Parallel: parallel, Logf: copts.Logf}
+			stats[i], errs[i] = wk.Run(ctx)
+		}()
 	}
-
 	merged := make(chan error, 1)
 	go func() { merged <- c.MergeTo(w) }()
 	code := 0
@@ -375,20 +315,32 @@ func runLocal(args []string) int {
 			code = fail(err)
 		}
 	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "otmd: interrupted")
+		if standalone {
+			fmt.Fprintln(os.Stderr, "otmd: interrupted; checkpoint is durable — re-run coordinate with the same store to resume")
+		} else {
+			fmt.Fprintln(os.Stderr, "otmd: interrupted")
+		}
 		code = 1
 	}
+	if standalone && code != 0 {
+		return code
+	}
 	wg.Wait()
-
-	for _, r := range results {
-		workerSummary(os.Stderr, r.name, r.stats)
-		if r.err != nil && code == 0 {
-			code = fail(r.err)
+	for i := range stats {
+		workerSummary(os.Stderr, fmt.Sprintf("w%d", i+1), stats[i])
+		if errs[i] != nil && code == 0 {
+			code = fail(errs[i])
 		}
 	}
+
 	st := c.Status()
-	fmt.Fprintf(os.Stderr, "otmd: run %s complete: %d shards, %d histories: %d opaque, %d non-opaque, %d errors; %d search nodes, %d requeues, %.1fs\n",
-		st.Run, st.Shards, st.Histories, st.Opaque, st.NonOpaque, st.Errored, st.Nodes, st.Retries, st.ElapsedSecs)
+	fmt.Fprintf(os.Stderr, "otmd: run %s complete: %d shards, %s, %d requeues, %.1fs\n",
+		st.Run, st.Shards, st.Tally, st.Retries, st.ElapsedSecs)
+	// Give polling workers a beat to see Done before the API goes away.
+	select {
+	case <-time.After(linger):
+	case <-ctx.Done():
+	}
 	if code == 0 && st.Errored > 0 {
 		code = 1
 	}
@@ -398,8 +350,7 @@ func runLocal(args []string) int {
 // workerSummary prints one worker's totals and table counters in
 // opacheck's summary format.
 func workerSummary(errW io.Writer, name string, s dist.RunStats) {
-	fmt.Fprintf(errW, "otmd: worker %s: %d shards, %d histories: %d opaque, %d non-opaque, %d errors; %d search nodes\n",
-		name, s.Shards, s.Histories, s.Opaque, s.NonOpaque, s.Errored, s.Nodes)
+	fmt.Fprintf(errW, "otmd: worker %s: %d shards, %s\n", name, s.Shards, s.Tally)
 	fmt.Fprintf(errW, "otmd: worker %s %s\n", name, checkpool.Summary(s.Search))
 }
 

@@ -2,12 +2,15 @@ package checkpool
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"testing"
 	"time"
 
 	"otm/internal/core"
+	"otm/internal/history"
 )
 
 // waitGoroutines polls until the goroutine count settles back to at most
@@ -25,14 +28,27 @@ func waitGoroutines(base int) int {
 	}
 }
 
-// TestRunContextCancelMidBatch cancels the context partway through a
-// large batch and asserts the contract of RunContext: verdicts for
-// already-admitted histories still arrive, in input order and without
-// gaps; the rest of the input is discarded so the producer unblocks; the
-// verdict channel closes; and no pool goroutine is left behind. Runs
-// under the CI -race job.
-func TestRunContextCancelMidBatch(t *testing.T) {
-	const n = 5000
+// counted yields hs as items labeled "lineN" and counts in *pulled how
+// far the pool advanced it. RunTo has stopped running the sequence when
+// it returns, so *pulled is safe to read then.
+func counted(hs []history.History, pulled *int) iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		for i, h := range hs {
+			*pulled++
+			if !yield(Item{Source: fmt.Sprintf("line%d", i), History: h}) {
+				return
+			}
+		}
+	}
+}
+
+// TestRunToCancelMidBatch cancels the context partway through a large
+// batch and asserts the contract of RunTo: verdicts for already-admitted
+// histories still arrive, in input order and without gaps; the input is
+// not advanced past the window; RunTo reports the cancellation; and no
+// pool goroutine is left behind. Runs under the CI -race job.
+func TestRunToCancelMidBatch(t *testing.T) {
+	const n, workers = 5000, 4
 	hs := corpus(n)
 	want := make([]bool, n)
 	for i, h := range hs {
@@ -46,20 +62,9 @@ func TestRunContextCancelMidBatch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := New(Options{Workers: 4, Window: 4})
 
-	in := make(chan Item)
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		defer close(in)
-		for i, h := range hs {
-			in <- Item{Source: fmt.Sprintf("line%d", i), History: h}
-		}
-	}()
-
-	got := 0
-	for v := range p.RunContext(ctx, in) {
+	got, pulled := 0, 0
+	err := New(Options{Workers: workers}).RunTo(ctx, counted(hs, &pulled), func(v Verdict) error {
 		if v.Index != got {
 			t.Fatalf("verdict %d carries index %d: cancellation broke ordering", got, v.Index)
 		}
@@ -76,20 +81,22 @@ func TestRunContextCancelMidBatch(t *testing.T) {
 		if got == 16 {
 			cancel()
 		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTo = %v, want context.Canceled", err)
 	}
 	if got < 16 {
-		t.Fatalf("only %d verdicts before the channel closed, want at least the 16 seen pre-cancel", got)
+		t.Fatalf("only %d verdicts delivered, want at least the 16 seen pre-cancel", got)
 	}
-	if got == n {
-		t.Fatalf("cancellation admitted the whole %d-history batch", n)
+	// Every admitted history is delivered. At the cancelling call at
+	// most the window was admitted beyond the 15 delivered before it,
+	// plus at most one item already pulled; nothing more is pulled.
+	if window := 4 * workers; got > 16+window {
+		t.Errorf("%d verdicts delivered after cancelling at 16: more than the %d-item window was admitted", got, window)
 	}
-
-	// The producer must unblock even though most of its input was never
-	// admitted.
-	select {
-	case <-producerDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer still blocked 5s after cancellation: input not drained")
+	if pulled > got+1 {
+		t.Errorf("input advanced to item %d, but only %d were admitted before cancellation", pulled, got)
 	}
 
 	if g := waitGoroutines(base); g > base {
@@ -97,58 +104,54 @@ func TestRunContextCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelBeforeStart: a context cancelled before Run admits
-// anything yields zero verdicts, a closed channel and no leaked
-// goroutines — and the producer still unblocks.
-func TestRunContextCancelBeforeStart(t *testing.T) {
+// TestRunToCancelBeforeStart: a context cancelled before RunTo starts
+// yields zero verdicts, pulls no item, and leaves no goroutine behind.
+func TestRunToCancelBeforeStart(t *testing.T) {
 	hs := corpus(32)
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	in := make(chan Item)
-	go func() {
-		defer close(in)
-		for _, h := range hs {
-			in <- Item{History: h}
-		}
-	}()
-
-	got := 0
-	for range New(Options{Workers: 2}).RunContext(ctx, in) {
+	got, pulled := 0, 0
+	err := New(Options{Workers: 2}).RunTo(ctx, counted(hs, &pulled), func(Verdict) error {
 		got++
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTo = %v, want context.Canceled", err)
 	}
 	if got != 0 {
 		t.Errorf("pre-cancelled pool emitted %d verdicts, want 0", got)
+	}
+	if pulled != 0 {
+		t.Errorf("pre-cancelled pool advanced its input to item %d", pulled)
 	}
 	if g := waitGoroutines(base); g > base {
 		t.Errorf("goroutine leak: %d running, started with %d", g, base)
 	}
 }
 
-// TestRunContextRace hammers concurrent cancellation at random points
-// while verdicts stream, for the -race detector's benefit.
-func TestRunContextRace(t *testing.T) {
+// TestRunToCancelRace hammers concurrent cancellation at random points
+// while verdicts stream, for the -race detector's benefit: order holds
+// and the input never runs ahead of what was admitted.
+func TestRunToCancelRace(t *testing.T) {
 	hs := corpus(200)
 	for round := 0; round < 8; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		in := make(chan Item)
-		go func() {
-			defer close(in)
-			for _, h := range hs {
-				in <- Item{History: h}
-			}
-		}()
 		go func(after int) {
 			time.Sleep(time.Duration(after) * time.Millisecond)
 			cancel()
 		}(round)
-		prev := -1
-		for v := range New(Options{Workers: 4, Window: 3}).RunContext(ctx, in) {
+		prev, pulled := -1, 0
+		New(Options{Workers: 4}).RunTo(ctx, counted(hs, &pulled), func(v Verdict) error {
 			if v.Index != prev+1 {
 				t.Fatalf("round %d: verdict index %d after %d", round, v.Index, prev)
 			}
 			prev = v.Index
+			return nil
+		})
+		if pulled > prev+2 {
+			t.Errorf("round %d: input advanced to item %d, only %d delivered", round, pulled, prev+1)
 		}
 		cancel()
 	}

@@ -1,30 +1,34 @@
-// Package checkpool verifies batches of transactional histories
-// concurrently. It wraps the Definition 1 checker of internal/core in a
-// worker pool with bounded memory: histories stream in, verdicts stream
-// out in input order, and at most a fixed window of them is in flight at
-// any moment regardless of the batch size. Each history gets its own
-// search-node budget, so one pathological input exhausts its budget and
-// reports ErrSearchLimit instead of stalling the whole batch.
+// Package checkpool is the one batch-checking path. Definition 1 is
+// decided one history at a time, so a batch needs three steps around the
+// checker of internal/core: Lines reads an input, one history per line;
+// Pool.RunTo checks the items of a sequence on a worker pool and hands
+// the verdicts to a sink in input order; Tally counts them for the
+// batch's totals line. `opacheck -parallel` and every `otmd` worker are
+// these three calls.
 //
-// The pool is the engine behind `opacheck -parallel` and the
-// "check a million histories" workload: feed it a channel of items
-// (e.g. parsed from files or stdin) and range over the verdicts.
-// RunContext supports cooperative cancellation: admitted histories are
-// finished and emitted in order, the rest of the input is discarded, and
-// every pool goroutine exits.
+// At most 4×Workers items are admitted but not yet delivered, so memory
+// stays bounded whatever the batch size, and each history gets its own
+// search-node budget, so one pathological input reports ErrSearchLimit
+// instead of stalling the batch. A cancelled run, or one whose sink
+// fails, stops pulling input, and every pool goroutine has exited when
+// RunTo returns.
 //
 // All workers of a run share one set of search tables (core.SharedTables):
-// Options.SharedContext when given, otherwise a fresh set per run. The
-// pool therefore interns each distinct state, signature and transition
-// once rather than once per worker, and every worker reuses every other
-// worker's cached transitions.
+// Options.SharedContext when given, otherwise a fresh set per run, so
+// each distinct state, signature and transition is interned once rather
+// than once per worker, and every worker reuses every other worker's
+// cached transitions.
 package checkpool
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"iter"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 
 	"otm/internal/core"
@@ -93,13 +97,10 @@ func (v Verdict) Line() string {
 // Options tunes a Pool.
 type Options struct {
 	// Workers is the number of concurrent checkers (default GOMAXPROCS;
-	// values < 1 mean the default).
+	// values < 1 mean the default). The window — items admitted but not
+	// yet delivered — is 4×Workers: a million-history batch holds at
+	// most that many histories and verdicts at a time.
 	Workers int
-	// Window bounds the number of items admitted but not yet emitted
-	// (default 4×Workers). Together with streaming input this caps the
-	// pool's memory: a million-history batch holds at most Window
-	// histories and verdicts at a time.
-	Window int
 	// Config is the per-history checker configuration: object semantics
 	// and the search-node budget applied to each history independently.
 	// Config.Context is ignored: SearchContexts are single-goroutine, so
@@ -114,10 +115,10 @@ type Options struct {
 	Check func(history.History, core.Config) (core.Result, error)
 	// Stats, when non-nil, accumulates the search-context statistics of
 	// every worker. It is written under the pool's lock as each worker
-	// retires and is safe to read once the verdict channel has closed
-	// (CheckAll and `for range Run(in)` both guarantee that). Each table
-	// insert is counted by the one context that made it, so the sum
-	// counts the run's inserts exactly once, whatever the worker count.
+	// retires and is safe to read once RunTo or CheckAll has returned,
+	// or Run's verdict channel has closed. Each table insert is counted
+	// by the one context that made it, so the sum counts the run's
+	// inserts exactly once, whatever the worker count.
 	Stats *core.Stats
 	// SharedContext, when non-nil, is the table set every worker's
 	// SearchContext runs on; nil gives each run a fresh set. Passing one
@@ -132,9 +133,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Window < 1 {
-		o.Window = 4 * o.Workers
-	}
 	if o.Check == nil {
 		o.Check = core.Check
 	}
@@ -148,81 +146,41 @@ type Pool struct {
 }
 
 // New returns a Pool with the given options. Options are stored as
-// given; defaults are resolved once per run (in RunContext), so
+// given; defaults are resolved once per run (in RunTo), so
 // New(Options{}), new(Pool) and &Pool{} are interchangeable — the
 // equivalence is pinned by TestZeroValuePool.
 func New(opts Options) *Pool { return &Pool{opts: opts} }
 
-// Run checks every item arriving on in and returns a channel of verdicts
-// in input order. The verdict channel closes once all input has been
-// checked and emitted. Run returns immediately; the caller must drain
-// the returned channel (or consume it fully) for the pool to make
-// progress, since emission back-pressures admission. It is shorthand for
-// RunContext with a background context.
-func (p *Pool) Run(in <-chan Item) <-chan Verdict {
-	return p.RunContext(context.Background(), in)
-}
-
-// RunContext is Run under a cancellable context. Cancelling ctx stops
-// the admission of new items: every item already admitted is still
-// checked and its verdict emitted, in input order and without gaps, and
-// then the verdict channel closes. Items not yet admitted are read from
-// in and discarded — so a producer blocked sending to in always
-// unblocks — but in must still be closed eventually for the drain (and
-// therefore the pool's goroutines) to finish. The caller must keep
-// draining the verdict channel after cancellation.
-func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
+// RunTo checks every item of items and delivers each verdict, in input
+// order, to sink. It pulls items on a goroutine of its own, as window
+// slots free up, and calls sink from the caller's goroutine only, never
+// concurrently.
+//
+// A nil return means the input was exhausted and every verdict was
+// delivered. Cancelling ctx stops admission: items already admitted are
+// still checked and delivered in order and without gaps, the input is
+// not advanced further, and RunTo returns ctx's error. The first sink
+// error stops admission the same way, is returned, and the remaining
+// admitted verdicts are dropped undelivered — so a failed writer
+// surfaces loudly instead of silently losing the tail of the verdict
+// stream, and a distributed worker can fail its shard lease cleanly
+// rather than report a partial log as complete. Every pool goroutine
+// has exited, and items is no longer running, when RunTo returns.
+func (p *Pool) RunTo(ctx context.Context, items iter.Seq[Item], sink func(Verdict) error) error {
 	opts := p.opts.withDefaults()
+	admit, stop := context.WithCancel(ctx)
+	defer stop()
 
 	type job struct {
 		idx  int
 		item Item
+		res  chan<- Verdict
 	}
 	work := make(chan job)
-	results := make(chan Verdict, opts.Window)
-	out := make(chan Verdict)
-	// tickets bounds the admitted-but-not-emitted window, and therefore
-	// the size of the reorder buffer below.
-	tickets := make(chan struct{}, opts.Window)
-
-	// Dispatcher: admit items as window slots free up; once ctx is
-	// cancelled, stop admitting and drain in so producers never block on
-	// a cancelled pool.
-	go func() {
-		defer close(work)
-		idx := 0
-		done := ctx.Done()
-		for {
-			// Cancellation wins over a simultaneously ready item: a
-			// cancelled pool never admits again.
-			select {
-			case <-done:
-				for range in { // discard
-				}
-				return
-			default:
-			}
-			select {
-			case <-done:
-				for range in { // discard
-				}
-				return
-			case item, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case tickets <- struct{}{}:
-				case <-done:
-					for range in { // discard, including this item's successors
-					}
-					return
-				}
-				work <- job{idx: idx, item: item}
-				idx++
-			}
-		}
-	}()
+	// order queues one single-slot result channel per admitted item, in
+	// input order. With the one the reorder loop is waiting on, at most
+	// 4×Workers items are admitted but not yet delivered: the window.
+	order := make(chan chan Verdict, 4*opts.Workers-1)
 
 	// Workers: check admitted items. Each worker owns a SearchContext
 	// over the run's one table set, so interning and caching amortize
@@ -234,7 +192,7 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 	var wg sync.WaitGroup
 	var statsMu sync.Mutex
 	wg.Add(opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
+	for range opts.Workers {
 		go func() {
 			defer wg.Done()
 			cfg := opts.Config
@@ -247,7 +205,7 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 				if v.Err == nil {
 					v.Result, v.Err = opts.Check(j.item.History, cfg)
 				}
-				results <- v
+				j.res <- v
 			}
 			if opts.Stats != nil && cfg.Context != nil {
 				statsMu.Lock()
@@ -256,33 +214,173 @@ func (p *Pool) RunContext(ctx context.Context, in <-chan Item) <-chan Verdict {
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	// Reorderer: restore input order. The stash never exceeds the window
-	// because each stashed verdict holds a ticket.
+	// Admission: take a window slot for each item, then hand it to a
+	// worker. ctx is checked before each pull, not left to the select,
+	// which picks at random when a slot and the cancellation are both
+	// ready: a cancelled run pulls no further item.
 	go func() {
-		defer close(out)
-		stash := make(map[int]Verdict, opts.Window)
-		next := 0
-		for v := range results {
-			stash[v.Index] = v
-			for {
-				pending, ok := stash[next]
-				if !ok {
-					break
-				}
-				delete(stash, next)
-				out <- pending
-				<-tickets
-				next++
+		defer close(work)
+		defer close(order)
+		if admit.Err() != nil {
+			return
+		}
+		idx := 0
+		for item := range items {
+			res := make(chan Verdict, 1)
+			select {
+			case order <- res:
+			case <-admit.Done():
+				return
+			}
+			work <- job{idx: idx, item: item, res: res}
+			idx++
+			if admit.Err() != nil {
+				return
 			}
 		}
 	}()
 
+	// Reorder: wait for the verdicts in admission order.
+	var sinkErr error
+	for res := range order {
+		v := <-res
+		if sinkErr == nil {
+			if sinkErr = sink(v); sinkErr != nil {
+				stop()
+			}
+		}
+	}
+	wg.Wait()
+	if sinkErr != nil {
+		return sinkErr
+	}
+	return ctx.Err()
+}
+
+// Run checks every item arriving on in and returns a channel of verdicts
+// in input order, closed once all input has been checked and emitted.
+// It is RunTo over a channel, for callers that range over verdicts: the
+// caller must drain the returned channel for the pool to make progress,
+// since emission back-pressures admission, and in must be closed.
+func (p *Pool) Run(in <-chan Item) <-chan Verdict {
+	out := make(chan Verdict)
+	go func() {
+		defer close(out)
+		items := func(yield func(Item) bool) {
+			for item := range in {
+				if !yield(item) {
+					return
+				}
+			}
+		}
+		p.RunTo(context.Background(), items, func(v Verdict) error {
+			out <- v
+			return nil
+		})
+	}()
 	return out
+}
+
+// CheckAll runs the pool over a fixed slice and collects every verdict.
+// The result is indexed like hs.
+func (p *Pool) CheckAll(hs []history.History) []Verdict {
+	verdicts := make([]Verdict, 0, len(hs))
+	items := func(yield func(Item) bool) {
+		for _, h := range hs {
+			if !yield(Item{History: h}) {
+				return
+			}
+		}
+	}
+	p.RunTo(context.Background(), items, func(v Verdict) error {
+		verdicts = append(verdicts, v)
+		return nil
+	})
+	return verdicts
+}
+
+// Lines reads r as a batch input, one history per line, and yields one
+// item per history line: each line is trimmed, blank lines and lines
+// starting with '#' yield nothing, and every other line yields an item
+// labeled "label:N", the first line of r being line first, that holds
+// the parsed history or its parse error. Lines are read without a
+// length cap, so one oversized line cannot silently end the input.
+//
+// A read error ends the sequence with one errored item labeled with the
+// line it cut (the cut line itself is not checked), so a batch printer
+// reports it in-line. When readErr is non-nil the error is also stored
+// there, for a caller that must fail the whole input instead.
+func Lines(r io.Reader, label string, first int, readErr *error) iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		br := bufio.NewReader(r)
+		for n := first; ; n++ {
+			line, err := br.ReadString('\n')
+			if err != nil && err != io.EOF {
+				if readErr != nil {
+					*readErr = err
+				}
+				yield(Item{Source: label + ":" + strconv.Itoa(n), Err: err})
+				return
+			}
+			if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+				item := Item{Source: label + ":" + strconv.Itoa(n)}
+				item.History, item.Err = history.Parse(line)
+				if !yield(item) {
+					return
+				}
+			}
+			if err == io.EOF {
+				return
+			}
+		}
+	}
+}
+
+// Tally counts a batch's verdicts. It is the one set of totals opacheck,
+// the dist workers' done records and run stats, and the coordinator's
+// status share; the JSON tags are the store's and the status API's
+// field names.
+type Tally struct {
+	Histories int `json:"histories"`
+	Opaque    int `json:"opaque"`
+	NonOpaque int `json:"non_opaque"`
+	Errored   int `json:"errored"`
+	Nodes     int `json:"nodes"`
+}
+
+// Add counts one verdict.
+func (t *Tally) Add(v Verdict) {
+	t.Histories++
+	t.Nodes += v.Result.Nodes
+	switch {
+	case v.Err != nil:
+		t.Errored++
+	case v.Result.Opaque:
+		t.Opaque++
+	default:
+		t.NonOpaque++
+	}
+}
+
+// Merge adds another tally's counts.
+func (t *Tally) Merge(o Tally) {
+	t.Histories += o.Histories
+	t.Opaque += o.Opaque
+	t.NonOpaque += o.NonOpaque
+	t.Errored += o.Errored
+	t.Nodes += o.Nodes
+}
+
+// String renders the totals line every batch summary prints:
+//
+//	5 histories: 3 opaque, 1 non-opaque, 1 errors; 139 search nodes
+//
+// A type that embeds Tally prints through it under %v; use %#v to see
+// the whole value.
+func (t Tally) String() string {
+	return fmt.Sprintf("%d histories: %d opaque, %d non-opaque, %d errors; %d search nodes",
+		t.Histories, t.Opaque, t.NonOpaque, t.Errored, t.Nodes)
 }
 
 // Summary renders the search-table and reduction counters of a batch
@@ -292,55 +390,4 @@ func Summary(s core.Stats) string {
 	return fmt.Sprintf("search tables: %d states interned (%d object atoms), %d memo entries (%d hits, %d misses), %d transitions cached (%d hits), %d rebuilds; reductions: %d symmetry classes, %d sym prunes, %d legality skips",
 		s.States, s.Atoms, s.MemoEntries, s.MemoHits, s.MemoMisses, s.TransMisses, s.TransHits, s.Flushes,
 		s.SymClasses, s.SymPrunes, s.LegalSkips)
-}
-
-// RunTo runs the pool over in and delivers every verdict, in input
-// order, to sink. It is the error-propagating form of RunContext for
-// batch consumers that write verdicts somewhere that can fail (a file, a
-// storage backend, a network log): a sink error cancels the run, drains
-// the remaining verdicts without delivering them, and is returned — so a
-// failed writer surfaces loudly instead of silently dropping the tail of
-// the verdict stream, and a distributed worker can fail its shard lease
-// cleanly rather than report a partial log as complete.
-//
-// A nil return means the input was exhausted and every verdict was
-// delivered to sink. Otherwise RunTo returns the first sink error if the
-// sink failed, else ctx's error if the run was cancelled (admitted
-// verdicts were still delivered in order; input not yet admitted was
-// discarded). sink is called from RunTo's goroutine only, never
-// concurrently.
-func (p *Pool) RunTo(ctx context.Context, in <-chan Item, sink func(Verdict) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var sinkErr error
-	for v := range p.RunContext(ctx, in) {
-		if sinkErr != nil {
-			continue // drain: admitted verdicts still flow, undelivered
-		}
-		if err := sink(v); err != nil {
-			sinkErr = err
-			cancel()
-		}
-	}
-	if sinkErr != nil {
-		return sinkErr
-	}
-	return ctx.Err()
-}
-
-// CheckAll runs the pool over a fixed slice and collects every verdict.
-// The result is indexed like hs.
-func (p *Pool) CheckAll(hs []history.History) []Verdict {
-	in := make(chan Item)
-	go func() {
-		for _, h := range hs {
-			in <- Item{History: h}
-		}
-		close(in)
-	}()
-	verdicts := make([]Verdict, 0, len(hs))
-	for v := range p.Run(in) {
-		verdicts = append(verdicts, v)
-	}
-	return verdicts
 }

@@ -58,7 +58,7 @@ func TestMatchesSequentialChecker(t *testing.T) {
 
 func TestStreamPreservesOrderAndSources(t *testing.T) {
 	hs := corpus(64)
-	p := New(Options{Workers: 4, Window: 2})
+	p := New(Options{Workers: 4})
 	in := make(chan Item)
 	go func() {
 		for i, h := range hs {
@@ -186,49 +186,34 @@ func TestEmptyInput(t *testing.T) {
 // verdict in input order and returns nil.
 func TestRunToDeliversAll(t *testing.T) {
 	hs := corpus(48)
-	in := make(chan Item)
-	go func() {
-		for i, h := range hs {
-			in <- Item{Source: fmt.Sprintf("s%d", i), History: h}
-		}
-		close(in)
-	}()
+	pulled := 0
 	var got []Verdict
-	err := New(Options{Workers: 4}).RunTo(context.Background(), in, func(v Verdict) error {
+	err := New(Options{Workers: 4}).RunTo(context.Background(), counted(hs, &pulled), func(v Verdict) error {
 		got = append(got, v)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("RunTo = %v, want nil", err)
 	}
-	if len(got) != len(hs) {
-		t.Fatalf("delivered %d verdicts, want %d", len(got), len(hs))
+	if len(got) != len(hs) || pulled != len(hs) {
+		t.Fatalf("delivered %d verdicts from %d items, want %d", len(got), pulled, len(hs))
 	}
 	for i, v := range got {
-		if v.Index != i || v.Source != fmt.Sprintf("s%d", i) {
+		if v.Index != i || v.Source != fmt.Sprintf("line%d", i) {
 			t.Fatalf("verdict %d out of order: index=%d source=%q", i, v.Index, v.Source)
 		}
 	}
 }
 
-// TestRunToSinkErrorPropagates: the first sink failure cancels the run,
-// stops deliveries, unblocks the producer, and is returned — the
+// TestRunToSinkErrorPropagates: the first sink failure stops
+// deliveries, stops the input at the window, and is returned — the
 // documented error-propagation path for failing verdict sinks.
 func TestRunToSinkErrorPropagates(t *testing.T) {
+	const workers = 2
 	sinkErr := errors.New("disk full")
-	in := make(chan Item)
-	produced := make(chan struct{})
-	go func() {
-		defer close(produced)
-		// More input than the window so the producer would block forever
-		// if a failed sink did not drain the channel.
-		for i, h := range corpus(128) {
-			in <- Item{Source: fmt.Sprintf("s%d", i), History: h}
-		}
-		close(in)
-	}()
-	delivered := 0
-	err := New(Options{Workers: 2, Window: 2}).RunTo(context.Background(), in, func(v Verdict) error {
+	delivered, pulled := 0, 0
+	// Much more input than the window, so reading it all would show.
+	err := New(Options{Workers: workers}).RunTo(context.Background(), counted(corpus(128), &pulled), func(v Verdict) error {
 		if delivered++; delivered == 3 {
 			return sinkErr
 		}
@@ -240,7 +225,11 @@ func TestRunToSinkErrorPropagates(t *testing.T) {
 	if delivered != 3 {
 		t.Errorf("sink called %d times after its error, want exactly 3", delivered)
 	}
-	<-produced // must not deadlock
+	// At the failing call at most the window was admitted beyond the
+	// two delivered before it, plus at most one item already pulled.
+	if limit := delivered + 4*workers; pulled > limit {
+		t.Errorf("input advanced to item %d after the sink failed at 3, want at most %d", pulled, limit)
+	}
 }
 
 // TestRunToCancelled: an external cancellation surfaces as ctx's error,
@@ -248,14 +237,8 @@ func TestRunToSinkErrorPropagates(t *testing.T) {
 func TestRunToCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	in := make(chan Item)
-	go func() {
-		for _, h := range corpus(16) {
-			in <- Item{History: h}
-		}
-		close(in)
-	}()
-	err := New(Options{Workers: 2}).RunTo(ctx, in, func(Verdict) error { return nil })
+	pulled := 0
+	err := New(Options{Workers: 2}).RunTo(ctx, counted(corpus(16), &pulled), func(Verdict) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunTo on a cancelled context = %v, want context.Canceled", err)
 	}

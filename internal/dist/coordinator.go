@@ -296,11 +296,7 @@ func (c *Coordinator) Status() Status {
 	}
 	for i := range c.man.Shards {
 		if rec, ok := c.cp.Done(i); ok {
-			s.Histories += rec.Histories
-			s.Opaque += rec.Opaque
-			s.NonOpaque += rec.NonOpaque
-			s.Errored += rec.Errored
-			s.Nodes += rec.Nodes
+			s.Merge(rec.Tally)
 		}
 	}
 	return s

@@ -4,18 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"otm/internal/checkpool"
 	"otm/internal/core"
 	"otm/internal/gen"
-	"otm/internal/history"
 	"otm/internal/storage"
 )
 
@@ -38,21 +39,9 @@ func corpusLines(n int, seed int64) []string {
 // canonical Verdict.Line rendering the distributed workers use.
 func golden(t *testing.T, label string, lines []string) string {
 	t.Helper()
-	in := make(chan checkpool.Item)
-	go func() {
-		defer close(in)
-		for i, line := range lines {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			item := checkpool.Item{Source: fmt.Sprintf("%s:%d", label, i+1)}
-			item.History, item.Err = history.Parse(line)
-			in <- item
-		}
-	}()
+	items := checkpool.Lines(strings.NewReader(strings.Join(lines, "\n")), label, 1, nil)
 	var sb strings.Builder
-	err := checkpool.New(checkpool.Options{Workers: 1}).RunTo(context.Background(), in, func(v checkpool.Verdict) error {
+	err := checkpool.New(checkpool.Options{Workers: 1}).RunTo(context.Background(), items, func(v checkpool.Verdict) error {
 		sb.WriteString(v.Line() + "\n")
 		return nil
 	})
@@ -127,7 +116,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	}
 	st := c.Status()
 	if st.ShardsDone != st.Shards || st.Histories != 61 || st.Errored != 1 {
-		t.Errorf("status = %+v, want all %d shards done, 61 histories, 1 errored", st, st.Shards)
+		t.Errorf("status = %#v, want all %d shards done, 61 histories, 1 errored", st, st.Shards)
 	}
 }
 
@@ -173,16 +162,16 @@ func TestGenCorpusDistributed(t *testing.T) {
 	}
 
 	// Golden: generate the full corpus in one process, same labeling.
-	in := make(chan checkpool.Item)
-	go func() {
-		defer close(in)
+	items := func(yield func(checkpool.Item) bool) {
 		cfg := spec.Config()
 		for j := 0; j < spec.N; j++ {
-			in <- checkpool.Item{Source: fmt.Sprintf("gen:%d", j), History: gen.History(cfg, spec.Seed+int64(j))}
+			if !yield(checkpool.Item{Source: fmt.Sprintf("gen:%d", j), History: gen.History(cfg, spec.Seed+int64(j))}) {
+				return
+			}
 		}
-	}()
+	}
 	var want strings.Builder
-	err = checkpool.New(checkpool.Options{Workers: 1}).RunTo(context.Background(), in, func(v checkpool.Verdict) error {
+	err = checkpool.New(checkpool.Options{Workers: 1}).RunTo(context.Background(), items, func(v checkpool.Verdict) error {
 		want.WriteString(v.Line() + "\n")
 		return nil
 	})
@@ -231,7 +220,7 @@ func TestWorkerKilledMidShard(t *testing.T) {
 		t.Errorf("merged log differs after worker death:\n--- merged ---\n%s--- single ---\n%s", merged.String(), want)
 	}
 	if st := c.Status(); st.Retries == 0 {
-		t.Errorf("status reports no requeues, but a lease was abandoned: %+v", st)
+		t.Errorf("status reports no requeues, but a lease was abandoned: %#v", st)
 	}
 }
 
@@ -367,7 +356,7 @@ func TestShardFailureRetriesThenRunFails(t *testing.T) {
 		t.Error("MergeTo succeeded on a failed run")
 	}
 	if st := c.Status(); st.RunFailed == "" {
-		t.Errorf("Status does not report the failure: %+v", st)
+		t.Errorf("Status does not report the failure: %#v", st)
 	}
 }
 
@@ -413,12 +402,12 @@ func TestStaleLeaseIgnored(t *testing.T) {
 	if err := writeJSON(store, "logs/real.log", "x"); err != nil {
 		t.Fatal(err)
 	}
-	ack, err = c.Complete(resp2.Lease.ID, DoneRecord{Shard: 0, Log: "logs/real.log", Histories: 1})
+	ack, err = c.Complete(resp2.Lease.ID, DoneRecord{Shard: 0, Log: "logs/real.log", Tally: checkpool.Tally{Histories: 1}})
 	if err != nil || ack.Ignored {
 		t.Fatalf("current completion rejected: %+v, %v", ack, err)
 	}
 	if rec, done := cp.Done(0); !done || rec.Log != "logs/real.log" {
-		t.Errorf("checkpoint after current completion = %+v, %v", rec, done)
+		t.Errorf("checkpoint after current completion = %#v, %v", rec, done)
 	}
 }
 
@@ -485,5 +474,69 @@ func TestCheckShardStopsFeedOnSinkError(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("checkShard still feeding its shard 30s after the verdict log failed")
+	}
+}
+
+// failingInput is a store whose shard input bad fails partway through
+// its first line, as a flaky disk or network store would.
+type failingInput struct {
+	storage.FS
+	bad string
+}
+
+func (f failingInput) Open(name string) (io.ReadCloser, error) {
+	r, err := f.FS.Open(name)
+	if err != nil || name != f.bad {
+		return r, err
+	}
+	cut := io.MultiReader(io.LimitReader(r, 20), iotest.ErrReader(errors.New("input read failed")))
+	return struct {
+		io.Reader
+		io.Closer
+	}{cut, r}, nil
+}
+
+// TestShardInputReadErrorFailsShard: a shard whose input cannot be read
+// in full is reported through /v1/fail — the coordinator retries it and,
+// as every attempt fails the same way, fails the run with the read
+// error — and it never gets a done marker or a committed log, while the
+// run's other shards complete.
+func TestShardInputReadErrorFailsShard(t *testing.T) {
+	dir := t.TempDir()
+	writeCorpus(t, storage.NewOS(dir), "corpus.txt", corpusLines(6, 500)) // 9 lines: 3 shards of 4
+	store := storage.NewMem()
+	man, err := Plan(store, PlanOptions{CorpusURI: dir + "/corpus.txt", ShardSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Shards) != 3 {
+		t.Fatalf("planned %d shards, want 3", len(man.Shards))
+	}
+	cp, _ := LoadCheckpoint(store, man)
+	const uri = "mem://dist-test-read-error" // never resolved: the worker holds the store
+	c := NewCoordinator(store, man, cp, CoordinatorOptions{StoreURI: uri, MaxRetries: 1, Backoff: time.Millisecond})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	w := &Worker{Coordinator: srv.URL, Name: "w", store: failingInput{store, man.Shards[1].Input}, storeURI: uri}
+	if _, err := w.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "input read failed") {
+		t.Errorf("worker = %v, want the run failed by the read error", err)
+	}
+	if err := c.MergeTo(io.Discard); err == nil {
+		t.Error("MergeTo succeeded on a run with an unreadable shard")
+	}
+	st := c.Status()
+	if want := "shard 1: input read failed after 2 attempts"; st.RunFailed != want {
+		t.Errorf("RunFailed = %q, want %q", st.RunFailed, want)
+	}
+	if st.ShardsDone != 2 {
+		t.Errorf("%d shards done, want the 2 readable ones", st.ShardsDone)
+	}
+	if _, err := store.Stat(fmt.Sprintf(doneFmt, 1)); !errors.Is(err, storage.ErrNotExist) {
+		t.Errorf("unreadable shard has a done marker (Stat: %v)", err)
+	}
+	logs, err := store.List("logs/00001-")
+	if err != nil || len(logs) != 0 {
+		t.Errorf("unreadable shard committed logs %v (%v)", logs, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 
+	"otm/internal/checkpool"
 	"otm/internal/gen"
 	"otm/internal/storage"
 )
@@ -266,13 +267,9 @@ func LoadManifest(store storage.FS) (*Manifest, error) {
 type DoneRecord struct {
 	Shard int `json:"shard"`
 	// Log is the store object holding the shard's verdict lines.
-	Log       string `json:"log"`
-	Histories int    `json:"histories"`
-	Opaque    int    `json:"opaque"`
-	NonOpaque int    `json:"non_opaque"`
-	Errored   int    `json:"errored"`
-	Nodes     int    `json:"nodes"`
-	Worker    string `json:"worker,omitempty"`
+	Log string `json:"log"`
+	checkpool.Tally
+	Worker string `json:"worker,omitempty"`
 }
 
 // Checkpoint is the reloadable progress of a run: the set of done

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"otm/internal/checkpool"
 	"otm/internal/storage"
 )
 
@@ -200,7 +201,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 			rec := DoneRecord{
 				Shard: i, Log: fmt.Sprintf(shardLogFmt, i, "lease"),
-				Histories: rng.Intn(100), Opaque: rng.Intn(50), Nodes: rng.Intn(10_000),
+				Tally:  checkpool.Tally{Histories: rng.Intn(100), Opaque: rng.Intn(50), Nodes: rng.Intn(10_000)},
 				Worker: "w1",
 			}
 			if err := cp.Mark(store, rec); err != nil {
@@ -230,7 +231,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			rec, ok := cp2.Done(i)
 			wantRec, wantOK := wantDone[i]
 			if ok != wantOK || (ok && !reflect.DeepEqual(rec, wantRec)) {
-				t.Logf("shard %d: reloaded done=(%v,%+v), want (%v,%+v)", i, ok, rec, wantOK, wantRec)
+				t.Logf("shard %d: reloaded done=(%v,%#v), want (%v,%#v)", i, ok, rec, wantOK, wantRec)
 				return false
 			}
 		}
@@ -260,11 +261,11 @@ func TestCheckpointMarkIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp, _ := LoadCheckpoint(store, man)
-	first := DoneRecord{Shard: 1, Log: "logs/first.log", Histories: 2}
+	first := DoneRecord{Shard: 1, Log: "logs/first.log", Tally: checkpool.Tally{Histories: 2}}
 	if err := cp.Mark(store, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark(store, DoneRecord{Shard: 1, Log: "logs/second.log", Histories: 99}); err != nil {
+	if err := cp.Mark(store, DoneRecord{Shard: 1, Log: "logs/second.log", Tally: checkpool.Tally{Histories: 99}}); err != nil {
 		t.Fatal(err)
 	}
 	cp2, err := LoadCheckpoint(store, man)
@@ -272,7 +273,7 @@ func TestCheckpointMarkIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec, _ := cp2.Done(1); !reflect.DeepEqual(rec, first) {
-		t.Errorf("second Mark overwrote the first record: %+v", rec)
+		t.Errorf("second Mark overwrote the first record: %#v", rec)
 	}
 }
 

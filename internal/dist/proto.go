@@ -18,6 +18,8 @@
 // verdict bytes, which is what makes at-least-once dispatch safe.
 package dist
 
+import "otm/internal/checkpool"
+
 // Wire types of the coordinator's HTTP/JSON API. Workers POST JSON
 // bodies to /v1/lease, /v1/heartbeat, /v1/complete and /v1/fail, and GET
 // /v1/status; every response is JSON.
@@ -97,15 +99,11 @@ type Ack struct {
 
 // Status is the coordinator's progress snapshot (GET /v1/status).
 type Status struct {
-	Run         string  `json:"run"`
-	Shards      int     `json:"shards"`
-	ShardsDone  int     `json:"shards_done"`
-	Leased      int     `json:"leased"`
-	Histories   int     `json:"histories"`
-	Opaque      int     `json:"opaque"`
-	NonOpaque   int     `json:"non_opaque"`
-	Errored     int     `json:"errored"`
-	Nodes       int     `json:"nodes"`
+	Run        string `json:"run"`
+	Shards     int    `json:"shards"`
+	ShardsDone int    `json:"shards_done"`
+	Leased     int    `json:"leased"`
+	checkpool.Tally
 	Retries     int     `json:"retries"`
 	RunFailed   string  `json:"run_failed,omitempty"`
 	ElapsedSecs float64 `json:"elapsed_secs"`

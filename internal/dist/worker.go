@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"strings"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"otm/internal/checkpool"
 	"otm/internal/core"
 	"otm/internal/gen"
-	"otm/internal/history"
 	"otm/internal/spec"
 	"otm/internal/storage"
 )
@@ -56,12 +56,8 @@ type Worker struct {
 // RunStats summarizes a worker's run: the same per-worker totals and
 // search-table counters `opacheck -parallel` prints in its summary.
 type RunStats struct {
-	Shards    int
-	Histories int
-	Opaque    int
-	NonOpaque int
-	Errored   int
-	Nodes     int
+	Shards int
+	checkpool.Tally
 	// Search aggregates the checkpool search-context counters across
 	// all shards.
 	Search core.Stats
@@ -188,31 +184,33 @@ func (w *Worker) processShard(ctx context.Context, lease *Lease, stats *RunStats
 		return
 	}
 	stats.Shards++
-	stats.Histories += rec.Histories
-	stats.Opaque += rec.Opaque
-	stats.NonOpaque += rec.NonOpaque
-	stats.Errored += rec.Errored
-	stats.Nodes += rec.Nodes
+	stats.Merge(rec.Tally)
 }
 
 // checkShard runs the shard through the pool and commits its verdict
 // log. The log commit happens before the done record is built, so a
-// record reported complete always names a fully committed log.
+// record reported complete always names a fully committed log; a shard
+// whose input cannot be read in full commits nothing.
 func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, error) {
 	store, err := w.resolveStore(lease.StoreURI)
 	if err != nil {
 		return DoneRecord{}, err
 	}
-	// A sink failure stops the feed too: RunTo's own cancel never
-	// reaches it, and it would otherwise parse the rest of the shard.
-	ctx, stopFeed := context.WithCancel(ctx)
-	defer stopFeed()
-	in := make(chan checkpool.Item)
-	feedErr := make(chan error, 1)
-	go func() {
-		defer close(in)
-		feedErr <- w.feed(ctx, in, store, lease)
-	}()
+	// File shards are the lines of their input object, labeled with
+	// the corpus-global line number so merged logs match a
+	// single-process run byte for byte.
+	var items iter.Seq[checkpool.Item]
+	var readErr error
+	if lease.Gen != nil {
+		items = genItems(lease)
+	} else {
+		r, err := store.Open(lease.Shard.Input)
+		if err != nil {
+			return DoneRecord{}, err
+		}
+		defer r.Close()
+		items = checkpool.Lines(r, lease.Label, lease.Shard.StartLine, &readErr)
+	}
 
 	var poolStats core.Stats
 	pool := checkpool.New(checkpool.Options{
@@ -232,34 +230,22 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 	}
 	rec := DoneRecord{Shard: lease.Shard.Index, Log: logName, Worker: w.Name}
 	bw := bufio.NewWriter(sink)
-	runErr := pool.RunTo(ctx, in, func(v checkpool.Verdict) error {
-		rec.Histories++
-		rec.Nodes += v.Result.Nodes
-		switch {
-		case v.Err != nil:
-			rec.Errored++
-		case v.Result.Opaque:
-			rec.Opaque++
-		default:
-			rec.NonOpaque++
-		}
+	err = pool.RunTo(ctx, items, func(v checkpool.Verdict) error {
+		rec.Add(v)
 		_, err := bw.WriteString(v.Line() + "\n")
-		if err != nil {
-			stopFeed()
-		}
 		return err
 	})
 	// Counted even if the shard fails: its inserts stay in the tables.
 	w.search.Add(poolStats)
-	if runErr == nil {
-		runErr = <-feedErr
+	if err == nil {
+		err = readErr
 	}
-	if runErr == nil {
-		runErr = bw.Flush()
+	if err == nil {
+		err = bw.Flush()
 	}
-	if runErr != nil {
+	if err != nil {
 		sink.Abort()
-		return DoneRecord{}, runErr
+		return DoneRecord{}, err
 	}
 	if err := sink.Close(); err != nil {
 		return DoneRecord{}, err
@@ -267,59 +253,16 @@ func (w *Worker) checkShard(ctx context.Context, lease *Lease) (DoneRecord, erro
 	return rec, nil
 }
 
-// feed streams the shard's items into the pool: parsed lines of the
-// shard's input object for file corpora, regenerated histories for
-// generator corpora.
-func (w *Worker) feed(ctx context.Context, in chan<- checkpool.Item, store storage.FS, lease *Lease) error {
-	send := func(item checkpool.Item) bool {
-		select {
-		case in <- item:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	if lease.Gen != nil {
+// genItems regenerates a generator shard's histories, labeled
+// "label:j" with their corpus index j.
+func genItems(lease *Lease) iter.Seq[checkpool.Item] {
+	return func(yield func(checkpool.Item) bool) {
 		cfg := lease.Gen.Config()
 		for j := lease.Shard.Lo; j < lease.Shard.Hi; j++ {
-			item := checkpool.Item{
-				Source:  fmt.Sprintf("%s:%d", lease.Label, j),
-				History: gen.History(cfg, lease.Gen.Seed+int64(j)),
+			h := gen.History(cfg, lease.Gen.Seed+int64(j))
+			if !yield(checkpool.Item{Source: fmt.Sprintf("%s:%d", lease.Label, j), History: h}) {
+				return
 			}
-			if !send(item) {
-				return ctx.Err()
-			}
-		}
-		return nil
-	}
-
-	r, err := store.Open(lease.Shard.Input)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	// Mirrors opacheck's feedLines: skip blank and comment lines, turn
-	// parse failures into errored items, label "label:lineno" with the
-	// corpus-global line number so merged logs match a single-process
-	// run byte for byte.
-	br := bufio.NewReader(r)
-	for lineno := lease.Shard.StartLine; ; lineno++ {
-		line, err := br.ReadString('\n')
-		if line != "" {
-			line = strings.TrimSpace(line)
-			if line != "" && !strings.HasPrefix(line, "#") {
-				item := checkpool.Item{Source: fmt.Sprintf("%s:%d", lease.Label, lineno)}
-				item.History, item.Err = history.Parse(line)
-				if !send(item) {
-					return ctx.Err()
-				}
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
 		}
 	}
 }
