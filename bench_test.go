@@ -234,8 +234,8 @@ func BenchmarkCheckOpacity(b *testing.B) {
 // the context-backed runs, and allocations (b.ReportAllocs, so allocs/op
 // appears without -benchmem), making the interning payoff visible
 // directly in the bench output: the reduction from lazy commit/abort
-// branching, the one memo all completions share, the partial-order
-// reduction, and the allocation-free memo/transition keys. Because the
+// branching, the one memo all completions share, and the
+// allocation-free memo/transition keys. Because the
 // workers of a run
 // share one table set, states-interned stays at the sequential count at
 // every width instead of growing ×workers. The "commitpending" corpus (most transactions left commit-pending) is the

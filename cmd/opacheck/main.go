@@ -19,6 +19,11 @@
 //
 //	opacheck "w1(x,1) tryC1 C1 r2(x)->1 w3(x,2) w3(y,2) tryC3 C3 r2(y)->2 tryC2 A2"
 //
+// Each history is printed as a per-transaction timeline, then its
+// criteria table. A history of more than 64 transactions is printed on
+// one line instead, with a note saying so: every row of a timeline is as
+// wide as the whole history.
+//
 // -demo prints one of the paper's built-in examples: fig1, fig2, h3, h4,
 // counter, writers.
 //
@@ -45,7 +50,7 @@
 // 2^20 entries only between histories, so the limit is per history, far
 // beyond what the default budget reaches. -reference switches the
 // batch to the retained per-completion engine (an un-memoized search per
-// completion, no partial-order reduction), so the node-count reduction
+// completion, no symmetry reduction), so the node-count reduction
 // of the unified engine is directly measurable on any corpus:
 //
 //	opacheck -parallel 8 corpus.txt            # nodes= from the unified engine
@@ -383,13 +388,24 @@ func checkOne(src, counterObjs string, graph, explain bool) error {
 	return checkHistory(h, counterObjs, graph, explain)
 }
 
+// maxTimelineTxs is the most transactions single-history mode draws as
+// a per-transaction timeline. Every row of the timeline is as wide as the
+// whole history, so its size grows with transactions × events; a longer
+// history is printed on one line.
+const maxTimelineTxs = 64
+
 // checkHistory prints h, its criteria table and, on request, the
 // violation diagnosis and the Theorem 2 graph search.
 func checkHistory(h history.History, counterObjs string, graph, explain bool) error {
 	if err := h.WellFormed(); err != nil {
 		return err
 	}
-	fmt.Println(h.Format())
+	if n := len(h.Transactions()); n > maxTimelineTxs {
+		fmt.Printf("%s\n(timeline left out: %d transactions, over the %d it is drawn for; each of its rows is as wide as the whole history)\n\n",
+			h, n, maxTimelineTxs)
+	} else {
+		fmt.Println(h.Format())
+	}
 
 	objs := spec.ParseCounters(counterObjs)
 	for _, ob := range h.Objects() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -376,14 +377,16 @@ func TestRunBatchStopsReadingOnSinkError(t *testing.T) {
 
 // runSingle re-executes the running test as `opacheck` in
 // single-history mode with the given stdin (see singleModeChild),
-// returning stdout, stderr and the exit code.
+// returning stdout, stderr and the exit code. Stdout is capped at 1 MiB:
+// a child that writes more is cut off and fails the test.
 func runSingle(t *testing.T, stdin io.Reader) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
 	cmd.Env = append(os.Environ(), "OPACHECK_TEST_SINGLE=1")
 	cmd.Stdin = stdin
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	stdout := &cappedBuffer{max: 1 << 20}
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = stdout, &stderr
 	err := cmd.Run()
 	code := 0
 	var exit *exec.ExitError
@@ -393,6 +396,20 @@ func runSingle(t *testing.T, stdin io.Reader) (string, string, int) {
 		t.Fatal(err)
 	}
 	return stdout.String(), stderr.String(), code
+}
+
+// cappedBuffer keeps at most max bytes and fails the write that would
+// exceed them, which closes the pipe a child process writes into.
+type cappedBuffer struct {
+	bytes.Buffer
+	max int
+}
+
+func (b *cappedBuffer) Write(p []byte) (int, error) {
+	if b.Len()+len(p) > b.max {
+		return 0, fmt.Errorf("output over %d bytes", b.max)
+	}
+	return b.Buffer.Write(p)
 }
 
 // singleModeChild is the child side of runSingle: in the re-executed
@@ -423,6 +440,43 @@ func TestSingleModeLongStdinLine(t *testing.T) {
 	}
 	if strings.Join(verdicts, " ") != "yes NO" {
 		t.Errorf("opacity verdicts %q, want [yes NO] for the long line and the one after it; stdout:\n%s", verdicts, stdout)
+	}
+}
+
+// TestSingleModeLongHistory: a history too long to draw as a timeline is
+// printed on one line with a note, so the output stays proportional to
+// the input. The timeline of this chain of 3,999 committed writers took
+// about a minute and 444 MB: each of its rows is as wide as the whole
+// history.
+func TestSingleModeLongHistory(t *testing.T) {
+	singleModeChild()
+	var in strings.Builder
+	for i := 1; i < 4000; i++ {
+		fmt.Fprintf(&in, "w%d(x,%d) tryC%d C%d ", i, i, i, i)
+	}
+	in.WriteString("\n")
+	stdout, stderr, code := runSingle(t, strings.NewReader(in.String()))
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	}
+	if len(stdout) > 2*in.Len() {
+		t.Errorf("%d bytes of output for %d bytes of input, want at most twice the input", len(stdout), in.Len())
+	}
+	if !strings.Contains(stdout, "(timeline left out: 3999 transactions, over the 64 it is drawn for;") {
+		t.Errorf("output does not say the timeline was left out")
+	}
+	lines := strings.Split(stdout, "\n")
+	for _, name := range []string{"opacity", "serializability", "strict serializability",
+		"global atomicity (+rt)", "strict recoverability", "rigorous scheduling"} {
+		verdict := ""
+		for _, line := range lines {
+			if rest, ok := strings.CutPrefix(line, name+"  "); ok {
+				verdict = strings.Fields(rest)[0]
+			}
+		}
+		if verdict != "yes" {
+			t.Errorf("%s: %q, want yes", name, verdict)
+		}
 	}
 }
 

@@ -85,9 +85,6 @@ type Options struct {
 	// FS.
 	ArtifactsURI string
 	ArtifactsFS  storage.FS
-	// Registry receives the fleet's metrics (nil: a fresh registry,
-	// exposed by Fleet.Registry).
-	Registry *telemetry.Registry
 	// OnViolation, if non-nil, is called once per violating member,
 	// after the artifact capture and fleet latch. It runs where the
 	// member session's own OnViolation would (inside the append
@@ -187,13 +184,10 @@ type Member struct {
 func New(opts Options) (*Fleet, error) {
 	f := &Fleet{
 		opts:   opts,
-		reg:    opts.Registry,
+		reg:    telemetry.NewRegistry(),
 		store:  opts.ArtifactsFS,
 		start:  time.Now(),
 		byName: make(map[string]*Member),
-	}
-	if f.reg == nil {
-		f.reg = telemetry.NewRegistry()
 	}
 	if f.store == nil && opts.ArtifactsURI != "" {
 		fsys, err := storage.Resolve(opts.ArtifactsURI)
@@ -432,27 +426,30 @@ func (f *Fleet) capture(session string, seq int, v monitor.Violation) (string, e
 	return name, nil
 }
 
-// aggregateStatus folds the member statuses: error ≻ violated ≻ lossy ≻
-// opaque.
+// statusRank orders member statuses for the fleet's worst-of aggregate:
+// error ≻ violated ≻ lossy ≻ opaque.
+func statusRank(s monitor.Status) int {
+	switch s {
+	case monitor.StatusError:
+		return 3
+	case monitor.StatusViolated:
+		return 2
+	case monitor.StatusLossy:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// aggregateStatus folds the member statuses into the worst of them (see
+// statusRank).
 func (f *Fleet) aggregateStatus() monitor.Status {
 	f.mu.Lock()
 	members := f.members
 	f.mu.Unlock()
 	agg := monitor.StatusOpaque
-	rank := func(s monitor.Status) int {
-		switch s {
-		case monitor.StatusError:
-			return 3
-		case monitor.StatusViolated:
-			return 2
-		case monitor.StatusLossy:
-			return 1
-		default:
-			return 0
-		}
-	}
 	for _, m := range members {
-		if s := m.sess.Stats().Status; rank(s) > rank(agg) {
+		if s := m.sess.Stats().Status; statusRank(s) > statusRank(agg) {
 			agg = s
 		}
 	}
@@ -475,10 +472,6 @@ func (f *Fleet) Status() Status {
 		UptimeSecs: time.Since(f.start).Seconds(),
 	}
 	agg := monitor.StatusOpaque
-	rank := map[monitor.Status]int{
-		monitor.StatusOpaque: 0, monitor.StatusLossy: 1,
-		monitor.StatusViolated: 2, monitor.StatusError: 3,
-	}
 	for _, m := range members {
 		s := m.sess.Stats()
 		st.PerSession = append(st.PerSession, SessionStatus{Name: m.name, Stats: s})
@@ -492,7 +485,7 @@ func (f *Fleet) Status() Status {
 		st.Skipped += s.Skipped
 		st.Checkpoints += s.Checkpoints
 		st.LiveEvents += s.LiveEvents
-		if rank[s.Status] > rank[agg] {
+		if statusRank(s.Status) > statusRank(agg) {
 			agg = s.Status
 		}
 	}

@@ -23,17 +23,6 @@ func (b bitset) covers(other bitset) bool {
 	return true
 }
 
-// intersects reports whether b and other share at least one member. The
-// two bitsets must have the same word length.
-func (b bitset) intersects(other bitset) bool {
-	for w, bits := range other {
-		if bits&b[w] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // equal reports whether b and other contain exactly the same members.
 // The two bitsets must have the same word length.
 func (b bitset) equal(other bitset) bool {

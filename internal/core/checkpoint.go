@@ -15,9 +15,9 @@
 //
 //	Reach(P) = { final object states of S : S a legal serialization of P }
 //
-// one state per serialization class (the partial-order reduction's
-// commuting swaps cannot change the final state, so canonical
-// representatives suffice). TryTruncate enumerates Reach(P), interns
+// one state per symmetry class (swapping interchangeable transactions
+// cannot change the final state, so class-sorted representatives
+// suffice). TryTruncate enumerates Reach(P), interns
 // each member, and restarts the history behind the checkpoint; from then
 // on P·L is opaque iff L serializes from at least one member, which is
 // exactly what Incremental.check decides. Checkpoints compose: a later
@@ -208,13 +208,18 @@ func rootKey(objs spec.Objects) string {
 // (removal of a suffix transaction leaves the collapsed prefix, and with
 // it the Reach set, untouched). The PrefixLen and Culprit of the
 // returned Diagnosis are the checker's own: the global event position of
-// the violation and the event that introduced it. Diagnose returns an
-// error if no violation has been observed.
+// the violation and the event that introduced it. Events appended after
+// the violation play no part: the re-checks run on the live prefix that
+// ends at it. Diagnose returns an error if no violation has been
+// observed.
 func (inc *Incremental) Diagnose() (Diagnosis, error) {
 	if inc.res.Opaque {
 		return Diagnosis{}, fmt.Errorf("core: Diagnose on a checker with no violation")
 	}
-	live := inc.app.History()
+	// TryTruncate declines once a violation latched, so the violating
+	// event is still in the live suffix, TruncatedEvents before its
+	// global position.
+	live := inc.app.History()[:inc.res.PrefixLen-inc.res.TruncatedEvents]
 	d := Diagnosis{PrefixLen: inc.res.PrefixLen, Culprit: live[len(live)-1]}
 	for _, tx := range live.Transactions() {
 		removed := RemoveTx(live, tx)
@@ -240,6 +245,7 @@ func (inc *Incremental) opaqueFromRoots(h history.History) (bool, int, error) {
 			MaxNodes:    inc.cfg.MaxNodes,
 			Context:     inc.ctx,
 			DisableMemo: inc.cfg.DisableMemo,
+			DisableSym:  inc.cfg.DisableSym,
 		})
 		nodes += r.Nodes
 		if err != nil {

@@ -346,6 +346,96 @@ func TestIncrementalDiagnose(t *testing.T) {
 	}
 }
 
+// TestIncrementalDiagnoseIgnoresLaterEvents: events appended after the
+// violation latched change nothing in the diagnosis. It names the event
+// and transactions the one-shot Diagnose of the whole history names,
+// before and after more events arrive, and its re-checks run under the
+// checker's own Config: on the reduced engine, the unreduced one and
+// the reference.
+func TestIncrementalDiagnoseIgnoresLaterEvents(t *testing.T) {
+	stable := history.MustParse("w9(z,1) tryC9 C9")
+	// Three interchangeable writers, then a reader that misses them all;
+	// the violation is T4's read response.
+	h := history.MustParse("w1(x,1) w2(x,1) w3(x,1) tryC1 tryC2 tryC3 C1 C2 C3 r4(x)->0 tryC4 C4")
+	later := history.MustParse("w5(y,1) tryC5 C5")
+	full := append(append(stable.Clone(), h...), later...)
+	want, err := core.Diagnose(full, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.PrefixLen != len(stable)+14 || len(want.Implicated) != 1 || want.Implicated[0] != 4 {
+		t.Fatalf("one-shot diagnosis %+v, want the violation at T4's read and T4 implicated", want)
+	}
+
+	nodes := map[string]int{}
+	for name, cfg := range map[string]core.Config{
+		"reduced":   {},
+		"unreduced": {DisableSym: true},
+		"reference": {DisableMemo: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			inc := core.NewIncremental(cfg)
+			if _, err := inc.Append(stable...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inc.TryTruncate(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inc.Append(h...); err != nil {
+				t.Fatal(err)
+			}
+			atViolation, err := inc.Diagnose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inc.Append(later...); err != nil {
+				t.Fatal(err)
+			}
+			afterMore, err := inc.Diagnose()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The re-checks the diagnosis owes: the live prefix that ends
+			// at the violation, without each of its transactions in turn,
+			// from the checkpoint root when there is one.
+			prefix := history.History(nil)
+			if inc.Result().Checkpoints == 0 {
+				prefix = append(prefix, stable...)
+			}
+			prefix = append(prefix, h[:14]...)
+			recheck := cfg
+			if roots := inc.Roots(); roots != nil {
+				recheck.Objects = roots[0]
+			}
+			wantNodes := 0
+			for _, tx := range prefix.Transactions() {
+				r, err := core.Check(core.RemoveTx(prefix, tx), recheck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantNodes += r.Nodes
+			}
+
+			for _, d := range []core.Diagnosis{atViolation, afterMore} {
+				if d.PrefixLen != want.PrefixLen || d.Culprit != want.Culprit {
+					t.Errorf("violation at %d (%s), want %d (%s)", d.PrefixLen, d.Culprit, want.PrefixLen, want.Culprit)
+				}
+				if fmt.Sprint(d.Implicated) != fmt.Sprint(want.Implicated) {
+					t.Errorf("Implicated = %v, want %v", d.Implicated, want.Implicated)
+				}
+				if d.Nodes != wantNodes {
+					t.Errorf("Nodes = %d, want %d from the re-checks under %+v", d.Nodes, wantNodes, cfg)
+				}
+			}
+			nodes[name] = atViolation.Nodes
+		})
+	}
+	if nodes["reduced"] == nodes["unreduced"] {
+		t.Errorf("the symmetry reduction saved no node (%d): the history does not tell the engines apart", nodes["reduced"])
+	}
+}
+
 // TestTruncateComposition: a second truncation enumerates from every
 // root of the first checkpoint; when the new stable suffix overwrites
 // the divergent state, the per-root Reach sets collapse back into one

@@ -23,12 +23,10 @@
 //     its effects visible to later placements; abort leaves no trace).
 //     One memo table and one node budget therefore serve the entire
 //     verdict, and search prefixes shared between completions are
-//     explored once. A partial-order reduction prunes placements
-//     further: when adjacent placements commute (the transactions have
-//     disjoint completed-operation footprints, so neither's legality nor
-//     resulting states can depend on the other), only the canonical
-//     order is explored; each equivalence class of serializations keeps
-//     its lexicographically least member, so no witness is lost.
+//     explored once. A symmetry reduction places interchangeable
+//     transactions (same replay signature, decision and ordering
+//     constraints) in index order only; the lexicographically least
+//     valid order is class-sorted, so no witness is lost.
 //
 //     The engine's hot path runs entirely on interned state
 //     (SearchContext). Per-object states are interned to small integers
@@ -43,9 +41,9 @@
 //     those replays skip spec.State.Step for operations it has applied
 //     to the same object state before. Failure verdicts are memoized
 //     under a fixed-size comparable key — (placed-transaction bitset,
-//     last placement, stateID) — in a memo that belongs to the one
-//     search: it is emptied before the next, so a verdict's node count
-//     is a function of the history and Config alone. The interned states
+//     stateID) — in a memo that belongs to the one search: it is
+//     emptied before the next, so a verdict's node count is a function
+//     of the history and Config alone. The interned states
 //     and cached transitions are pure values and outlive the call, which
 //     is what makes one context reusable across calls:
 //     FirstNonOpaquePrefix threads a single SearchContext through its

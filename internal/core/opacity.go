@@ -60,9 +60,9 @@ type Config struct {
 	Context *SearchContext
 	// DisableMemo runs the reference decision procedure instead of the
 	// unified engine: completions are enumerated as an outer loop (2^k
-	// for k commit-pending transactions) and each runs an un-memoized
-	// backtracking search without partial-order reduction.
-	// Differential-testing hook; not for production paths.
+	// for k commit-pending transactions) and each runs a plain
+	// backtracking search: no memo, no interned states, no symmetry
+	// reduction. Differential-testing hook; not for production paths.
 	DisableMemo bool
 	// DisableSym turns off the symmetry reduction of the unified engine:
 	// every transaction is its own class and interchangeable placements
@@ -92,9 +92,8 @@ func Opaque(h history.History) (Result, error) {
 // partial order when all its ≺H-predecessors have been placed and its
 // operation executions are legal on the object states produced by the
 // committed transactions placed so far. Failed search states are
-// memoized by (placed-set, object-state fingerprint, last placement),
-// and placements that merely transpose adjacent commuting transactions
-// (disjoint object footprints) are explored only once.
+// memoized by (placed set, interned object states), so placement orders
+// and fate assignments that reach the same state are explored once.
 //
 // Check returns an error if h is not well-formed or the node budget is
 // exhausted.

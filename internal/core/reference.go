@@ -9,7 +9,7 @@ import (
 // differential testing (Config.DisableMemo): a plain backtracking search
 // over one completion, replaying candidate transactions on copy-on-write
 // spec.Objects maps, with no state interning, no memoization, no
-// transition caching and no partial-order reduction. It takes its
+// transition caching and no symmetry reduction. It takes its
 // problem from the completion directly (History.OpExecs and the
 // completion's statuses) and shares nothing with the interned engine
 // beyond the bitset type and replayTx, which is what makes agreement

@@ -108,11 +108,10 @@ const (
 // not string building) and each transaction's replay is cached per
 // distinct state. The failure memo is the searcher's own and lives for
 // one search: failed states are recorded under a fixed-size comparable
-// key of (placed bitset, last placement, stateID), so isomorphic search
-// prefixes — different placement orders and different commit/abort fate
+// key of (placed bitset, stateID), so isomorphic search prefixes —
+// different placement orders and different commit/abort fate
 // assignments reaching the same placed set and object states — are
-// explored once; the last placed transaction is part of the key because
-// the partial-order reduction prunes successors relative to it.
+// explored once.
 type searcher struct {
 	ctx    *SearchContext
 	active bool
@@ -342,24 +341,21 @@ func emptied[K comparable](m map[K]struct{}) map[K]struct{} {
 }
 
 // memoKey keys the failure memo: a search state is identified by the
-// interned object-state vector, the last placed transaction (part of the
-// key because the partial-order reduction prunes successors relative to
-// it) and the placed-transaction bitset, inlined for histories of up to
-// 128 transactions. Wider bitsets take the string-keyed spill map
-// (memoWide).
+// interned object-state vector and the placed-transaction bitset, inlined
+// for histories of up to 128 transactions. Wider bitsets take the
+// string-keyed spill map (memoWide).
 type memoKey struct {
 	state  stateID
-	last   int32
 	lo, hi uint64
 }
 
 // inlineKey builds the inline memo key for placed bitsets of at most two
 // words; ok is false when the bitset is wider and the spill map applies.
-func inlineKey(placed bitset, last int, vid stateID) (k memoKey, ok bool) {
+func inlineKey(placed bitset, vid stateID) (k memoKey, ok bool) {
 	if len(placed) > 2 {
 		return memoKey{}, false
 	}
-	k = memoKey{state: vid, last: int32(last), lo: placed[0]}
+	k = memoKey{state: vid, lo: placed[0]}
 	if len(placed) == 2 {
 		k.hi = placed[1]
 	}
@@ -367,11 +363,9 @@ func inlineKey(placed bitset, last int, vid stateID) (k memoKey, ok bool) {
 }
 
 // wideKey renders the spill memo key for >128-transaction histories.
-func (s *searcher) wideKey(placed bitset, last int, vid stateID) []byte {
+func (s *searcher) wideKey(placed bitset, vid stateID) []byte {
 	buf := s.ctx.keyBuf[:0]
 	buf = append(buf, byte(vid), byte(vid>>8), byte(vid>>16), byte(vid>>24))
-	u := uint32(last + 1)
-	buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	buf = placed.appendKey(buf)
 	s.ctx.keyBuf = buf
 	return buf
@@ -379,12 +373,12 @@ func (s *searcher) wideKey(placed bitset, last int, vid stateID) []byte {
 
 // memoHas reports whether the search state was recorded as a definitive
 // failure.
-func (s *searcher) memoHas(placed bitset, last int, vid stateID) bool {
+func (s *searcher) memoHas(placed bitset, vid stateID) bool {
 	var ok bool
-	if k, inline := inlineKey(placed, last, vid); inline {
+	if k, inline := inlineKey(placed, vid); inline {
 		_, ok = s.memo[k]
 	} else {
-		_, ok = s.memoWide[string(s.wideKey(placed, last, vid))]
+		_, ok = s.memoWide[string(s.wideKey(placed, vid))]
 	}
 	if ok {
 		s.ctx.stats.MemoHits++
@@ -397,11 +391,11 @@ func (s *searcher) memoHas(placed bitset, last int, vid stateID) bool {
 // memoInsert records the search state as a definitive failure. Callers
 // must never insert a state whose subtree was truncated by the node
 // budget.
-func (s *searcher) memoInsert(placed bitset, last int, vid stateID) {
-	if k, inline := inlineKey(placed, last, vid); inline {
+func (s *searcher) memoInsert(placed bitset, vid stateID) {
+	if k, inline := inlineKey(placed, vid); inline {
 		s.memo[k] = struct{}{}
 	} else {
-		s.memoWide[string(s.wideKey(placed, last, vid))] = struct{}{}
+		s.memoWide[string(s.wideKey(placed, vid))] = struct{}{}
 	}
 	s.ctx.stats.MemoEntries++
 }
@@ -502,35 +496,24 @@ func (s *searcher) result() *serialization {
 	return ser
 }
 
-// prunable implements the partial-order reduction: placing candidate i
-// directly after last is skipped when the swapped order — i first, then
-// last — is a valid placement too, reaches the identical search state,
-// and is lexicographically smaller (i < last by index). The swap is valid
-// exactly when the two transactions commute (disjoint completed-operation
-// footprints: neither one's legality or resulting states can depend on
-// the other) and i was already placeable before last was placed (last is
-// not a predecessor of i; i's other predecessors were placed earlier).
-// Every equivalence class of serializations under such adjacent swaps
-// retains its lexicographically least member, which passes this test at
-// every step, so pruning the rest never loses a witness.
-func (s *searcher) prunable(i, last int) bool {
-	return last >= 0 && i < last &&
-		!s.preds[i].has(last) &&
-		!s.foot[i].intersects(s.foot[last])
-}
-
 // search tries to extend the partial serialization. placed is mutated in
 // place (set before recursing, cleared on backtrack); count is the number
 // of placed transactions; vid is the interned object-state vector
-// produced by the committed transactions placed so far; last is the index
-// of the most recently placed transaction (-1 at the root). On outFound
-// the winning bits stay set and s.order / s.fate hold the full
-// serialization and fate assignment. A state is memoized as failed only
-// when its whole subtree was explored within the node budget; a truncated
-// subtree yields outTruncated, which propagates without memoization.
-// With a sink set, every leaf is sunk and fails, so the search never
-// returns outFound.
-func (s *searcher) search(placed bitset, count int, vid stateID, last int) outcome {
+// produced by the committed transactions placed so far. On outFound the
+// winning bits stay set and s.order / s.fate hold the full serialization
+// and fate assignment. A state is memoized as failed only when its whole
+// subtree was explored within the node budget; a truncated subtree
+// yields outTruncated, which propagates without memoization. With a sink
+// set, every leaf is sunk and fails, so the search never returns
+// outFound.
+//
+// The memo is sound because nothing below a node depends on the path
+// that reached it: which candidates are placeable, their legality and
+// successor states, and the symmetry filter are all functions of
+// (placed, vid) alone. So the subtree below a node is a function of the
+// node, and a failure recorded there — or, when enumerating, the finals
+// already sunk below it — holds for every other path that reaches it.
+func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 	if *s.nodes >= s.maxNodes {
 		return outTruncated
 	}
@@ -542,12 +525,11 @@ func (s *searcher) search(placed bitset, count int, vid stateID, last int) outco
 		}
 		return outFound
 	}
-	if s.memoHas(placed, last, vid) {
+	if s.memoHas(placed, vid) {
 		return outFailed
 	}
 	for i := 0; i < s.n; i++ {
-		if placed.has(i) || !placed.covers(s.preds[i]) ||
-			s.prunable(i, last) || s.symBlocked(i, placed) {
+		if placed.has(i) || !placed.covers(s.preds[i]) || s.symBlocked(i, placed) {
 			continue
 		}
 		next, legal := s.stepCand(i, vid)
@@ -563,13 +545,13 @@ func (s *searcher) search(placed bitset, count int, vid stateID, last int) outco
 			out = s.searchCommitted(placed, count, vid, next, i)
 		case decideAborted:
 			s.fate[i] = false
-			out = s.search(placed, count+1, vid, i)
+			out = s.search(placed, count+1, vid)
 		case decideBranch:
 			// Abort first: it keeps the object states unchanged, matching
 			// the reference engine's enumeration order (completion mask 0
 			// aborts every commit-pending transaction).
 			s.fate[i] = false
-			out = s.search(placed, count+1, vid, i)
+			out = s.search(placed, count+1, vid)
 			if out == outFailed {
 				s.fate[i] = true
 				out = s.searchCommitted(placed, count, vid, next, i)
@@ -586,7 +568,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID, last int) outco
 			return outTruncated
 		}
 	}
-	s.memoInsert(placed, last, vid)
+	s.memoInsert(placed, vid)
 	return outFailed
 }
 
@@ -597,10 +579,10 @@ func (s *searcher) search(placed bitset, count int, vid stateID, last int) outco
 // backtrack reverts them (see legality.go).
 func (s *searcher) searchCommitted(placed bitset, count int, vid, next stateID, i int) outcome {
 	if next == vid {
-		return s.search(placed, count+1, vid, i)
+		return s.search(placed, count+1, vid)
 	}
 	s.touch(i)
-	out := s.search(placed, count+1, next, i)
+	out := s.search(placed, count+1, next)
 	s.touch(i)
 	return out
 }
@@ -618,7 +600,7 @@ func (s *searcher) findSerialization(o serializeOptions) (*serialization, error)
 		return s.result(), nil
 	}
 	s.prepare(o.disableSym, nil)
-	switch s.search(s.placed, 0, s.init, -1) {
+	switch s.search(s.placed, 0, s.init) {
 	case outFound:
 		return s.result(), nil
 	case outTruncated:
@@ -650,20 +632,20 @@ func (s *searcher) release() { s.active = false }
 // decided problem (no decideBranch transactions): the search runs with a
 // sink at its leaves, so sink receives the interned final object-state
 // vector of every legal serialization of the history's transactions — one
-// canonical representative per class of the partial-order and symmetry
-// reductions, which agree on the final state, so the reductions lose
+// class-sorted representative per class of the symmetry reduction, whose
+// members all reach the same final state, so the reduction loses
 // nothing. The memo then records states already enumerated: the
-// reachable-final set below a (placed, last, state) node is a pure
-// function of the node, so a second visit contributes nothing new. The
-// caller deduplicates if desired (distinct classes may sink one vector
-// several times). It returns ErrSearchLimit when the node budget is
-// exhausted before the enumeration completes — the caller must then
-// discard everything sunk, since uncovered serializations may reach
-// states never reported.
+// reachable-final set below a (placed, state) node is a pure function of
+// the node, so a second visit contributes nothing new. The caller
+// deduplicates if desired (distinct classes may sink one vector several
+// times). It returns ErrSearchLimit when the node budget is exhausted
+// before the enumeration completes — the caller must then discard
+// everything sunk, since uncovered serializations may reach states never
+// reported.
 func (s *searcher) enumerateFinals(o serializeOptions, sink func(stateID)) error {
 	s.setup(o)
 	s.prepare(o.disableSym, sink)
-	if s.search(s.placed, 0, s.init, -1) == outTruncated {
+	if s.search(s.placed, 0, s.init) == outTruncated {
 		return ErrSearchLimit
 	}
 	return nil

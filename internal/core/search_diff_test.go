@@ -55,7 +55,7 @@ func TestMemoizedMatchesReference(t *testing.T) {
 // TestUnifiedEngineNodeReduction targets the corpus the unified engine
 // was built for: commit-pending-heavy histories, where the reference
 // pays for 2^k completions while the unified search shares one memo
-// across all fate assignments and prunes commuting placements. Verdicts
+// across all fate assignments. Verdicts
 // must agree on every input and the aggregate node count must be
 // strictly smaller.
 func TestUnifiedEngineNodeReduction(t *testing.T) {

@@ -153,15 +153,18 @@ var hashSeed = maphash.MakeSeed()
 // growth doubles it as entries arrive.
 const initialSlots = 1 << 6
 
-// slots is one capacity epoch of an open-addressed table: interleaved
-// (key, value) atomic words.
+// slots is one capacity epoch of an open-addressed table: slot j is the
+// 64-bit key word keys[j] and the 32-bit value word vals[j]. Every value
+// either table stores fits 32 bits, and a 12-byte slot is three quarters
+// of a pair of 64-bit words.
 type slots struct {
 	mask uint64
-	a    []atomic.Uint64 // 2*(mask+1) words: even = key, odd = value
+	keys []atomic.Uint64
+	vals []atomic.Uint32
 }
 
 func newSlots(n uint64) *slots {
-	return &slots{mask: n - 1, a: make([]atomic.Uint64, 2*n)}
+	return &slots{mask: n - 1, keys: make([]atomic.Uint64, n), vals: make([]atomic.Uint32, n)}
 }
 
 // frozen marks an empty slot of an epoch being migrated: no key can be
@@ -209,17 +212,17 @@ func (t *openTable) grow(old *slots) {
 	ns := newSlots(2 * (cur.mask + 1))
 	n := int64(0)
 	for j := uint64(0); j <= cur.mask; j++ {
-		kk := cur.a[2*j].Load()
-		if kk == 0 && cur.a[2*j].CompareAndSwap(0, frozen) {
+		kk := cur.keys[j].Load()
+		if kk == 0 && cur.keys[j].CompareAndSwap(0, frozen) {
 			continue
 		}
-		kk = cur.a[2*j].Load() // claimed, possibly just now
-		ev := loadEntry(cur, 2*j)
+		kk = cur.keys[j].Load() // claimed, possibly just now
+		ev := loadEntry(cur, j)
 		for i := mix64(kk); ; i++ {
-			nj := (i & ns.mask) * 2
-			if ns.a[nj].Load() == 0 {
-				ns.a[nj].Store(kk)
-				ns.a[nj+1].Store(ev)
+			nj := i & ns.mask
+			if ns.keys[nj].Load() == 0 {
+				ns.keys[nj].Store(kk)
+				ns.vals[nj].Store(ev)
 				n++
 				break
 			}
@@ -233,9 +236,9 @@ func (t *openTable) grow(old *slots) {
 // between a winning claim and the value store is a few instructions,
 // plus at worst one key-store append; Gosched keeps a preempted
 // claimant from stalling single-core boxes) and returns its value word.
-func loadEntry(s *slots, j uint64) uint64 {
+func loadEntry(s *slots, j uint64) uint32 {
 	for spin := 0; ; spin++ {
-		if v := s.a[j+1].Load(); v != 0 {
+		if v := s.vals[j].Load(); v != 0 {
 			return v
 		}
 		if spin > 16 {
@@ -259,7 +262,7 @@ func mix64(x uint64) uint64 {
 // open-addressed hash table. The transition cache carries by far the
 // most traffic (one probe per (search node, candidate)), so it gets a
 // word-packed layout: a transKey packs into one non-zero uint64 and a
-// transVal into another, a probe is a few plain atomic loads — no read
+// transVal into a uint32, a probe is a few plain atomic loads — no read
 // lock, no RMW — and an insert is one CAS plus a store. Every race is
 // sound because a transition value is a pure function of its key
 // (racing writers carry equal values, so re-publishing is idempotent)
@@ -273,32 +276,35 @@ func transEKey(k transKey) uint64 {
 	return uint64(uint32(k.state)+1)<<32 | uint64(uint32(k.sig))
 }
 
-// encodeTransVal packs a transVal into a non-zero word; bit 0 marks the
-// value published (distinguishing it from a claimed-but-unpublished
-// slot), bit 1 carries legal, the high half carries next (-1 included).
-func encodeTransVal(v transVal) uint64 {
-	e := uint64(uint32(v.next))<<32 | 1
-	if v.legal {
-		e |= 2
+// encodeTransVal packs a transVal into a non-zero word (zero marks a
+// claimed-but-unpublished slot): 1 for an illegal transition, which has
+// no successor (next is -1), and next+2 for a legal one, whose next is a
+// non-negative stateID.
+func encodeTransVal(v transVal) uint32 {
+	if !v.legal {
+		return 1
 	}
-	return e
+	return uint32(v.next) + 2
 }
 
-func decodeTransVal(e uint64) transVal {
-	return transVal{next: stateID(int32(uint32(e >> 32))), legal: e&2 != 0}
+func decodeTransVal(e uint32) transVal {
+	if e == 1 {
+		return transVal{next: -1}
+	}
+	return transVal{next: stateID(e - 2), legal: true}
 }
 
 func (t *transTable) get(k transKey) (transVal, bool) {
 	s := t.slots.Load()
 	ekey := transEKey(k)
 	for i := mix64(ekey); ; i++ {
-		j := (i & s.mask) * 2
-		kk := s.a[j].Load()
+		j := i & s.mask
+		kk := s.keys[j].Load()
 		if kk == 0 || kk == frozen {
 			return transVal{}, false
 		}
 		if kk == ekey {
-			ev := s.a[j+1].Load()
+			ev := s.vals[j].Load()
 			if ev == 0 {
 				// Claimed but not yet published; recompute rather than spin.
 				return transVal{}, false
@@ -319,16 +325,16 @@ func (t *transTable) put(k transKey, v transVal) bool {
 			continue
 		}
 		for i := mix64(ekey); ; i++ {
-			j := (i & s.mask) * 2
-			kk := s.a[j].Load()
-			if kk == 0 && s.a[j].CompareAndSwap(0, ekey) {
-				s.a[j+1].Store(ev)
+			j := i & s.mask
+			kk := s.keys[j].Load()
+			if kk == 0 && s.keys[j].CompareAndSwap(0, ekey) {
+				s.vals[j].Store(ev)
 				t.count.Add(1)
 				return true
 			}
-			kk = s.a[j].Load()
+			kk = s.keys[j].Load()
 			if kk == ekey {
-				s.a[j+1].Store(ev) // racing writers carry equal values
+				s.vals[j].Store(ev) // racing writers carry equal values
 				return false
 			}
 			if kk == frozen {
@@ -350,7 +356,7 @@ func (t *transTable) put(k transKey, v transVal) bool {
 // CAS provides that exclusion, and racing interns of the same key spin
 // for the claimant's publication instead of appending twice.
 type keyTable struct {
-	openTable // even = fingerprint, odd = id+1
+	openTable // keys = fingerprint, vals = id+1
 	store     pagedKeys
 }
 
@@ -379,15 +385,15 @@ func (t *keyTable) intern(key []byte) (int32, bool) {
 			continue
 		}
 		for i := mix64(fp); ; i++ {
-			j := (i & s.mask) * 2
-			kk := s.a[j].Load()
-			if kk == 0 && s.a[j].CompareAndSwap(0, fp) {
+			j := i & s.mask
+			kk := s.keys[j].Load()
+			if kk == 0 && s.keys[j].CompareAndSwap(0, fp) {
 				id := t.store.append(string(key))
-				s.a[j+1].Store(uint64(id) + 1)
+				s.vals[j].Store(uint32(id) + 1)
 				t.count.Add(1)
 				return id, true
 			}
-			kk = s.a[j].Load()
+			kk = s.keys[j].Load()
 			if kk == fp {
 				id := int32(loadEntry(s, j) - 1)
 				if t.store.get(id) == string(key) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -382,7 +383,15 @@ func TestSharedTablesConcurrentGrowth(t *testing.T) {
 	kt.init()
 	tt.init()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }
-	val := func(i int) transVal { return transVal{next: stateID(i % 97), legal: i%3 != 0} }
+	val := func(i int) transVal {
+		switch i % 3 {
+		case 0:
+			return transVal{next: -1} // an illegal transition has no successor
+		case 1:
+			return transVal{next: stateID(i % 97), legal: true}
+		}
+		return transVal{next: math.MaxInt32 - stateID(i%97), legal: true}
+	}
 
 	ids := make([][]int32, goroutines)
 	minted := make([]int, goroutines)

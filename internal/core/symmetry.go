@@ -12,9 +12,7 @@ import "math/bits"
 //
 //   - their replay signatures are equal (sigOf): they replay identically
 //     from every object state, so legality and successor states are
-//     position-functions, not identity-functions — equal signatures also
-//     force equal footprints, so the partial-order reduction treats the
-//     two alike;
+//     position-functions, not identity-functions;
 //   - their commit decisions are equal: the searcher branches (or not)
 //     the same way at either position;
 //   - their constraint positions are equal: equal predecessor bitsets and
@@ -26,20 +24,16 @@ import "math/bits"
 //
 // The reduction: each equivalence class is placed in increasing index
 // order only. A candidate whose previous class member (classPrev) is
-// still unplaced is skipped. This composes soundly with the existing
-// partial-order reduction and the failure memo:
+// still unplaced is skipped. This composes soundly with the failure
+// memo:
 //
 // Completeness. Among the valid extensions of any reachable search node,
 // consider the lexicographically least one (comparing index sequences).
 // If two unplaced class members appeared out of index order, swapping
 // their positions would yield a valid extension (interchangeability) that
 // is lexicographically smaller — so the least extension is class-sorted
-// and passes the symmetry filter at every step. The partial-order
-// reduction admits the lexicographically least member of every
-// commuting-swap class by the same exchange argument (see prunable), and
-// the least extension is simultaneously least for both orders, so no
-// node prunes it under either filter: if a witness extension exists, the
-// doubly-reduced search finds one.
+// and the symmetry filter never prunes it: if a witness extension
+// exists, the reduced search finds one.
 //
 // Memo soundness. A memo entry written by the reduced engine means "the
 // reduced subtree under this node has no witness", which by completeness

@@ -102,46 +102,6 @@ func (h History) EachCompletion(fn func(History) bool) {
 	}
 }
 
-// Footprint returns the objects accessed by the completed operation
-// executions of tx in h, in order of first access. Pending invocations
-// are excluded: a sequence ending with a pending invocation is always in
-// Seq(ob) when its completed prefix is, so a pending access can neither
-// constrain nor be constrained by the placement of other transactions.
-func (h History) Footprint(tx TxID) []ObjID {
-	seen := make(map[ObjID]bool)
-	var out []ObjID
-	for _, e := range h.OpExecs(tx) {
-		if e.Pending || seen[e.Obj] {
-			continue
-		}
-		seen[e.Obj] = true
-		out = append(out, e.Obj)
-	}
-	return out
-}
-
-// Commute reports whether t1 and t2 have disjoint footprints in h: no
-// shared object is accessed by completed operation executions of both.
-// Commuting transactions can be serialized in either relative order with
-// the same legality verdicts and the same resulting object states — the
-// independence relation exploited by partial-order reduction in the
-// opacity search.
-func (h History) Commute(t1, t2 TxID) bool {
-	if t1 == t2 {
-		return false
-	}
-	objs := make(map[ObjID]bool)
-	for _, ob := range h.Footprint(t1) {
-		objs[ob] = true
-	}
-	for _, ob := range h.Footprint(t2) {
-		if objs[ob] {
-			return false
-		}
-	}
-	return true
-}
-
 // Completions materializes Complete(h) as a slice. It panics if h has
 // more than 16 commit-pending transactions (65536 completions); use
 // EachCompletion for lazy iteration in that case.

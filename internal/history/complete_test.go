@@ -17,67 +17,6 @@ func TestCompletionEventsCommitPending(t *testing.T) {
 	}
 }
 
-// TestFootprintAndCommute pins the independence relation the opacity
-// search's partial-order reduction is built on: Footprint lists exactly
-// the objects of completed operation executions (pending invocations
-// excluded), and Commute is the irreflexive, symmetric disjointness of
-// those footprints — the same relation internal/core renders as bitsets.
-func TestFootprintAndCommute(t *testing.T) {
-	h := NewBuilder().
-		Write(1, "x", 1).Read(1, "y", 0).
-		Write(2, "z", 2).
-		Read(3, "y", 0).
-		Inv(4, "x", "read", nil). // pending: not part of T4's footprint
-		MustHistory()
-
-	wantFoot := map[TxID][]ObjID{
-		1: {"x", "y"},
-		2: {"z"},
-		3: {"y"},
-		4: nil,
-	}
-	for tx, want := range wantFoot {
-		got := h.Footprint(tx)
-		if len(got) != len(want) {
-			t.Fatalf("Footprint(T%d) = %v, want %v", int(tx), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Footprint(T%d) = %v, want %v", int(tx), got, want)
-			}
-		}
-	}
-
-	disjoint := func(a, b []ObjID) bool {
-		for _, x := range a {
-			for _, y := range b {
-				if x == y {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	txs := h.Transactions()
-	for _, t1 := range txs {
-		if h.Commute(t1, t1) {
-			t.Errorf("Commute(T%d, T%d) must be false (irreflexive)", int(t1), int(t1))
-		}
-		for _, t2 := range txs {
-			if t1 == t2 {
-				continue
-			}
-			want := disjoint(wantFoot[t1], wantFoot[t2])
-			if got := h.Commute(t1, t2); got != want {
-				t.Errorf("Commute(T%d, T%d) = %v, want %v", int(t1), int(t2), got, want)
-			}
-			if h.Commute(t1, t2) != h.Commute(t2, t1) {
-				t.Errorf("Commute(T%d, T%d) not symmetric", int(t1), int(t2))
-			}
-		}
-	}
-}
-
 func TestCompletionEventsPendingInv(t *testing.T) {
 	h := NewBuilder().Inv(1, "x", "read", nil).MustHistory()
 	evs := h.CompletionEvents(1, false)

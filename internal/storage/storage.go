@@ -4,9 +4,8 @@
 // backends resolved from URIs: `file://` (or a bare path) maps onto a
 // directory of the local filesystem, `mem://` onto a named in-process
 // store shared by everything in the same process (tests, `otmd run`).
-// New backends register a scheme with Register, in the style of
-// C2FO/vfs's backend package; every backend must pass the shared
-// conformance suite in storage/testsuite.
+// Every backend must pass the shared conformance suite in
+// storage/testsuite.
 //
 // Writes are atomic: Create returns a Writer whose bytes are invisible
 // to Open/List/Stat until Close commits them in one step (the os backend
@@ -23,9 +22,7 @@ import (
 	"io"
 	"io/fs"
 	"path"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // ErrNotExist reports that a named object does not exist. Backends wrap
@@ -92,47 +89,6 @@ func cleanName(name string) (string, error) {
 	return name, nil
 }
 
-// Backend constructs an FS from the remainder of a URI (everything
-// after "scheme://").
-type Backend func(rest string) (FS, error)
-
-var (
-	backendsMu sync.RWMutex
-	backends   = map[string]Backend{}
-)
-
-// Register makes a backend available to Resolve under the given scheme.
-// The file and mem backends are pre-registered; registering an already
-// registered scheme panics, like flag redefinition.
-func Register(scheme string, b Backend) {
-	backendsMu.Lock()
-	defer backendsMu.Unlock()
-	if _, dup := backends[scheme]; dup {
-		panic("storage: duplicate backend scheme " + scheme)
-	}
-	backends[scheme] = b
-}
-
-func init() {
-	Register("file", func(rest string) (FS, error) {
-		if rest == "" {
-			return nil, fmt.Errorf("storage: file:// URI needs a path")
-		}
-		return NewOS(rest), nil
-	})
-	Register("mem", func(rest string) (FS, error) {
-		store, sub, _ := strings.Cut(rest, "/")
-		if store == "" {
-			return nil, fmt.Errorf("storage: mem:// URI needs a store name")
-		}
-		fsys := Mem(store)
-		if sub != "" {
-			return Sub(fsys, sub), nil
-		}
-		return fsys, nil
-	})
-}
-
 // Resolve maps a location URI onto a backend FS rooted at the URI's
 // path:
 //
@@ -154,26 +110,24 @@ func Resolve(uri string) (FS, error) {
 		}
 		return NewOS(uri), nil
 	}
-	backendsMu.RLock()
-	b := backends[scheme]
-	backendsMu.RUnlock()
-	if b == nil {
-		return nil, fmt.Errorf("storage: unknown scheme %q in %q (known: %s)", scheme, uri, strings.Join(schemes(), ", "))
+	switch scheme {
+	case "file":
+		if rest == "" {
+			return nil, fmt.Errorf("storage: file:// URI needs a path (in %q)", uri)
+		}
+		return NewOS(rest), nil
+	case "mem":
+		store, sub, _ := strings.Cut(rest, "/")
+		if store == "" {
+			return nil, fmt.Errorf("storage: mem:// URI needs a store name (in %q)", uri)
+		}
+		fsys := Mem(store)
+		if sub != "" {
+			return Sub(fsys, sub), nil
+		}
+		return fsys, nil
 	}
-	fsys, err := b(rest)
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %q)", err, uri)
-	}
-	return fsys, nil
-}
-
-func schemes() []string {
-	var s []string
-	for k := range backends {
-		s = append(s, k)
-	}
-	sort.Strings(s)
-	return s
+	return nil, fmt.Errorf("storage: unknown scheme %q in %q (known: file, mem)", scheme, uri)
 }
 
 // SplitURI splits a URI naming a single object into the URI of its
