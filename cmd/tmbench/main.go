@@ -11,9 +11,10 @@
 //	tmbench -zombie      # E7/E12 demo: zombie read under gatm vs dstm
 //	tmbench -monitor M   # engine × manager × workload matrix under a
 //	                     # live opacity monitor (M = sync or async)
-//	tmbench -soak        # long monitored session: per-event latency and
-//	                     # retained state over time (see -trunc-after,
-//	                     # -soak-assert)
+//	tmbench -soak        # long monitored sessions, synthetic and through
+//	                     # tl2 behind a recorder: per-event latency,
+//	                     # retained state and heap over time (see
+//	                     # -trunc-after, -soak-assert)
 package main
 
 import (
@@ -50,13 +51,13 @@ func main() {
 	listen := flag.String("listen", "", "with -monitor: serve the fleet's /metrics and /status on this address while the matrix runs")
 	goroutines := flag.Int("g", 8, "goroutines for -throughput, -cm and -monitor")
 	txPerG := flag.Int("tx", 2000, "transactions per goroutine")
-	soak := flag.Bool("soak", false, "run a long monitored session and report the per-event latency / retained-state trajectory")
-	soakEvents := flag.Int("soak-events", 100000, "total events for -soak")
+	soak := flag.Bool("soak", false, "run two long monitored sessions, synthetic and through an engine, and report the per-event latency / retained-state / heap trajectory")
+	soakEvents := flag.Int("soak-events", 100000, "total events for each -soak run")
 	soakWindowN := flag.Int("soak-window", 5000, "reporting window for -soak, in events")
-	soakBurstN := flag.Int("soak-burst", 4, "concurrent transactions per burst for -soak")
+	soakBurstN := flag.Int("soak-burst", 4, "concurrent transactions per burst for the synthetic -soak run")
 	soakObjs := flag.Int("soak-k", 8, "distinct objects for -soak")
 	truncAfter := flag.Int("trunc-after", 128, "checkpointed truncation threshold for -soak and -monitor, in live events (0 = truncation off)")
-	soakAssert := flag.Bool("soak-assert", false, "with -soak: exit nonzero unless latency and retained state stay flat")
+	soakAssert := flag.Bool("soak-assert", false, "with -soak: exit nonzero unless latency, retained state and heap stay flat in both runs")
 	flag.Parse()
 
 	if *soak {

@@ -2,28 +2,45 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"otm/internal/history"
 	"otm/internal/monitor"
+	"otm/internal/stm"
+	"otm/internal/stm/tl2"
 )
 
-// soakConfig parameterizes a -soak run: a long synthetic monitored
-// session that reports the monitor's per-event latency and retained
-// state over time. The workload is bursts of concurrent committed
-// transactions — every burst boundary is a quiescent point, so an armed
-// truncation policy gets a checkpoint opportunity each burst, while
-// within a burst the transactions genuinely overlap.
+// soakConfig parameterizes a -soak run: two long monitored sessions that
+// report the monitor's per-event cost, retained state and heap over
+// time. The first is synthetic: bursts of concurrent committed
+// transactions fed straight into a session — every burst boundary is a
+// quiescent point, so an armed truncation policy gets a checkpoint
+// opportunity each burst, while within a burst the transactions
+// genuinely overlap. The second goes through an engine: soakGoroutines
+// goroutines run transactions on tl2 behind an stm.Recorder, attached
+// with monitor.Attach and the truncation barrier armed, as otmd monitor
+// wires a shard.
 type soakConfig struct {
-	events     int // total events to stream (approximate: whole bursts)
+	events     int // total events to stream per run (approximate: whole bursts or transactions)
 	window     int // reporting window, in events
-	burst      int // concurrent transactions per burst
+	burst      int // concurrent transactions per burst (synthetic run)
 	objects    int // distinct objects
 	truncAfter int // Options.TruncateAfterEvents; 0 = truncation off
 	assert     bool
 }
+
+const (
+	// soakGoroutines and soakOpsPerTx shape the engine run: four
+	// goroutines issuing four-operation transactions back to back, half
+	// reads, half writes of fresh values.
+	soakGoroutines = 4
+	soakOpsPerTx   = 4
+)
 
 // soakWindow is one reporting row.
 type soakWindow struct {
@@ -33,32 +50,108 @@ type soakWindow struct {
 	live        int
 	checkpoints int
 	roots       int
-	heapAlloc   uint64
+	truncated   int
+	resident    int
+	heapInuse   uint64 // heap in use after a GC
 }
 
-// runSoak streams the synthetic workload through a Sync session and
-// prints one row per window. With cfg.assert it exits nonzero when the
-// trajectory is not flat: per-event latency or retained state growing
-// monotonically across windows is exactly the failure mode checkpointed
+// runSoak runs the synthetic soak and then the engine soak, printing one
+// row per window. With cfg.assert it exits nonzero when either
+// trajectory is not flat: per-event latency, retained state or heap
+// growing across windows is exactly the failure mode checkpointed
 // truncation exists to prevent, so a regression there must fail CI.
 func runSoak(cfg soakConfig) {
 	mode := "truncation off"
 	if cfg.truncAfter > 0 {
 		mode = fmt.Sprintf("truncate after %d live events", cfg.truncAfter)
 	}
-	fmt.Printf("== soak: %d events, bursts of %d txs over %d objects, %s ==\n",
+	fmt.Printf("== soak 1/2, synthetic: %d events, bursts of %d txs over %d objects, %s ==\n",
 		cfg.events, cfg.burst, cfg.objects, mode)
+	synthetic := soakSynthetic(cfg)
 
+	barrier := 4 * cfg.truncAfter
+	fmt.Printf("== soak 2/2, engine: %d events, tl2 behind a recorder, %d goroutines × %d-op transactions over %d objects, monitor.Attach (sync), %s, barrier %d ==\n",
+		cfg.events, soakGoroutines, soakOpsPerTx, cfg.objects, mode, barrier)
+	fmt.Println("(ns/event is wall time per event across the goroutines; max µs is the slowest transaction)")
+	engine := soakEngine(cfg, barrier)
+
+	if !cfg.assert {
+		return
+	}
+	failed := false
+	for _, run := range []struct {
+		name      string
+		windows   []soakWindow
+		liveBound int
+	}{
+		// A burst can overshoot the threshold (truncation waits for
+		// quiescence); the barrier lets the transactions open when it
+		// trips finish.
+		{"synthetic", synthetic, 2*cfg.truncAfter + 6*cfg.burst},
+		{"engine", engine, 2*barrier + soakGoroutines*2*(soakOpsPerTx+1)},
+	} {
+		if err := assertFlat(run.windows, cfg.truncAfter > 0, run.liveBound); err != nil {
+			fmt.Fprintf(os.Stderr, "tmbench: soak assertion failed (%s run): %v\n", run.name, err)
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
+	}
+	fmt.Println("soak assertion: latency, retained state and heap are flat in both runs")
+}
+
+// soakHeader prints the column header. Rows print as they complete (the
+// point of a soak is watching the trajectory live), so fixed widths
+// instead of a tabwriter.
+func soakHeader() {
+	fmt.Printf("%10s  %9s  %8s  %6s  %11s  %5s  %9s  %8s  %8s\n",
+		"events", "ns/event", "max µs", "live", "checkpoints", "roots", "truncated", "resident", "heap MiB")
+}
+
+// soakRow samples the session and the heap — in use after a GC, so
+// garbage not yet collected cannot pass for retained state — and
+// prints and returns the row.
+func soakRow(sess *monitor.Session, mean, maxLat time.Duration) soakWindow {
+	v, st := sess.Verdict(), sess.Stats()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	row := soakWindow{
+		events:      v.Events,
+		meanLatency: mean,
+		maxLatency:  maxLat,
+		live:        v.LiveEvents,
+		checkpoints: v.Checkpoints,
+		roots:       v.Roots,
+		truncated:   v.TruncatedEvents,
+		resident:    st.TableResident,
+		heapInuse:   ms.HeapInuse,
+	}
+	fmt.Printf("%10d  %9d  %8.1f  %6d  %11d  %5d  %9d  %8d  %8.1f\n",
+		row.events, row.meanLatency.Nanoseconds(),
+		float64(row.maxLatency.Microseconds()),
+		row.live, row.checkpoints, row.roots, row.truncated, row.resident,
+		float64(row.heapInuse)/(1<<20))
+	return row
+}
+
+// soakFlagged reports a session that stopped certifying and exits: both
+// soak workloads are opaque by construction.
+func soakFlagged(v monitor.Verdict) {
+	fmt.Fprintf(os.Stderr, "tmbench: soak workload flagged %v at event %d: %v\n", v.Status, v.Events, v.Err)
+	os.Exit(1)
+}
+
+// soakSynthetic streams the burst workload through a Sync session,
+// timing every Append.
+func soakSynthetic(cfg soakConfig) []soakWindow {
 	sess := monitor.New(monitor.Options{
 		Mode:                monitor.Sync,
 		TruncateAfterEvents: cfg.truncAfter,
 	})
 	defer sess.Close()
-
-	// Rows print as they complete (the point of a soak is watching the
-	// trajectory live), so fixed widths instead of a tabwriter.
-	fmt.Printf("%10s  %9s  %8s  %6s  %11s  %5s  %9s  %8s\n",
-		"events", "ns/event", "max µs", "live", "checkpoints", "roots", "truncated", "heap MiB")
+	soakHeader()
 
 	var (
 		windows   []soakWindow
@@ -67,32 +160,8 @@ func runSoak(cfg soakConfig) {
 		winMax    time.Duration
 		nextTx    = 1
 		value     = 1
+		last      monitor.Verdict
 	)
-	flush := func(v monitor.Verdict) {
-		if winEvents == 0 {
-			return
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		row := soakWindow{
-			events:      v.Events,
-			meanLatency: winTotal / time.Duration(winEvents),
-			maxLatency:  winMax,
-			live:        v.LiveEvents,
-			checkpoints: v.Checkpoints,
-			roots:       v.Roots,
-			heapAlloc:   ms.HeapAlloc,
-		}
-		windows = append(windows, row)
-		fmt.Printf("%10d  %9d  %8.1f  %6d  %11d  %5d  %9d  %8.1f\n",
-			row.events, row.meanLatency.Nanoseconds(),
-			float64(row.maxLatency.Microseconds()),
-			row.live, row.checkpoints, row.roots, v.TruncatedEvents,
-			float64(row.heapAlloc)/(1<<20))
-		winEvents, winTotal, winMax = 0, 0, 0
-	}
-
-	var last monitor.Verdict
 	for last.Events < cfg.events {
 		for _, ev := range soakBurst(&nextTx, &value, cfg.burst, cfg.objects) {
 			start := time.Now()
@@ -100,16 +169,13 @@ func runSoak(cfg soakConfig) {
 			lat := time.Since(start)
 			winEvents++
 			winTotal += lat
-			if lat > winMax {
-				winMax = lat
-			}
+			winMax = max(winMax, lat)
 			if last.Status != monitor.StatusOpaque {
-				fmt.Fprintf(os.Stderr, "tmbench: soak workload flagged %v at event %d: %v\n",
-					last.Status, last.Events, last.Err)
-				os.Exit(1)
+				soakFlagged(last)
 			}
 			if winEvents >= cfg.window {
-				flush(last)
+				windows = append(windows, soakRow(sess, winTotal/time.Duration(winEvents), winMax))
+				winEvents, winTotal, winMax = 0, 0, 0
 			}
 		}
 	}
@@ -117,14 +183,77 @@ func runSoak(cfg soakConfig) {
 	// noise (one GC pause dominates its mean) and would poison the
 	// trajectory assertion.
 	fmt.Println()
+	return windows
+}
 
-	if cfg.assert {
-		if err := assertFlat(windows, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "tmbench: soak assertion failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("soak assertion: latency and retained state are flat")
+// soakEngine drives tl2 behind a recorder from soakGoroutines goroutines
+// into a session attached to the recorder. Each window runs the
+// goroutines until the session has seen the window's events and then
+// stops them all, so every row is taken at a quiescent point.
+func soakEngine(cfg soakConfig, barrier int) []soakWindow {
+	rec := stm.NewRecorder(tl2.New(cfg.objects))
+	sess := monitor.Attach(rec, monitor.Options{
+		Mode:                monitor.Sync,
+		TruncateAfterEvents: cfg.truncAfter,
+		TruncateBarrier:     barrier,
+	})
+	defer sess.Close()
+	soakHeader()
+
+	rngs := make([]*rand.Rand, soakGoroutines)
+	vals := make([]int, soakGoroutines)
+	for g := range rngs {
+		rngs[g] = rand.New(rand.NewSource(int64(g + 1)))
+		vals[g] = (g + 1) * 1_000_000_000
 	}
+	var windows []soakWindow
+	for target := cfg.window; target <= cfg.events; target += cfg.window {
+		before := sess.Stats().Events
+		maxLat := make([]time.Duration, soakGoroutines)
+		start := time.Now()
+		var wg sync.WaitGroup
+		for g := range soakGoroutines {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rngs[g]
+				for sess.Stats().Events < target {
+					t0 := time.Now()
+					err := stm.Atomically(rec, func(tx stm.Tx) error {
+						for range soakOpsPerTx {
+							obj := rng.Intn(cfg.objects)
+							if rng.Intn(2) == 0 {
+								if _, err := tx.Read(obj); err != nil {
+									return err
+								}
+								continue
+							}
+							vals[g]++
+							if err := tx.Write(obj, vals[g]); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						fmt.Fprintf(os.Stderr, "tmbench: soak engine run: %v\n", err)
+						os.Exit(1)
+					}
+					maxLat[g] = max(maxLat[g], time.Since(t0))
+				}
+			}(g)
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		v := sess.Verdict()
+		if v.Status != monitor.StatusOpaque {
+			soakFlagged(v)
+		}
+		windows = append(windows, soakRow(sess, elapsed/time.Duration(max(1, v.Events-before)), slices.Max(maxLat)))
+	}
+	st := sess.Stats()
+	fmt.Printf("barrier: %d stalls, %.1f ms waited\n\n", st.BarrierStalls, float64(st.BarrierWaitNanos)/1e6)
+	return windows
 }
 
 // soakBurst emits one burst: burst transactions that all start before
@@ -163,22 +292,33 @@ func soakBurst(nextTx, value *int, burst, objects int) history.History {
 	return evs
 }
 
+// heapSlack is the heap growth, in bytes, that assertFlat tolerates on
+// top of a doubling: a session whose heap is a megabyte or two can
+// double on allocator noise alone.
+const heapSlack = 2 << 20
+
 // assertFlat fails when the per-window trajectory exhibits the unbounded
 // growth truncation is meant to eliminate. The first window is warmup
 // (context tables filling); comparisons run from the second.
-func assertFlat(windows []soakWindow, cfg soakConfig) error {
+func assertFlat(windows []soakWindow, truncArmed bool, liveBound int) error {
 	if len(windows) < 3 {
 		return fmt.Errorf("only %d windows — not enough trajectory to judge (lower -soak-window or raise -soak-events)", len(windows))
 	}
 	base, last := windows[1], windows[len(windows)-1]
-	if cfg.truncAfter > 0 && last.checkpoints == 0 {
+	if truncArmed && last.checkpoints == 0 {
 		return fmt.Errorf("truncation armed but no checkpoint was ever taken")
 	}
-	// Retained state must stay near the truncation threshold: a burst can
-	// overshoot it (truncation waits for quiescence) but the live suffix
-	// must not scale with session length.
-	if bound := 2*cfg.truncAfter + 6*cfg.burst; cfg.truncAfter > 0 && last.live > bound {
-		return fmt.Errorf("live suffix grew to %d events (threshold %d, bound %d)", last.live, cfg.truncAfter, bound)
+	// Retained state must stay near the truncation threshold: the live
+	// suffix must not scale with session length.
+	if truncArmed && last.live > liveBound {
+		return fmt.Errorf("live suffix grew to %d events (bound %d)", last.live, liveBound)
+	}
+	// So must the memory behind it: heap in use after a GC that more
+	// than doubles (beyond the slack) is state growing with session age,
+	// whatever the live suffix says.
+	if last.heapInuse > 2*base.heapInuse && last.heapInuse > base.heapInuse+heapSlack {
+		return fmt.Errorf("heap in use after GC grew %.1f → %.1f MiB across the session",
+			float64(base.heapInuse)/(1<<20), float64(last.heapInuse)/(1<<20))
 	}
 	// Latency must be flat: strict monotone growth across every window,
 	// or a blowup vs the warm baseline, is the O(session-age) regression.

@@ -281,7 +281,9 @@ func (f *Fleet) AddWith(name string, mopts monitor.Options) (*Member, error) {
 }
 
 // Attach adds a member fed by every event rec records, in recording
-// order — the fleet-scale analogue of monitor.Attach.
+// order — the fleet-scale analogue of monitor.Attach. It takes rec's
+// tap, so rec keeps none of the events from then on; the member
+// session's History holds what the monitor retains.
 func (f *Fleet) Attach(name string, rec *stm.Recorder) (*Member, error) {
 	return f.AttachWith(name, rec, f.opts.Monitor)
 }
@@ -329,6 +331,7 @@ func (f *Fleet) registerMemberMetrics(m *Member) {
 	gauge("otm_monitor_live_events", "live-suffix length (events since the last checkpoint)", func(s monitor.Stats) int { return s.LiveEvents })
 	gauge("otm_monitor_roots", "reachable-state roots of the current checkpoint", func(s monitor.Stats) int { return s.Roots })
 	gauge("otm_monitor_table_states", "state vectors interned since the session began", func(s monitor.Stats) int { return s.TableStates })
+	gauge("otm_monitor_table_resident", "entries the session's search tables hold now: states, signatures, transitions and atoms of the current table generation, retired at every checkpoint", func(s monitor.Stats) int { return s.TableResident })
 	gauge("otm_monitor_table_memo_entries", "failure-memo entries recorded by the session's searches since it began, each search's memo dropped when that search ends", func(s monitor.Stats) int { return s.TableMemoEntries })
 }
 

@@ -15,6 +15,7 @@ import (
 	"otm/internal/history"
 	"otm/internal/monitor"
 	"otm/internal/stm"
+	"otm/internal/stm/stmtest"
 	"otm/internal/stm/tl2"
 	"otm/internal/storage"
 )
@@ -95,6 +96,7 @@ func TestFleetAggregationAndMetrics(t *testing.T) {
 		fmt.Sprintf(`otm_monitor_events_total{session="a"} %d`, len(ha)),
 		fmt.Sprintf(`otm_monitor_events_total{session="b"} %d`, len(hb)),
 		`otm_monitor_status{session="a"} 0`,
+		`otm_monitor_table_resident{session="a"} `,
 		"otm_fleet_sessions 2",
 		fmt.Sprintf("otm_fleet_events_total %d", len(ha)+len(hb)),
 		"otm_fleet_status 0",
@@ -250,7 +252,8 @@ func TestFleetAddErrors(t *testing.T) {
 // TestFleetAttachRecorder drives member sessions from live tl2 engines
 // through recorder taps — the production wiring — and scrapes /metrics
 // concurrently under -race. The fleet must come out opaque with every
-// recorded event accounted for.
+// event the recorders emitted accounted for; they are counted below the
+// recorders, which keep none of them while tapped.
 func TestFleetAttachRecorder(t *testing.T) {
 	f, err := New(Options{Monitor: monitor.Options{Mode: monitor.Async, Buffer: 4096}})
 	if err != nil {
@@ -261,8 +264,10 @@ func TestFleetAttachRecorder(t *testing.T) {
 
 	const shards, goroutines, txPerG, k = 4, 4, 25, 4
 	recs := make([]*stm.Recorder, shards)
+	engines := make([]*stmtest.Counting, shards)
 	for i := range recs {
-		recs[i] = stm.NewRecorder(tl2.New(k))
+		engines[i] = stmtest.NewCounting(tl2.New(k))
+		recs[i] = stm.NewRecorder(engines[i])
 		if _, err := f.Attach(fmt.Sprintf("shard-%d", i), recs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -319,12 +324,15 @@ func TestFleetAttachRecorder(t *testing.T) {
 	if st.Fleet != monitor.StatusOpaque {
 		t.Fatalf("fleet status %+v", st)
 	}
-	var recorded int
-	for _, rec := range recs {
-		recorded += len(rec.History())
+	var emitted int
+	for i, rec := range recs {
+		emitted += engines[i].Events()
+		if kept := len(rec.History()); kept != 0 {
+			t.Errorf("tapped recorder %d kept %d events", i, kept)
+		}
 	}
-	if st.Events != recorded || st.Checked != recorded || st.Dropped != 0 {
-		t.Fatalf("fleet saw %d/%d events, recorders logged %d", st.Events, st.Checked, recorded)
+	if st.Events != emitted || st.Checked != emitted || st.Dropped != 0 {
+		t.Fatalf("fleet saw %d/%d events, recorders emitted %d", st.Events, st.Checked, emitted)
 	}
 }
 

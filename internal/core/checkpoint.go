@@ -69,6 +69,10 @@ func (inc *Incremental) Roots() []spec.Objects { return inc.roots }
 // checkpoint. Later appends are then judged in O(live-suffix) work
 // regardless of how many events the session has absorbed.
 //
+// On a checker that created its own context (no Config.Context), a
+// successful truncation also retires the context's table generation, so
+// the tables, like the history, hold only what the live suffix needs.
+//
 // The return value reports whether truncation happened. Declining is
 // never an error: an unstable suffix, a blown enumeration budget or a
 // too-diverse Reach set simply leave the checker untruncated, to try
@@ -125,7 +129,7 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 			return false, nil
 		}
 		for _, vid := range finals {
-			objs := inc.mergedRoot(inc.ctx.materialize(vid))
+			objs := mergedRoot(inc.rootAt(ri), inc.ctx.materialize(vid))
 			key := rootKey(objs)
 			if _, ok := seen[key]; ok {
 				continue
@@ -155,24 +159,41 @@ func (inc *Incremental) TryTruncate(maxNodes int) (bool, error) {
 	inc.rootPref = 0
 	inc.hint = nil
 	inc.live.reset()
+	if inc.ownCtx {
+		// Nothing the checker keeps now names a table entry: the live
+		// suffix is empty and the roots are durable Objects maps. What
+		// the tables hold is every state, signature and transition the
+		// checks since the last checkpoint interned, so a fresh
+		// generation bounds them by the live suffix, not the session's
+		// age.
+		// The live suffix syncs to the fresh generation now rather than
+		// at the next check, so nothing keeps the retired one reachable.
+		inc.ctx.rotate()
+		inc.live.sync(inc.ctx)
+	}
 	inc.res.Checkpoints++
 	inc.res.TruncatedEvents += n
 	inc.res.Roots = len(newRoots)
 	return true, nil
 }
 
-// mergedRoot overlays a materialized reachable state on the configured
-// initial objects: objects the context has registered take their state
-// from the checkpoint, objects the history has not yet touched keep
-// their configured initial state (or the default register). The merge is
-// what keeps a suffix that introduces a brand-new object judged against
-// the same initial state an untruncated check would use.
-func (inc *Incremental) mergedRoot(reached spec.Objects) spec.Objects {
-	if len(inc.cfg.Objects) == 0 {
+// mergedRoot overlays a materialized reachable state on root, the
+// initial objects the enumeration walk started from: objects the
+// context has registered take their state from the checkpoint, every
+// other object keeps its state from root. Registered are exactly the
+// objects the generation has seen, so the others are objects the
+// suffix did not touch: configured objects the history has not used
+// yet, whose state in the first root is their configured initial state
+// (or the default register), and objects a generation swap dropped
+// from the registry, whose state an earlier checkpoint fixed. The merge
+// is what keeps every later event judged against the states an
+// untruncated check would use.
+func mergedRoot(root, reached spec.Objects) spec.Objects {
+	if len(root) == 0 {
 		return reached
 	}
-	out := make(spec.Objects, len(inc.cfg.Objects)+len(reached))
-	for id, st := range inc.cfg.Objects {
+	out := make(spec.Objects, len(root)+len(reached))
+	for id, st := range root {
 		out[id] = st
 	}
 	for id, st := range reached {

@@ -44,7 +44,8 @@ type Stats struct {
 	TransMisses int
 	// Flushes counts the generation swaps the context performed: the
 	// table set outgrew its size bound and was replaced by a fresh one
-	// (see SharedTables).
+	// (see SharedTables). The swap an Incremental makes at a checkpoint
+	// (see TryTruncate) is not counted.
 	Flushes int
 	// SymClasses counts the non-singleton symmetry classes detected
 	// across calls (groups of ≥2 interchangeable transactions whose
@@ -218,6 +219,21 @@ func (c *SearchContext) pin() {
 	c.initEmpty = -1
 	clear(c.steps)
 }
+
+// rotate moves the context to a fresh generation now, instead of at the
+// size bound, and lets its current one go. It is for a table set's only
+// user, between calls, holding no stateID of the retired generation: an
+// Incremental that created its context, right after a checkpoint.
+func (c *SearchContext) rotate() {
+	c.tables.swap(c.gen)
+	c.pin()
+}
+
+// resident returns the number of entries the generation the context is
+// pinned to holds: state vectors, replay signatures, transitions and
+// atoms. Unlike Stats, which counts every insert since the context
+// began, it falls when a generation is retired.
+func (c *SearchContext) resident() int { return int(c.gen.size()) }
 
 // registerObjects ensures ids are in the generation's registry and
 // syncs the context's mirror (objIdx/objs) up to at least every id it

@@ -90,7 +90,12 @@ type IncrementalResult struct {
 type Incremental struct {
 	cfg Config
 	ctx *SearchContext
-	app *history.Appender
+	// ownCtx records that the checker created ctx itself (cfg.Context
+	// was nil), so it is its table set's only user: a checkpoint then
+	// retires the set's generation (see TryTruncate). A context the
+	// caller supplied is never rotated.
+	ownCtx bool
+	app    *history.Appender
 
 	res  IncrementalResult
 	err  error
@@ -110,18 +115,21 @@ type Incremental struct {
 }
 
 // NewIncremental returns a checker for one growing history. A nil
-// cfg.Context gets a private SearchContext (shared across all appends);
+// cfg.Context gets a private SearchContext (shared across all appends),
+// whose tables every successful TryTruncate empties;
 // cfg.MaxNodes bounds each prefix check individually, exactly as it
 // bounds each Check of a FirstNonOpaquePrefix scan.
 func NewIncremental(cfg Config) *Incremental {
-	if !cfg.DisableMemo && cfg.Context == nil {
+	own := !cfg.DisableMemo && cfg.Context == nil
+	if own {
 		cfg.Context = NewSearchContext()
 	}
 	inc := &Incremental{
-		cfg: cfg,
-		ctx: cfg.Context,
-		app: history.NewAppender(),
-		res: IncrementalResult{Opaque: true, PrefixLen: -1},
+		cfg:    cfg,
+		ctx:    cfg.Context,
+		ownCtx: own,
+		app:    history.NewAppender(),
+		res:    IncrementalResult{Opaque: true, PrefixLen: -1},
 	}
 	inc.live.app = inc.app
 	return inc
@@ -144,6 +152,18 @@ func (inc *Incremental) History() history.History { return inc.app.History() }
 // the violating prefix reuses everything interned during monitoring;
 // the usual single-goroutine rules apply.
 func (inc *Incremental) Context() *SearchContext { return inc.ctx }
+
+// Resident returns the number of entries the table generation the
+// checker runs on holds — state vectors, replay signatures, transitions
+// and atoms — or 0 on the DisableMemo reference path. With a context of
+// its own, that is what the checks since the last checkpoint interned.
+// Same goroutine rules as ContextStats.
+func (inc *Incremental) Resident() int {
+	if inc.ctx == nil {
+		return 0
+	}
+	return inc.ctx.resident()
+}
 
 // ContextStats returns the search-table counters of the checker's
 // SearchContext — states and atoms interned, memo entries and hit rates

@@ -97,13 +97,27 @@ func AllLegal(s history.History, objs spec.Objects) (history.TxID, bool) {
 // counting pass and one fill pass over hc replace the per-transaction
 // H|Ti projections (which made witness assembly quadratic and the
 // dominant allocation source of batch checking once the search itself
-// was interned).
+// was interned). Above 32 transactions each event finds its slot through
+// an index map, as searcher.setup does, instead of the linear indexOf.
 func buildSequential(hc history.History, order []history.TxID) history.History {
 	n := len(order)
 	ints := make([]int, 2*n) // slot cursor and slot base per transaction
 	offs, fill := ints[:n], ints[n:]
+	var idx map[history.TxID]int
+	if n > 32 {
+		idx = txIndex(order)
+	}
+	slot := func(tx history.TxID) int {
+		if idx == nil {
+			return indexOf(order, tx)
+		}
+		if i, ok := idx[tx]; ok {
+			return i
+		}
+		return -1
+	}
 	for _, e := range hc {
-		if i := indexOf(order, e.Tx); i >= 0 {
+		if i := slot(e.Tx); i >= 0 {
 			fill[i]++ // first pass: counts
 		}
 	}
@@ -115,7 +129,7 @@ func buildSequential(hc history.History, order []history.TxID) history.History {
 	}
 	s := make(history.History, total)
 	for _, e := range hc {
-		if i := indexOf(order, e.Tx); i >= 0 {
+		if i := slot(e.Tx); i >= 0 {
 			s[offs[i]+fill[i]] = e
 			fill[i]++
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"otm/internal/history"
@@ -122,6 +123,37 @@ func TestTxLegalCounterSemantics(t *testing.T) {
 	for _, tx := range []history.TxID{1, 2, 3} {
 		if !TxLegal(s, tx, objs) {
 			t.Errorf("T%d must be legal with counter semantics", int(tx))
+		}
+	}
+}
+
+// TestBuildSequentialMatchesProjections: S is the concatenation of the
+// projections H|Ti in witness order — a transaction missing from the
+// order contributes nothing — below and above the 32-transaction cutoff
+// where buildSequential switches from a linear lookup to an index map.
+func TestBuildSequentialMatchesProjections(t *testing.T) {
+	for _, n := range []int{5, 32, 33, 80} {
+		// Pairs of overlapping writers: every transaction's events are
+		// interleaved with its neighbour's.
+		var hc history.History
+		for i := 1; i <= n; i += 2 {
+			a, b := history.TxID(i), history.TxID(i+1)
+			hc = append(hc,
+				history.Inv(a, "x", "write", i), history.Inv(b, "y", "write", i),
+				history.Ret(a, "x", "write", history.OK), history.Ret(b, "y", "write", history.OK),
+				history.TryC(a), history.TryC(b), history.Commit(a), history.Abort(b))
+		}
+		txs := hc.Transactions()
+		var order []history.TxID
+		for i := len(txs) - 1; i >= 1; i-- {
+			order = append(order, txs[i])
+		}
+		var want history.History
+		for _, tx := range order {
+			want = append(want, hc.Sub(tx)...)
+		}
+		if got := buildSequential(hc, order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d transactions: buildSequential\n%s\nwant\n%s", len(txs), got.Format(), want.Format())
 		}
 	}
 }

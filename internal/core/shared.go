@@ -48,7 +48,9 @@ import (
 //     atomically publishes a fresh generation; calls already running
 //     keep their pinned generation until they finish, since stateIDs
 //     must never cross table rebuilds. The swapping context counts the
-//     swap as one Flush in its Stats.
+//     swap as one Flush in its Stats. An Incremental that created its
+//     context also swaps at each checkpoint (see TryTruncate), when
+//     nothing it keeps names a table entry.
 type SharedTables struct {
 	gen    atomic.Pointer[sharedGen]
 	swapMu sync.Mutex
@@ -85,24 +87,30 @@ func (s *SharedTables) NewContext() *SearchContext {
 
 // pin returns the generation the next call should run on, swapping in a
 // fresh one first if the current tables outgrew the bound, and reports
-// whether this call swapped. Swapping is safe exactly because it happens
-// between calls: in-flight calls keep using their pinned generation
-// (stateIDs never cross generations), and the old tables are garbage
-// once the last such call retires.
+// whether this call swapped.
 func (s *SharedTables) pin() (*sharedGen, bool) {
 	g := s.gen.Load()
 	if g.size() <= s.maxEntries {
 		return g, false
 	}
+	return s.swap(g)
+}
+
+// swap publishes a fresh generation in place of old and reports whether
+// this call did; when another call already replaced old, it returns the
+// generation that call published. Swapping is safe exactly because it
+// happens between calls: in-flight calls keep using their pinned
+// generation (stateIDs never cross generations), and the old tables are
+// garbage once the last such call retires.
+func (s *SharedTables) swap(old *sharedGen) (*sharedGen, bool) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	cur := s.gen.Load()
-	if cur != g || cur.size() <= s.maxEntries {
+	if cur := s.gen.Load(); cur != old {
 		return cur, false
 	}
-	cur = newSharedGen()
-	s.gen.Store(cur)
-	return cur, true
+	g := newSharedGen()
+	s.gen.Store(g)
+	return g, true
 }
 
 // sharedGen is one generation of a table set. Everything a stateID,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -442,6 +443,110 @@ func TestSharedTablesConcurrentGrowth(t *testing.T) {
 		v, ok := tt.get(transKey{state: stateID(i), sig: int32(i * 7)})
 		if !ok || v != val(i) {
 			t.Fatalf("transition %d = %+v, %v; want %+v", i, v, ok, val(i))
+		}
+	}
+}
+
+// TestIncrementalRotatesOwnContextAtCheckpoint: an Incremental that
+// created its own context runs on a fresh table generation after every
+// successful TryTruncate, so what its tables hold stays bounded by the
+// live suffix however long the session runs. One given a Config.Context
+// keeps the caller's generation, and its tables keep growing. Both
+// judge the same stream identically, through the checkpoints and up to
+// a violation after the last one.
+func TestIncrementalRotatesOwnContextAtCheckpoint(t *testing.T) {
+	supplied := NewSearchContext()
+	own := NewIncremental(Config{})
+	given := NewIncremental(Config{Context: supplied})
+	feed := func(src string) {
+		t.Helper()
+		for _, inc := range []*Incremental{own, given} {
+			if _, err := inc.Append(history.MustParse(src)...); err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
+		}
+	}
+	maxOwn := 0
+	for i := 1; i <= 200; i++ {
+		// Two overlapping writers of fresh values, then a reader: every
+		// round interns new states, signatures and transitions.
+		feed(fmt.Sprintf("w%d(x,%d) w%d(y,%d) tryC%d tryC%d C%d C%d r%d(x)->%d tryC%d C%d",
+			3*i, i, 3*i+1, i, 3*i, 3*i+1, 3*i, 3*i+1, 3*i+2, i, 3*i+2, 3*i+2))
+		ownGen, givenGen := own.ctx.gen, supplied.gen
+		before := own.Resident()
+		for _, inc := range []*Incremental{own, given} {
+			if ok, err := inc.TryTruncate(0); !ok || err != nil {
+				t.Fatalf("round %d: TryTruncate = %v, %v on a stable opaque suffix", i, ok, err)
+			}
+		}
+		if own.ctx.gen == ownGen {
+			t.Fatalf("round %d: the checker's own context kept its generation across a checkpoint", i)
+		}
+		if own.Resident() >= before {
+			t.Fatalf("round %d: resident entries %d → %d across a checkpoint, want a drop", i, before, own.Resident())
+		}
+		if supplied.gen != givenGen {
+			t.Fatalf("round %d: a checkpoint rotated a caller-supplied context", i)
+		}
+		maxOwn = max(maxOwn, before)
+	}
+	if given.Resident() < 10*maxOwn {
+		t.Errorf("supplied context holds %d entries after 200 rounds, own context at most %d before a checkpoint; want the supplied one to keep growing", given.Resident(), maxOwn)
+	}
+	feed("r700(x)->7")
+	for name, inc := range map[string]*Incremental{"own": own, "given": given} {
+		if r := inc.Result(); r.Opaque || r.PrefixLen != r.Events || r.Checkpoints != 200 {
+			t.Errorf("%s context: %+v, want the read of a value never written flagged after 200 checkpoints", name, r)
+		}
+	}
+}
+
+// TestCheckpointKeepsObjectsUntouchedSinceSwap: a generation swap
+// empties the object registry, and the next suffix registers only the
+// objects it touches. A checkpoint taken after the swap must still carry
+// the state of every object an earlier checkpoint fixed — in the first
+// script x, which T1 sets to 1 and nothing touches again until T3 reads
+// it — or a read of such an object would be judged against its initial
+// 0. The second script is a seeded sequential run of 300 one-object
+// transactions over 6 registers, each reading the current value or
+// writing a fresh one, so most checkpoints leave some written object
+// untouched. Both ways a swap happens between checkpoints are covered:
+// the checkpoint rotation of a checker's own context, and the size bound
+// of a supplied one.
+func TestCheckpointKeepsObjectsUntouchedSinceSwap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int, 6)
+	var run []string
+	for i := 1; i <= 300; i++ {
+		o := rng.Intn(len(vals))
+		if rng.Intn(2) == 0 {
+			run = append(run, fmt.Sprintf("r%d(x%d)->%d tryC%d C%d", i, o, vals[o], i, i))
+			continue
+		}
+		vals[o] = i
+		run = append(run, fmt.Sprintf("w%d(x%d,%d) tryC%d C%d", i, o, i, i, i))
+	}
+	for _, script := range [][]string{
+		{"w1(x,1) tryC1 C1", "w2(y,2) tryC2 C2", "r3(x)->1 r3(y)->2 tryC3 C3"},
+		run,
+	} {
+		tables := NewSharedTables()
+		tables.maxEntries = 4
+		for name, inc := range map[string]*Incremental{
+			"own context":               NewIncremental(Config{}),
+			"supplied context, bound 4": NewIncremental(Config{Context: tables.NewContext()}),
+		} {
+			for _, src := range script {
+				if _, err := inc.Append(history.MustParse(src)...); err != nil {
+					t.Fatalf("%s: %q: %v", name, src, err)
+				}
+				if r := inc.Result(); !r.Opaque {
+					t.Fatalf("%s: %q flagged at prefix %d after %d checkpoints; the whole history is opaque", name, src, r.PrefixLen, r.Checkpoints)
+				}
+				if ok, err := inc.TryTruncate(0); !ok || err != nil {
+					t.Fatalf("%s: TryTruncate after %q = %v, %v", name, src, ok, err)
+				}
+			}
 		}
 	}
 }

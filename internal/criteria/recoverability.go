@@ -33,15 +33,26 @@ func (v *Violation) Error() string {
 		int(v.First), int(v.Second), v.Obj, v.Index, v.Msg)
 }
 
-// completionIndex returns the index of tx's commit/abort event in h, or
-// len(h) if tx is live (its window extends to the end of the history).
-func completionIndex(h history.History, tx history.TxID) int {
+// completionIndexes returns a lookup of the index of a transaction's
+// first commit/abort event in h, or len(h) if the transaction is live
+// (its window extends to the end of the history). One pass over h
+// builds it, so the checks below stay linear in the history plus the
+// windows they scan, however many invocations h has.
+func completionIndexes(h history.History) func(history.TxID) int {
+	ends := make(map[history.TxID]int)
 	for i, e := range h {
-		if e.Tx == tx && (e.Kind == history.KindCommit || e.Kind == history.KindAbort) {
-			return i
+		if e.Kind == history.KindCommit || e.Kind == history.KindAbort {
+			if _, ok := ends[e.Tx]; !ok {
+				ends[e.Tx] = i
+			}
 		}
 	}
-	return len(h)
+	return func(tx history.TxID) int {
+		if i, ok := ends[tx]; ok {
+			return i
+		}
+		return len(h)
+	}
 }
 
 // StrictlyRecoverable reports whether h satisfies strict recoverability
@@ -53,11 +64,12 @@ func StrictlyRecoverable(h history.History, isUpdate func(op string) bool) (bool
 	if isUpdate == nil {
 		isUpdate = func(op string) bool { return !ReadOnlyOps[op] }
 	}
+	completion := completionIndexes(h)
 	for i, e := range h {
 		if e.Kind != history.KindInv || !isUpdate(e.Op) {
 			continue
 		}
-		end := completionIndex(h, e.Tx)
+		end := completion(e.Tx)
 		for j := i + 1; j < end && j < len(h); j++ {
 			f := h[j]
 			if f.Kind == history.KindInv && f.Obj == e.Obj && f.Tx != e.Tx {
@@ -81,11 +93,12 @@ func RigorouslyScheduled(h history.History, isUpdate func(op string) bool) (bool
 	if isUpdate == nil {
 		isUpdate = func(op string) bool { return !ReadOnlyOps[op] }
 	}
+	completion := completionIndexes(h)
 	for i, e := range h {
 		if e.Kind != history.KindInv {
 			continue
 		}
-		end := completionIndex(h, e.Tx)
+		end := completion(e.Tx)
 		for j := i + 1; j < end && j < len(h); j++ {
 			f := h[j]
 			if f.Kind != history.KindInv || f.Obj != e.Obj || f.Tx == e.Tx {

@@ -21,23 +21,36 @@ import "fmt"
 // commit a transaction that is not commit-pending panics: only
 // commit-pending transactions may be committed by a completion.
 func (h History) CompletionEvents(tx TxID, commit bool) []Event {
-	switch h.Status(tx) {
-	case StatusCommitted, StatusAborted:
-		return nil
-	case StatusCommitPending:
-		if commit {
-			return []Event{Commit(tx)}
+	last := KindRet // a transaction with no events has no pending invocation
+	for i := len(h) - 1; i >= 0; i-- {
+		if h[i].Tx == tx {
+			last = h[i].Kind
+			break
 		}
-		return []Event{Abort(tx)}
-	default: // live, not commit-pending
-		if commit {
-			panic(fmt.Sprintf("history: transaction T%d is live but not commit-pending; it can only be aborted by a completion", int(tx)))
-		}
-		if _, pending := h.PendingInv(tx); pending {
-			return []Event{Abort(tx)}
-		}
-		return []Event{TryC(tx), Abort(tx)}
 	}
+	return appendCompletion(nil, tx, last, commit)
+}
+
+// appendCompletion appends to dst the completion events of tx, whose
+// last event in the history has kind last, under the rules of
+// CompletionEvents.
+func appendCompletion(dst []Event, tx TxID, last Kind, commit bool) []Event {
+	switch last {
+	case KindCommit, KindAbort:
+		return dst
+	case KindTryCommit:
+		if commit {
+			return append(dst, Commit(tx))
+		}
+		return append(dst, Abort(tx))
+	}
+	if commit {
+		panic(fmt.Sprintf("history: transaction T%d is live but not commit-pending; it can only be aborted by a completion", int(tx)))
+	}
+	if last.Invocation() {
+		return append(dst, Abort(tx))
+	}
+	return append(dst, TryC(tx), Abort(tx))
 }
 
 // CompleteWith returns the member of Complete(h) in which every
@@ -46,11 +59,22 @@ func (h History) CompletionEvents(tx TxID, commit bool) []Event {
 // is aborted. Transactions in commits that are not commit-pending in h
 // cause a panic. When h is already complete the result is h itself, not
 // a copy — treat it as immutable, per the module's convention.
+//
+// One pass over h finds every transaction's last event, which alone
+// decides its completion; above 32 transactions the pass looks
+// transactions up through a map, as Transactions does.
 func (h History) CompleteWith(commits map[TxID]bool) History {
 	txs := h.Transactions()
+	var small [32]Kind
+	last := small[:]
+	if len(txs) > len(small) {
+		last = make([]Kind, len(txs))
+	}
+	last = last[:len(txs)]
+	h.lastKinds(txs, last)
 	extra := 0
-	for _, tx := range txs {
-		if h.Live(tx) {
+	for _, k := range last {
+		if k != KindCommit && k != KindAbort {
 			extra += 2 // at most ⟨tryC, A⟩ per live transaction
 		}
 	}
@@ -62,13 +86,33 @@ func (h History) CompleteWith(commits map[TxID]bool) History {
 	}
 	out := make(History, len(h), len(h)+extra)
 	copy(out, h)
-	for _, tx := range txs {
-		if !h.Live(tx) {
-			continue
-		}
-		out = append(out, h.CompletionEvents(tx, commits[tx])...)
+	for i, tx := range txs {
+		out = appendCompletion(out, tx, last[i], commits[tx])
 	}
 	return out
+}
+
+// lastKinds sets last[i] to the kind of the last event of txs[i] in h,
+// where txs are h's transactions in first-event order.
+func (h History) lastKinds(txs []TxID, last []Kind) {
+	if len(txs) > 32 {
+		idx := make(map[TxID]int, len(txs))
+		for i, tx := range txs {
+			idx[tx] = i
+		}
+		for _, e := range h {
+			last[idx[e.Tx]] = e.Kind
+		}
+		return
+	}
+	for _, e := range h {
+		for i, tx := range txs {
+			if tx == e.Tx {
+				last[i] = e.Kind
+				break
+			}
+		}
+	}
 }
 
 // EachCompletion invokes fn on every history in Complete(h), i.e. on

@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -171,5 +172,85 @@ func TestManyTransactionsFallbacks(t *testing.T) {
 	bad := append(h.Clone(), Inv(1, "x", "read", nil))
 	if bad.WellFormed() == nil {
 		t.Fatal("event after commit must fail well-formedness")
+	}
+}
+
+// TestCompleteWithMatchesPerTransactionRule: CompleteWith's one pass
+// over the history must append exactly what the per-transaction rule
+// appends — a status scan and a pending-invocation scan per transaction,
+// the definition it replaced — in first-event order, with every
+// commit-pending transaction committed and then with every one aborted.
+// The corpus runs below the 32-transaction lookup cutoff; concatenating
+// eight of its histories, renumbered apart, runs above it.
+func TestCompleteWithMatchesPerTransactionRule(t *testing.T) {
+	ruleEvents := func(h History, tx TxID, commit bool) []Event {
+		switch h.Status(tx) {
+		case StatusCommitted, StatusAborted:
+			return nil
+		case StatusCommitPending:
+			if commit {
+				return []Event{Commit(tx)}
+			}
+			return []Event{Abort(tx)}
+		}
+		if _, pending := h.PendingInv(tx); pending {
+			return []Event{Abort(tx)}
+		}
+		return []Event{TryC(tx), Abort(tx)}
+	}
+	corpus := hotCorpus(t)
+	for i := 0; i+8 <= len(corpus); i += 8 {
+		var wide History
+		for j, h := range corpus[i : i+8] {
+			for _, e := range h {
+				e.Tx += TxID(100 * j)
+				wide = append(wide, e)
+			}
+		}
+		corpus = append(corpus, wide)
+	}
+	wideSeen := false
+	for hi, h := range corpus {
+		txs := h.Transactions()
+		wideSeen = wideSeen || len(txs) > 32
+		for _, commit := range []bool{true, false} {
+			commits := map[TxID]bool{}
+			want := h.Clone()
+			for _, tx := range txs {
+				c := commit && h.CommitPending(tx)
+				commits[tx] = c
+				ev := ruleEvents(h, tx, c)
+				if got := h.CompletionEvents(tx, c); !reflect.DeepEqual(got, ev) && len(got)+len(ev) > 0 {
+					t.Fatalf("history %d: CompletionEvents(T%d, %v) = %v, the rule gives %v", hi, int(tx), c, got, ev)
+				}
+				want = append(want, ev...)
+			}
+			if got := h.CompleteWith(commits); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("history %d (%d transactions, commit=%v): CompleteWith\n%s\nthe rule gives\n%s",
+					hi, len(txs), commit, got.Format(), want.Format())
+			}
+		}
+	}
+	if !wideSeen {
+		t.Fatal("no history above the 32-transaction cutoff")
+	}
+}
+
+// TestCompleteWithAllocations: at or below 32 transactions, completing
+// a history allocates the transaction list and the completed history,
+// nothing per transaction.
+func TestCompleteWithAllocations(t *testing.T) {
+	var h History
+	for i := 1; i <= 32; i++ {
+		tx := TxID(i)
+		h = append(h, Inv(tx, "x", "read", nil))
+		if i%2 == 0 {
+			h = append(h, Ret(tx, "x", "read", 0))
+		}
+	}
+	list := testing.AllocsPerRun(100, func() { _ = h.Transactions() })
+	got := testing.AllocsPerRun(100, func() { _ = h.CompleteWith(nil) })
+	if got > list+1 {
+		t.Errorf("CompleteWith allocates %v times, Transactions alone %v: want at most one more", got, list)
 	}
 }

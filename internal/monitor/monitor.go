@@ -264,13 +264,19 @@ type Stats struct {
 	// .MemoEntries). TableStates and TableAtoms count what the session
 	// has interned since it began; they are cumulative across the table
 	// generation swaps that bound residency, so they never fall and,
-	// after the first swap, exceed what the session currently holds.
-	// TableMemoEntries counts the failure-memo entries recorded by the
-	// session's searches since it began, each search's memo dropped when
-	// that search ends.
+	// after the first checkpoint, exceed what the session currently
+	// holds. TableMemoEntries counts the failure-memo entries recorded
+	// by the session's searches since it began, each search's memo
+	// dropped when that search ends.
 	TableStates      int
 	TableAtoms       int
 	TableMemoEntries int
+	// TableResident is what the session's tables hold now: the state,
+	// signature and transition entries plus atoms of the table
+	// generation it runs on (core.Incremental.Resident). Every
+	// checkpoint retires that generation, so it falls at each one and
+	// stays bounded by what the live suffix interns.
+	TableResident int
 	// BarrierStalls counts transaction starts the TruncateBarrier
 	// stalled, and BarrierWaitNanos the total time they spent waiting —
 	// the admission-control cost the barrier trades for bounded state.
@@ -301,6 +307,7 @@ type counters struct {
 	tblStates atomic.Int64
 	tblAtoms  atomic.Int64
 	tblMemo   atomic.Int64
+	tblRes    atomic.Int64
 	barStalls atomic.Int64
 	barWaitNs atomic.Int64
 }
@@ -378,7 +385,11 @@ func New(opts Options) *Session {
 }
 
 // Attach starts a session fed by every event rec records, in recording
-// order. Detach by rec.Tap(nil); Close the session when the run ends.
+// order. It takes rec's tap, so from then on rec keeps none of the
+// events (see stm.Recorder.Tap): the session's History is what remains
+// of the run — all of it while the session never truncated, the live
+// suffix otherwise. Detach by rec.Tap(nil); Close the session when the
+// run ends.
 func Attach(rec *stm.Recorder, opts Options) *Session {
 	s := New(opts)
 	if g := s.AdmissionGate(); g != nil {
@@ -621,6 +632,7 @@ func (s *Session) check(ev history.Event) *Violation {
 	s.st.tblStates.Store(int64(cs.States))
 	s.st.tblAtoms.Store(int64(cs.Atoms))
 	s.st.tblMemo.Store(int64(cs.MemoEntries))
+	s.st.tblRes.Store(int64(s.inc.Resident()))
 	s.mu.Lock()
 	s.last = res
 	switch {
@@ -703,6 +715,7 @@ func (s *Session) Stats() Stats {
 		TableStates:      int(s.st.tblStates.Load()),
 		TableAtoms:       int(s.st.tblAtoms.Load()),
 		TableMemoEntries: int(s.st.tblMemo.Load()),
+		TableResident:    int(s.st.tblRes.Load()),
 		BarrierStalls:    int(s.st.barStalls.Load()),
 		BarrierWaitNanos: s.st.barWaitNs.Load(),
 	}

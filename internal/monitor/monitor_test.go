@@ -11,6 +11,7 @@ import (
 	"otm/internal/monitor"
 	"otm/internal/stm"
 	"otm/internal/stm/gatm"
+	"otm/internal/stm/stmtest"
 	"otm/internal/stm/tl2"
 )
 
@@ -155,7 +156,9 @@ func TestSessionPrefixDifferential(t *testing.T) {
 // TestAttachOpaqueEngineConcurrent attaches monitors to a real engine
 // driven by concurrent goroutines — the recorder-tap race test. tl2 is
 // opaque, so every mode must certify the run; with Block there are no
-// drops, so every recorded event must also be checked.
+// drops, so every event the recorder emitted must also be checked. The
+// emitted events are counted below the recorder, which keeps none of
+// them while tapped.
 func TestAttachOpaqueEngineConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -167,7 +170,8 @@ func TestAttachOpaqueEngineConcurrent(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const goroutines, txPerG, k = 6, 30, 4
-			rec := stm.NewRecorder(tl2.New(k))
+			engine := stmtest.NewCounting(tl2.New(k))
+			rec := stm.NewRecorder(engine)
 			s := monitor.Attach(rec, tc.opts)
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
@@ -196,8 +200,11 @@ func TestAttachOpaqueEngineConcurrent(t *testing.T) {
 				if v.Checked != v.Events || v.Dropped != 0 {
 					t.Errorf("opaque verdict with gaps: %+v", v)
 				}
-				if got := len(rec.History()); v.Events != got {
-					t.Errorf("monitor saw %d events, recorder has %d", v.Events, got)
+				if got := engine.Events(); v.Events != got {
+					t.Errorf("monitor saw %d events, the recorder emitted %d", v.Events, got)
+				}
+				if got := len(rec.History()); got != 0 {
+					t.Errorf("the tapped recorder kept %d events", got)
 				}
 			case monitor.StatusLossy:
 				if tc.opts.DropPolicy != monitor.Drop {

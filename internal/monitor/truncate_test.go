@@ -48,6 +48,43 @@ func TestAutoTruncationBoundsState(t *testing.T) {
 	}
 }
 
+// TestResidentDropsAtCheckpoint: the residency gauge counts what the
+// session's tables hold now, so it falls at every checkpoint and stays
+// bounded over a long run, while TableStates, counted since the session
+// began, keeps growing.
+func TestResidentDropsAtCheckpoint(t *testing.T) {
+	b := history.NewBuilder()
+	for i := 1; i <= 300; i++ {
+		tx := history.TxID(i)
+		b.Write(tx, "x", i).Read(tx, "x", i).Commits(tx)
+	}
+	s := monitor.New(monitor.Options{TruncateAfterEvents: 12})
+	prev := s.Stats()
+	maxResident, drops := 0, 0
+	for _, ev := range b.MustHistory() {
+		s.Append(ev)
+		st := s.Stats()
+		if st.Checkpoints > prev.Checkpoints {
+			if st.TableResident >= prev.TableResident {
+				t.Fatalf("checkpoint %d: resident entries %d → %d, want a drop", st.Checkpoints, prev.TableResident, st.TableResident)
+			}
+			drops++
+		}
+		maxResident = max(maxResident, st.TableResident)
+		prev = st
+	}
+	s.Close()
+	if drops == 0 {
+		t.Fatal("no checkpoint on a run far past the truncation threshold")
+	}
+	if prev.TableStates < 100 {
+		t.Errorf("TableStates %d after 300 transactions of fresh values, want it counting since the session began", prev.TableStates)
+	}
+	if maxResident > 40 {
+		t.Errorf("resident entries reached %d with TruncateAfterEvents=12 (TableStates %d): not bounded by the live suffix", maxResident, prev.TableStates)
+	}
+}
+
 // TestTruncatedSessionCatchesViolation: a violation after several
 // checkpoints is flagged at the correct global prefix length, with the
 // live suffix as evidence and a diagnosis naming the culprit.

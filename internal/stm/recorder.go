@@ -25,6 +25,11 @@ func ObjName(i int) history.ObjID {
 //
 // Recorded histories can then be fed to internal/core.Check: a correct
 // engine must only ever produce opaque histories.
+//
+// Every event goes to exactly one place: the tap, while one is set (see
+// Tap), or the recorder's own history otherwise. A tapped recorder keeps
+// nothing, so a run monitored for its whole length costs the recorder no
+// memory however long it runs; the monitor decides what to retain.
 type Recorder struct {
 	inner TM
 
@@ -74,21 +79,26 @@ func (r *Recorder) Gate(fn func()) {
 	r.mu.Unlock()
 }
 
-// History returns a snapshot of the recorded history.
+// History returns a snapshot of the recorded history: the events
+// recorded while no tap was set, in recording order. Events handed to a
+// tap are not in it, so a recorder tapped from its first event returns
+// an empty history. For a run monitored through monitor.Attach, the
+// retained history is the session's (monitor.Session.History).
 func (r *Recorder) History() history.History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.h.Clone()
 }
 
-// Tap registers fn to observe every subsequently recorded event, in
-// recording order. fn runs while the recorder's mutex is held, so it
-// sees exactly the total order of the recorded history with no gaps or
+// Tap registers fn to receive every subsequently recorded event, in
+// recording order, in place of the recorder's own history: while a tap
+// is set, History does not grow. fn runs while the recorder's mutex is
+// held, so it sees exactly the total order of the run with no gaps or
 // reorderings — the property an online opacity monitor needs — but it
 // also serializes every transactional operation for its duration: keep
 // it cheap (enqueue, not check) unless stop-the-world semantics are
 // wanted, and never call back into the Recorder from inside it. A nil
-// fn removes the tap.
+// fn removes the tap, and recording into History resumes.
 func (r *Recorder) Tap(fn func(history.Event)) {
 	r.mu.Lock()
 	r.tap = fn
@@ -97,11 +107,12 @@ func (r *Recorder) Tap(fn func(history.Event)) {
 
 func (r *Recorder) append(evs ...history.Event) {
 	r.mu.Lock()
-	r.h = append(r.h, evs...)
 	if r.tap != nil {
 		for _, e := range evs {
 			r.tap(e)
 		}
+	} else {
+		r.h = append(r.h, evs...)
 	}
 	r.mu.Unlock()
 }

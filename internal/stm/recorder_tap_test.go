@@ -3,6 +3,7 @@ package stm
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"otm/internal/history"
@@ -13,9 +14,14 @@ import (
 // without dragging a real engine into the package (the engines import
 // stm, not the other way around). It makes no isolation promises — the
 // tests below are about the Recorder and its tap, not about opacity.
+// calls counts the Read, Write, Commit and Abort calls the recorder
+// passes down: each one is exactly one invocation and one response
+// event, so 2·calls is the number of events the recorder emitted,
+// counted below it.
 type lockedTM struct {
-	mu   sync.Mutex
-	vals []int
+	mu    sync.Mutex
+	vals  []int
+	calls atomic.Int64
 }
 
 func newLocked(n int) *lockedTM { return &lockedTM{vals: make([]int, n)} }
@@ -32,6 +38,7 @@ type lockedTx struct {
 }
 
 func (t *lockedTx) Read(i int) (int, error) {
+	t.tm.calls.Add(1)
 	if t.done {
 		return 0, ErrAborted
 	}
@@ -45,6 +52,7 @@ func (t *lockedTx) Read(i int) (int, error) {
 }
 
 func (t *lockedTx) Write(i, v int) error {
+	t.tm.calls.Add(1)
 	if t.done {
 		return ErrAborted
 	}
@@ -54,6 +62,7 @@ func (t *lockedTx) Write(i, v int) error {
 }
 
 func (t *lockedTx) Commit() error {
+	t.tm.calls.Add(1)
 	if t.done {
 		return ErrAborted
 	}
@@ -66,20 +75,26 @@ func (t *lockedTx) Commit() error {
 	return nil
 }
 
-func (t *lockedTx) Abort()       { t.done = true }
+func (t *lockedTx) Abort() {
+	t.tm.calls.Add(1)
+	t.done = true
+}
+
 func (t *lockedTx) Steps() int64 { return t.steps }
 
 // TestRecorderTapConcurrent hammers one tapped Recorder from many
 // goroutines — transactions recording, a reader polling History — and
-// checks the tap observed exactly the recorded history, event for event.
-// The tap writes to a plain slice with no locking of its own: the
-// recorder's mutex is the only thing making that safe, which is
-// precisely what `go test -race` verifies here.
+// checks the tap received every event the recorder emitted, as a
+// well-formed history, while the recorder itself kept none. The tap
+// writes to a plain slice with no locking of its own: the recorder's
+// mutex is the only thing making that safe, which is precisely what
+// `go test -race` verifies here.
 func TestRecorderTapConcurrent(t *testing.T) {
 	const goroutines = 8
 	const txPerG = 50
 
-	rec := NewRecorder(newLocked(4))
+	inner := newLocked(4)
+	rec := NewRecorder(inner)
 	var tapped []history.Event
 	rec.Tap(func(ev history.Event) { tapped = append(tapped, ev) })
 
@@ -123,36 +138,50 @@ func TestRecorderTapConcurrent(t *testing.T) {
 	close(stop)
 	reader.Wait()
 
-	h := rec.History()
+	h := history.History(tapped)
 	if err := h.WellFormed(); err != nil {
-		t.Fatalf("recorded history ill-formed: %v", err)
+		t.Fatalf("tapped history ill-formed: %v", err)
 	}
-	if !reflect.DeepEqual(history.History(tapped), h) {
-		t.Fatalf("tap saw %d events, history has %d — streams diverge", len(tapped), len(h))
+	if want := 2 * int(inner.calls.Load()); len(h) != want {
+		t.Fatalf("tap saw %d events, the engine was called for %d", len(h), want)
 	}
-	if len(h) < goroutines*txPerG*2 {
-		t.Fatalf("implausibly short history: %d events", len(h))
+	if want := goroutines * txPerG * 6; len(h) != want {
+		t.Fatalf("tap saw %d events, want %d (three calls per transaction)", len(h), want)
+	}
+	if got := len(rec.History()); got != 0 {
+		t.Fatalf("a recorder tapped from its first event kept %d events", got)
 	}
 }
 
-// TestRecorderTapRemoval: a nil tap stops observation without touching
-// already-tapped events.
+// TestRecorderTapRemoval: events go to the tap while one is set and to
+// the recorder's own history otherwise, never to both — History holds
+// exactly the events recorded while untapped, in order.
 func TestRecorderTapRemoval(t *testing.T) {
 	rec := NewRecorder(newLocked(1))
-	var n int
-	rec.Tap(func(history.Event) { n++ })
 	tx := rec.Begin()
-	if _, err := tx.Read(0); err != nil {
+	if _, err := tx.Read(0); err != nil { // untapped: inv, ret
+		t.Fatal(err)
+	}
+	var tapped history.History
+	rec.Tap(func(ev history.Event) { tapped = append(tapped, ev) })
+	if err := tx.Write(0, 1); err != nil { // tapped: inv, ret
 		t.Fatal(err)
 	}
 	rec.Tap(nil)
-	if err := tx.Commit(); err != nil {
+	if err := tx.Commit(); err != nil { // untapped: tryC, C
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Errorf("tap observed %d events, want 2 (inv+ret before removal)", n)
+	wantTapped := history.History{
+		history.Inv(1, "r0", "write", 1), history.Ret(1, "r0", "write", history.OK),
 	}
-	if got := len(rec.History()); got != 4 {
-		t.Errorf("recorded %d events, want 4", got)
+	if !reflect.DeepEqual(tapped, wantTapped) {
+		t.Errorf("tap observed %v, want %v", tapped, wantTapped)
+	}
+	wantKept := history.History{
+		history.Inv(1, "r0", "read", nil), history.Ret(1, "r0", "read", 0),
+		history.TryC(1), history.Commit(1),
+	}
+	if got := rec.History(); !reflect.DeepEqual(got, wantKept) {
+		t.Errorf("recorder kept %v, want the untapped events %v", got, wantKept)
 	}
 }

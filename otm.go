@@ -149,7 +149,8 @@ func NewMonitor(opts MonitorOptions) *MonitorSession { return monitor.New(opts) 
 
 // AttachMonitor starts a session fed by every event rec records; a
 // correct engine keeps it opaque, a broken one is flagged at the exact
-// violating event.
+// violating event. From then on rec keeps none of the events: the
+// session's History holds what the monitor retains.
 func AttachMonitor(rec *Recorder, opts MonitorOptions) *MonitorSession {
 	return monitor.Attach(rec, opts)
 }
@@ -256,7 +257,9 @@ func DirectRead(tm TM, i int) (int, error) { return stm.DirectRead(tm, i) }
 // semantics.
 func DirectWrite(tm TM, i, v int) error { return stm.DirectWrite(tm, i, v) }
 
-// NewRecorder wraps tm so every transactional event is recorded.
+// NewRecorder wraps tm so every transactional event is recorded. While a
+// monitor is attached (AttachMonitor) the events go to it instead, and
+// the recorder's History keeps only those recorded while untapped.
 func NewRecorder(tm TM) *Recorder { return stm.NewRecorder(tm) }
 
 // Engine constructors. Each returns a TM over n integer registers
