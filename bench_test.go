@@ -23,7 +23,6 @@ package otm
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -35,6 +34,7 @@ import (
 	"otm/internal/monitor"
 	"otm/internal/opg"
 	"otm/internal/stm"
+	"otm/internal/stm/stmtest"
 )
 
 var sweepKs = []int{16, 64, 256, 1024}
@@ -344,58 +344,15 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 	}
 }
 
-// longRecordedHistory records tl2 running n transactions from one
-// goroutine, 4 of them open at a time: each runs 8 operations on 16
-// objects, 90 % reads and 10 % writes of fresh values, then commits,
-// and each step goes to an open transaction drawn from a seeded source.
-// A transaction tl2 aborts stays in the history and frees its slot for
-// the next one. One goroutine and a fixed seed make the history the
-// same on every run.
-func longRecordedHistory(n int) history.History {
-	const open, ops, objs = 4, 8, 16
-	rng := rand.New(rand.NewSource(1))
-	rec := stm.NewRecorder(NewTL2(objs))
-	type slot struct {
-		tx   stm.Tx
-		done int
-	}
-	var slots []*slot
-	begun, val := 0, 0
-	for {
-		for len(slots) < open && begun < n {
-			slots = append(slots, &slot{tx: rec.Begin()})
-			begun++
-		}
-		if len(slots) == 0 {
-			return rec.History()
-		}
-		k := rng.Intn(len(slots))
-		s := slots[k]
-		var err error
-		switch {
-		case s.done == ops:
-			err = s.tx.Commit()
-		case rng.Intn(10) != 0:
-			_, err = s.tx.Read(rng.Intn(objs))
-		default:
-			val++
-			err = s.tx.Write(rng.Intn(objs), val)
-		}
-		s.done++
-		if err != nil || s.done > ops {
-			slots = append(slots[:k], slots[k+1:]...)
-		}
-	}
-}
-
-// BenchmarkCheckLongHistory checks one long recorded history on a fresh
-// context, as `opacheck -parallel 1` does, at n = 2,000 and 8,000
+// BenchmarkCheckLongHistory checks one long history recorded from tl2
+// (stmtest.Interleaved) on a fresh context, as `opacheck -parallel 1`
+// does, at n = 2,000 and 8,000
 // transactions: the measure of how checking time grows with history
 // length, while the node count stays linear in n.
 func BenchmarkCheckLongHistory(b *testing.B) {
 	for _, n := range []int{2000, 8000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			h := longRecordedHistory(n)
+			h := stmtest.Interleaved(NewTL2(16), n)
 			b.ResetTimer()
 			nodes := 0
 			for i := 0; i < b.N; i++ {

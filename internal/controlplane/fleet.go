@@ -429,30 +429,15 @@ func (f *Fleet) capture(session string, seq int, v monitor.Violation) (string, e
 	return name, nil
 }
 
-// statusRank orders member statuses for the fleet's worst-of aggregate:
-// error ≻ violated ≻ lossy ≻ opaque.
-func statusRank(s monitor.Status) int {
-	switch s {
-	case monitor.StatusError:
-		return 3
-	case monitor.StatusViolated:
-		return 2
-	case monitor.StatusLossy:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // aggregateStatus folds the member statuses into the worst of them (see
-// statusRank).
+// monitor.Status.Worse).
 func (f *Fleet) aggregateStatus() monitor.Status {
 	f.mu.Lock()
 	members := f.members
 	f.mu.Unlock()
 	agg := monitor.StatusOpaque
 	for _, m := range members {
-		if s := m.sess.Stats().Status; statusRank(s) > statusRank(agg) {
+		if s := m.sess.Stats().Status; s.Worse(agg) {
 			agg = s
 		}
 	}
@@ -488,7 +473,7 @@ func (f *Fleet) Status() Status {
 		st.Skipped += s.Skipped
 		st.Checkpoints += s.Checkpoints
 		st.LiveEvents += s.LiveEvents
-		if statusRank(s.Status) > statusRank(agg) {
+		if s.Status.Worse(agg) {
 			agg = s.Status
 		}
 	}

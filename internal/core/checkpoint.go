@@ -242,18 +242,8 @@ func (inc *Incremental) Diagnose() (Diagnosis, error) {
 	// global position.
 	live := inc.app.History()[:inc.res.PrefixLen-inc.res.TruncatedEvents]
 	d := Diagnosis{PrefixLen: inc.res.PrefixLen, Culprit: live[len(live)-1]}
-	for _, tx := range live.Transactions() {
-		removed := RemoveTx(live, tx)
-		opaque, nodes, err := inc.opaqueFromRoots(removed)
-		d.Nodes += nodes
-		if err != nil {
-			return d, fmt.Errorf("diagnosing without T%d: %w", int(tx), err)
-		}
-		if opaque {
-			d.Implicated = append(d.Implicated, tx)
-		}
-	}
-	return d, nil
+	err := d.implicate(live, inc.opaqueFromRoots)
+	return d, err
 }
 
 // opaqueFromRoots decides whether h is opaque as an extension of the

@@ -78,16 +78,27 @@ func Diagnose(h history.History, cfg Config) (Diagnosis, error) {
 		return Diagnosis{Opaque: true, PrefixLen: -1, Nodes: nodes}, nil
 	}
 	d := Diagnosis{PrefixLen: n, Culprit: h[n-1], Nodes: nodes}
-	prefix := h[:n]
+	err = d.implicate(h[:n], func(h history.History) (bool, int, error) {
+		r, err := Check(h, cfg)
+		return r.Opaque, r.Nodes, err
+	})
+	return d, err
+}
+
+// implicate re-checks prefix once per transaction, with that transaction
+// removed, through opaque (which reports the verdict and the nodes it
+// explored), and collects in d.Implicated the transactions whose removal
+// restores opacity. d.Nodes accumulates every re-check's nodes.
+func (d *Diagnosis) implicate(prefix history.History, opaque func(history.History) (bool, int, error)) error {
 	for _, tx := range prefix.Transactions() {
-		r, err := Check(RemoveTx(prefix, tx), cfg)
-		d.Nodes += r.Nodes
+		ok, nodes, err := opaque(RemoveTx(prefix, tx))
+		d.Nodes += nodes
 		if err != nil {
-			return d, fmt.Errorf("diagnosing without T%d: %w", int(tx), err)
+			return fmt.Errorf("diagnosing without T%d: %w", int(tx), err)
 		}
-		if r.Opaque {
+		if ok {
 			d.Implicated = append(d.Implicated, tx)
 		}
 	}
-	return d, nil
+	return nil
 }

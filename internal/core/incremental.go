@@ -100,7 +100,6 @@ type Incremental struct {
 	res  IncrementalResult
 	err  error
 	hint *serialization
-	cand []history.TxID // scratch for the extended candidate
 	live liveSuffix
 
 	// Checkpoint state (see TryTruncate): the reachable final states of
@@ -230,20 +229,19 @@ func (inc *Incremental) check() error {
 	if inc.cfg.DisableMemo {
 		return inc.checkReference()
 	}
-	txs := inc.app.Transactions()
 	maxNodes := inc.cfg.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = defaultMaxNodes
 	}
 	var nodes int
-	hint := inc.candidate(txs)
-	var ser *serialization
+	hint := inc.candidate()
+	var found bool
 	var err error
 	s := acquire(inc.ctx)
 	defer s.release()
 	for ri := range inc.rootCount() {
 		inc.live.root = (inc.rootPref + ri) % inc.rootCount()
-		ser, err = s.findSerialization(serializeOptions{
+		found, err = s.findSerialization(serializeOptions{
 			live:       &inc.live,
 			objects:    inc.rootAt(inc.live.root),
 			maxNodes:   maxNodes,
@@ -251,8 +249,8 @@ func (inc *Incremental) check() error {
 			hint:       hint,
 			disableSym: inc.cfg.DisableSym,
 		})
-		if err != nil || ser != nil {
-			if ser != nil {
+		if err != nil || found {
+			if found {
 				inc.rootPref = (inc.rootPref + ri) % inc.rootCount()
 			}
 			break
@@ -270,13 +268,16 @@ func (inc *Incremental) check() error {
 		inc.err = fmt.Errorf("prefix of length %d: %w", inc.res.Events, err)
 		return inc.err
 	}
-	if ser == nil {
+	if !found {
 		inc.res.Opaque = false
 		inc.res.PrefixLen = inc.res.Events
 		inc.hint = nil
 		return nil
 	}
-	inc.hint = ser
+	if inc.hint == nil {
+		inc.hint = new(serialization)
+	}
+	s.keep(inc.hint)
 	return nil
 }
 
@@ -298,22 +299,20 @@ func (inc *Incremental) rootAt(i int) spec.Objects {
 	return inc.roots[i]
 }
 
-// candidate extends the previous witness order with the transactions
+// candidate extends the previous witness in place with the transactions
 // that appeared since — in first-event order, at the end, where a fresh
-// (live, so unconstrained-by-≺H) transaction can always go. The witness
-// orders every transaction of the prefix it was found for, and the
-// transaction list only grows between truncations (which drop the
-// witness), so the new transactions are exactly the list's tail past
-// the witness's length.
-func (inc *Incremental) candidate(txs []history.TxID) *serialization {
-	if inc.hint == nil {
-		return nil
+// (live, so unconstrained-by-≺H) transaction can always go — and returns
+// it. The witness orders every transaction of the prefix it was found
+// for, and the transaction list only grows between truncations (which
+// drop the witness), so the new transactions are exactly the indexes
+// past the witness's length. They have no fate in it, so they abort.
+func (inc *Incremental) candidate() *serialization {
+	if inc.hint != nil {
+		for i := len(inc.hint.pos); i < len(inc.app.Transactions()); i++ {
+			inc.hint.pos = append(inc.hint.pos, int32(i))
+		}
 	}
-	if len(inc.hint.order) == len(txs) {
-		return inc.hint
-	}
-	inc.cand = append(append(inc.cand[:0], inc.hint.order...), txs[len(inc.hint.order):]...)
-	return &serialization{order: inc.cand, commits: inc.hint.commits}
+	return inc.hint
 }
 
 // checkReference is the DisableMemo path: a fresh one-shot Check of the

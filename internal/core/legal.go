@@ -98,7 +98,7 @@ func AllLegal(s history.History, objs spec.Objects) (history.TxID, bool) {
 // H|Ti projections (which made witness assembly quadratic and the
 // dominant allocation source of batch checking once the search itself
 // was interned). Above 32 transactions each event finds its slot through
-// an index map, as searcher.setup does, instead of the linear indexOf.
+// an index map instead of the linear indexOf.
 func buildSequential(hc history.History, order []history.TxID) history.History {
 	n := len(order)
 	ints := make([]int, 2*n) // slot cursor and slot base per transaction

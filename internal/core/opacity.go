@@ -148,7 +148,7 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	}
 
 	res := Result{}
-	ser, err := s.findSerialization(serializeOptions{
+	found, err := s.findSerialization(serializeOptions{
 		live:       live,
 		preds:      extraPreds,
 		objects:    cfg.Objects,
@@ -159,15 +159,29 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	if err != nil {
 		return res, err
 	}
-	if ser == nil {
+	if !found {
 		return res, nil
 	}
-	hc := h.CompleteWith(ser.commits)
+	order := make([]history.TxID, len(s.pos))
+	for k, i := range s.pos {
+		order[k] = txs[i]
+	}
+	// CompleteWith reads the fates of the commit-pending transactions.
+	var commits map[history.TxID]bool
+	for i, tx := range txs {
+		if s.decide[i] == decideBranch {
+			if commits == nil {
+				commits = make(map[history.TxID]bool)
+			}
+			commits[tx] = s.fate[i]
+		}
+	}
+	hc := h.CompleteWith(commits)
 	res.Opaque = true
 	res.Witness = &Witness{
 		Completion: hc,
-		Order:      ser.order,
-		Sequential: buildSequential(hc, ser.order),
+		Order:      order,
+		Sequential: buildSequential(hc, order),
 	}
 	return res, nil
 }

@@ -65,28 +65,33 @@ type serializeOptions struct {
 	nodes    *int
 	// hint optionally supplies a candidate serialization — an order over
 	// exactly the history's transactions plus commit fates for the
-	// decideBranch ones — to validate before searching. A candidate that
-	// places every transaction legally under the ordering constraints is
-	// returned as the result without exploring a single search node; an
-	// invalid one costs one linear walk over cached transitions and falls
-	// back to the full search. Incremental prefix checking threads the
-	// previous prefix's witness through here, which is what makes the
-	// common "history still opaque" append a replay instead of a search.
+	// decideBranch ones, both by transaction index — to validate before
+	// searching. A candidate that places every transaction legally under
+	// the ordering constraints is returned as the result without
+	// exploring a single search node; an invalid one costs one linear walk
+	// over cached transitions and falls back to the full search.
+	// Incremental prefix checking threads the previous prefix's witness
+	// through here, which is what makes the common "history still opaque"
+	// append a replay instead of a search.
 	hint *serialization
 	// disableSym turns off the symmetry reduction: every transaction is
 	// its own class and interchangeable placements are all explored.
 	disableSym bool
 }
 
-// serialization is the successful outcome of findSerialization.
+// serialization is the successful outcome of findSerialization, in the
+// form the search runs on: transactions are indexes into
+// Appender.Transactions. Between truncations an Appender only appends
+// transactions, so the indexes of a serialization stay valid for every
+// longer prefix, which is what lets one serve as the next check's hint.
 type serialization struct {
-	// order is the serialization of the transactions.
-	order []history.TxID
-	// commits records the fate the search chose for every decideBranch
-	// transaction: true = committed, false = aborted. Transactions with a
-	// fixed decision do not appear. The map is in the shape expected by
-	// history.CompleteWith.
-	commits map[history.TxID]bool
+	// pos is the order of the transactions.
+	pos []int32
+	// fate holds the fate of every transaction, indexed like
+	// Appender.Transactions: true = committed, false = aborted. Only the
+	// entries of decideBranch transactions are the search's choice; a
+	// hint's transactions past len(fate) abort.
+	fate []bool
 }
 
 // outcome is the tri-state result of one search subtree. Distinguishing
@@ -117,17 +122,15 @@ type searcher struct {
 	active bool
 
 	n      int
-	txs    []history.TxID
-	txIdx  map[history.TxID]int32 // index into txs; nil for small n
 	execs  [][]history.OpExec
 	sigs   []int32
 	decide []decision
-	fate   []bool // chosen fate per placed transaction (branch txs)
+	fate   []bool // chosen fate per placed transaction
 	preds  []bitset
 	foot   []bitset // per-transaction object footprint (bit per object)
 	words  []uint64 // shared backing store of preds, foot, succ and placed
 	placed bitset
-	order  []history.TxID
+	pos    []int32 // the placed transactions, in placement order
 	init   stateID
 
 	// memo is the failure memo, the visited-state set of one search: a
@@ -204,24 +207,8 @@ func (s *searcher) setup(o serializeOptions) {
 	txs := live.app.Transactions()
 	n := len(txs)
 	s.n = n
-	s.txs = txs
 	s.maxNodes = o.maxNodes
 	s.nodes = o.nodes
-
-	// Enough transactions to make the linear indexOf scans of setup and
-	// validate quadratic: build an index map.
-	if n > 32 {
-		if s.txIdx == nil {
-			s.txIdx = make(map[history.TxID]int32, n)
-		} else {
-			clear(s.txIdx)
-		}
-		for i, tx := range txs {
-			s.txIdx[tx] = int32(i)
-		}
-	} else {
-		s.txIdx = nil
-	}
 
 	// Between calls is the only safe point to bound the tables: nothing
 	// for this call has been interned yet. The context pins (and possibly
@@ -270,20 +257,19 @@ func (s *searcher) setup(o serializeOptions) {
 	}
 	s.placed = bitset(s.words[off : off+tw])
 
-	for _, p := range o.preds {
-		i := s.indexOfTx(p[0])
-		j := s.indexOfTx(p[1])
-		if i >= 0 && j >= 0 {
-			s.preds[j].set(i)
+	// The extra constraints name transactions by ID: index them once.
+	if len(o.preds) > 0 {
+		idx := txIndex(txs)
+		for _, p := range o.preds {
+			i, iok := idx[p[0]]
+			j, jok := idx[p[1]]
+			if iok && jok {
+				s.preds[j].set(i)
+			}
 		}
 	}
 	s.addSpanPreds(live.app.Spans())
-
-	if cap(s.order) < n {
-		s.order = make([]history.TxID, 0, n)
-	} else {
-		s.order = s.order[:0]
-	}
+	s.pos = grow(s.pos, n)[:0]
 
 	// A nil objects map reads like an empty one, so no defaulting
 	// allocation is needed.
@@ -401,9 +387,9 @@ func (s *searcher) memoInsert(placed bitset, vid stateID) {
 }
 
 // addSpanPreds sets the predecessor bits induced by the real-time order,
-// from the spans a history.Appender maintains, indexed like s.txs: a
-// completed transaction precedes exactly the transactions whose span
-// starts after its ends.
+// from the spans a history.Appender maintains, indexed like its
+// transactions: a completed transaction precedes exactly the
+// transactions whose span starts after its ends.
 func (s *searcher) addSpanPreds(spans []history.Span) {
 	n := s.n
 	for i := 0; i < n; i++ {
@@ -419,88 +405,58 @@ func (s *searcher) addSpanPreds(spans []history.Span) {
 	}
 }
 
-// indexOfTx returns the index of tx in s.txs, through the index map when
-// one was built (large transaction counts), or -1.
-func (s *searcher) indexOfTx(tx history.TxID) int {
-	if s.txIdx != nil {
-		if i, ok := s.txIdx[tx]; ok {
-			return int(i)
-		}
-		return -1
-	}
-	return indexOf(s.txs, tx)
-}
-
-// validate checks one full candidate serialization — hint.order over
-// exactly s.txs plus hint.commits fates for the decideBranch
-// transactions (absent entries default to abort, which never perturbs
-// the object states) — without searching: each transaction in turn must
-// have its predecessors already placed and replay legally on the current
-// interned state. On success s.order, s.fate and s.placed hold the
-// serialization exactly as a successful search would leave them; on
-// failure the walk state is rolled back so the full search starts clean.
-// Validation runs entirely on the transition cache and explores no
-// search nodes.
+// validate checks one full candidate serialization — hint.pos over
+// exactly the problem's transactions, with hint.fate fates for the
+// decideBranch ones (a transaction past len(hint.fate) aborts, which
+// never perturbs the object states) — without searching: each
+// transaction in turn must have its predecessors already placed and
+// replay legally on the current interned state. On success s.pos, s.fate
+// and s.placed hold the serialization exactly as a successful search
+// would leave them; on failure the walk state is rolled back so the full
+// search starts clean. Validation runs entirely on the transition cache
+// and explores no search nodes.
 func (s *searcher) validate(hint *serialization) bool {
-	if len(hint.order) != s.n {
+	if len(hint.pos) != s.n {
 		return false
 	}
 	vid := s.init
-	ok := true
-	for _, tx := range hint.order {
-		i := s.indexOfTx(tx)
-		if i < 0 || s.placed.has(i) || !s.placed.covers(s.preds[i]) {
-			ok = false
+	for _, i := range hint.pos {
+		if s.placed.has(int(i)) || !s.placed.covers(s.preds[i]) {
 			break
 		}
 		next, legal := s.ctx.step(vid, s.sigs[i], s.execs[i])
 		if !legal {
-			ok = false
 			break
 		}
-		fate := false
-		switch s.decide[i] {
-		case decideCommitted:
-			fate = true
-		case decideBranch:
-			fate = hint.commits[tx]
-		}
+		fate := s.decide[i] == decideCommitted ||
+			s.decide[i] == decideBranch && int(i) < len(hint.fate) && hint.fate[i]
 		if fate {
 			vid = next
 		}
 		s.fate[i] = fate
-		s.placed.set(i)
-		s.order = append(s.order, tx)
+		s.placed.set(int(i))
+		s.pos = append(s.pos, i)
 	}
-	if ok && len(s.order) == s.n {
+	if len(s.pos) == s.n {
 		return true
 	}
 	clear(s.placed)
-	s.order = s.order[:0]
+	s.pos = s.pos[:0]
 	return false
 }
 
-// result assembles the serialization from the searcher's final walk
-// state (s.order and, for decideBranch transactions, s.fate) — shared by
-// the search success path and the validated-hint fast path.
-func (s *searcher) result() *serialization {
-	ser := &serialization{order: append([]history.TxID(nil), s.order...)}
-	for i, tx := range s.txs {
-		if s.decide[i] == decideBranch {
-			if ser.commits == nil {
-				ser.commits = make(map[history.TxID]bool)
-			}
-			ser.commits[tx] = s.fate[i]
-		}
-	}
-	return ser
+// keep copies the serialization the last findSerialization found, by
+// search or by validating its hint, into ser, reusing ser's slices.
+func (s *searcher) keep(ser *serialization) {
+	ser.pos = append(ser.pos[:0], s.pos...)
+	ser.fate = append(ser.fate[:0], s.fate...)
 }
 
 // search tries to extend the partial serialization. placed is mutated in
 // place (set before recursing, cleared on backtrack); count is the number
 // of placed transactions; vid is the interned object-state vector
 // produced by the committed transactions placed so far. On outFound the
-// winning bits stay set and s.order / s.fate hold the full serialization
+// winning bits stay set and s.pos / s.fate hold the full serialization
 // and fate assignment. A state is memoized as failed only when its whole
 // subtree was explored within the node budget; a truncated subtree
 // yields outTruncated, which propagates without memoization. With a sink
@@ -536,7 +492,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 		if !legal {
 			continue
 		}
-		s.order = append(s.order, s.txs[i])
+		s.pos = append(s.pos, int32(i))
 		placed.set(i)
 		var out outcome
 		switch s.decide[i] {
@@ -561,7 +517,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 			return outFound
 		}
 		placed.clear(i)
-		s.order = s.order[:len(s.order)-1]
+		s.pos = s.pos[:len(s.pos)-1]
 		if out == outTruncated {
 			// The budget is global, so every remaining candidate would
 			// truncate too; bail without memoizing this state.
@@ -591,22 +547,23 @@ func (s *searcher) searchCommitted(placed bitset, count int, vid, next stateID, 
 // such that every ordering constraint holds and every transaction is
 // legal on the object states produced by the committed transactions
 // placed before it, choosing a commit/abort fate for every decideBranch
-// transaction along the way. It returns the serialization on success and
-// nil if no order (under any fate assignment) exists. ErrSearchLimit is
-// returned when the node budget is exhausted first.
-func (s *searcher) findSerialization(o serializeOptions) (*serialization, error) {
+// transaction along the way. It reports whether such an order exists
+// (under some fate assignment), leaving it in s.pos and s.fate until the
+// searcher's next call. ErrSearchLimit is returned when the node budget
+// is exhausted first.
+func (s *searcher) findSerialization(o serializeOptions) (bool, error) {
 	s.setup(o)
 	if o.hint != nil && s.validate(o.hint) {
-		return s.result(), nil
+		return true, nil
 	}
 	s.prepare(o.disableSym, nil)
 	switch s.search(s.placed, 0, s.init) {
 	case outFound:
-		return s.result(), nil
+		return true, nil
 	case outTruncated:
-		return nil, ErrSearchLimit
+		return false, ErrSearchLimit
 	}
-	return nil, nil
+	return false, nil
 }
 
 // acquire returns ctx's searcher, marked active for one checker call

@@ -161,10 +161,11 @@ func TestUnifiedBudgetIsSharedAndExact(t *testing.T) {
 	}
 }
 
-// TestFindSerializationManyTxs: above 32 transactions the searcher
-// builds (and on reuse, rebuilds) a transaction index map, which
-// resolves CheckStrong's extra ordering constraints and the witness
-// hints of the prefix scan. A chain of 40 value-linked writers has
+// TestFindSerializationManyTxs: above 32 transactions witness assembly
+// finds each transaction's slot through an index map, CheckStrong's
+// extra ordering constraints are mapped to transaction indexes once per
+// call, and the prefix scan's witness hints are index lists that each
+// check extends. A chain of 40 value-linked writers has
 // exactly one serialization: Check finds it twice on one shared context,
 // CheckStrong finds it under the operation order, and every prefix is
 // opaque.

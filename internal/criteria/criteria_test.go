@@ -426,3 +426,55 @@ func TestCriteriaRejectIllFormed(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateSerializabilityRows: Evaluate reads the serializability
+// rows off the opacity witness when its completion commits no
+// commit-pending transaction, and searches otherwise; either way the
+// rows are the answers of Serializable, StrictlySerializable and
+// GloballyAtomic. The corpus leaves many transactions commit-pending, so
+// it holds opaque histories of both kinds and non-opaque ones.
+func TestEvaluateSerializabilityRows(t *testing.T) {
+	var fromWitness, pendingCommitted, notOpaque int
+	for i, h := range gen.Corpus(gen.Config{Txs: 5, Objs: 2, MaxOps: 3, PStaleRead: 0.2, PLeaveLive: 0.5}, 400, 900) {
+		rep, err := Evaluate(h, nil)
+		if err != nil {
+			t.Fatalf("history %d: %v", i, err)
+		}
+		for _, row := range []struct {
+			name   string
+			got    bool
+			decide func(history.History, spec.Objects) (bool, error)
+		}{
+			{"serializability", rep.Serializable, Serializable},
+			{"strict serializability", rep.StrictlySerializable, StrictlySerializable},
+			{"global atomicity", rep.GloballyAtomic, GloballyAtomic},
+		} {
+			want, err := row.decide(h, nil)
+			if err != nil {
+				t.Fatalf("history %d: %s: %v", i, row.name, err)
+			}
+			if row.got != want {
+				t.Fatalf("history %d: Evaluate's %s row is %v, the criterion says %v:\n%s", i, row.name, row.got, want, h.Format())
+			}
+		}
+		if len(h.CommitPendingTxs()) == 0 {
+			continue
+		}
+		res, err := core.Check(h, core.Config{})
+		switch {
+		case err != nil:
+			t.Fatalf("history %d: %v", i, err)
+		case !res.Opaque:
+			notOpaque++
+		case commitsAny(res.Witness.Completion[len(h):]):
+			pendingCommitted++
+		default:
+			fromWitness++
+		}
+	}
+	t.Logf("with commit-pending transactions: %d rows from the witness, %d searched after the witness committed one, %d not opaque",
+		fromWitness, pendingCommitted, notOpaque)
+	if fromWitness == 0 || pendingCommitted == 0 || notOpaque == 0 {
+		t.Errorf("corpus misses a case: %d from the witness, %d witness-committed, %d not opaque", fromWitness, pendingCommitted, notOpaque)
+	}
+}

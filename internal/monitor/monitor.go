@@ -92,6 +92,24 @@ const (
 	StatusError
 )
 
+// Worse reports whether s is a worse verdict than t, in the order
+// error ≻ violated ≻ lossy ≻ opaque. A session's status only rises along
+// it, and a fleet reports the worst of its members' statuses.
+func (s Status) Worse(t Status) bool { return s.severity() > t.severity() }
+
+// severity ranks s for Worse.
+func (s Status) severity() int {
+	switch s {
+	case StatusLossy:
+		return 1
+	case StatusViolated:
+		return 2
+	case StatusError:
+		return 3
+	}
+	return 0
+}
+
 // String returns the status name.
 func (s Status) String() string {
 	switch s {
@@ -182,8 +200,24 @@ type Violation struct {
 	Diagnosed bool
 }
 
-// Verdict is a snapshot of a session's state.
+// Verdict is a snapshot of a session's state: its Stats plus the
+// checking error.
 type Verdict struct {
+	Stats
+	// Err is the checking error when Status is StatusError.
+	Err error
+}
+
+// Stats is a lock-free snapshot of a session's state, read entirely
+// from the atomics the append and check paths maintain as they go: a
+// telemetry scrape calling Stats mid-run takes no session lock and
+// therefore never blocks — or is blocked by — an append, a check or a
+// violation capture. Each counter is individually exact; across fields
+// the snapshot is only loosely consistent while the session is running
+// (exact after Close), which is the usual metrics contract.
+type Stats struct {
+	// Status is the verdict so far. It only rises, along the order of
+	// Status.Worse.
 	Status Status
 	// Events counts every event offered to the session, including
 	// dropped ones and events arriving after a latched verdict.
@@ -201,6 +235,10 @@ type Verdict struct {
 	// PrefixLen is the shortest non-opaque prefix (StatusViolated), -1
 	// otherwise.
 	PrefixLen int
+	// QueueDepth and QueueCap describe the Async queue: events enqueued
+	// but not yet drained, and the buffer capacity (both 0 for Sync).
+	QueueDepth int
+	QueueCap   int
 	// Nodes, FastPath, Searches and Skipped mirror
 	// core.IncrementalResult: total search nodes, checks resolved by
 	// witness revalidation, full searches, and response events skipped
@@ -215,45 +253,6 @@ type Verdict struct {
 	// current checkpoint's reachable-state count, and the enumeration
 	// nodes spent on truncation attempts. LiveEvents is the live-suffix
 	// length — the state the session actually holds.
-	Checkpoints     int
-	TruncatedEvents int
-	LiveEvents      int
-	Roots           int
-	TruncNodes      int
-	// Err is the checking error when Status is StatusError.
-	Err error
-}
-
-// Stats is a lock-free snapshot of a session's observability counters,
-// read entirely from atomics the append and check paths maintain as
-// they go: a telemetry scrape calling Stats mid-run takes no session
-// lock and therefore never blocks — or is blocked by — an append, a
-// check or a violation capture. Each counter is individually exact;
-// across fields the snapshot is only loosely consistent while the
-// session is running (exact after Close), which is the usual metrics
-// contract.
-type Stats struct {
-	// Status, Events, Checked, Dropped, Lossy and PrefixLen mirror the
-	// Verdict fields of the same names.
-	Status    Status
-	Events    int
-	Checked   int
-	Dropped   int
-	Lossy     bool
-	PrefixLen int
-	// QueueDepth and QueueCap describe the Async queue: events enqueued
-	// but not yet drained, and the buffer capacity (both 0 for Sync).
-	QueueDepth int
-	QueueCap   int
-	// Nodes, FastPath, Searches and Skipped mirror the Verdict fields:
-	// search nodes, witness-revalidation fast-path checks, full
-	// searches, and response events skipped outright.
-	Nodes    int
-	FastPath int
-	Searches int
-	Skipped  int
-	// Checkpoints, TruncatedEvents, LiveEvents, Roots and TruncNodes
-	// mirror the checkpointed-truncation counters.
 	Checkpoints     int
 	TruncatedEvents int
 	LiveEvents      int
@@ -284,12 +283,10 @@ type Stats struct {
 	BarrierWaitNanos int64
 }
 
-// counters are the session's atomic mirrors behind Stats. The append
-// path adds to events/dropped, check publishes the incremental result
-// after every consumed event, and status follows every latch. They
-// duplicate the mutex-guarded verdict state on purpose: Verdict keeps
-// its existing consistency (one lock, one snapshot), while Stats reads
-// here without ever taking a lock.
+// counters are the session's state behind Stats and Verdict, kept in
+// atomics so that both read it without a lock. The append path adds to
+// events and dropped, check publishes the incremental result after
+// every consumed event, and raise lifts status.
 type counters struct {
 	status    atomic.Int32
 	events    atomic.Int64
@@ -322,17 +319,13 @@ type Session struct {
 
 	st counters
 
-	// incMu guards the incremental checker; mu guards the published
-	// session state. Split so an Async drain mid-check never blocks the
-	// cheap bookkeeping of Append.
+	// incMu guards the incremental checker. mu guards err and
+	// violation, each set once, before the status rises to the latch it
+	// explains.
 	incMu sync.Mutex
 	inc   *core.Incremental
 
 	mu        sync.Mutex
-	status    Status
-	events    int
-	dropped   int
-	last      core.IncrementalResult
 	err       error
 	violation *Violation
 
@@ -364,9 +357,7 @@ func New(opts Options) *Session {
 			Objects:  opts.Objects,
 			MaxNodes: opts.MaxNodes,
 		}),
-		status: StatusOpaque,
 	}
-	s.last = s.inc.Result()
 	s.st.prefixLen.Store(-1)
 	if opts.TruncateBarrier > 0 {
 		s.barCond = sync.NewCond(&s.barMu)
@@ -406,66 +397,58 @@ func Attach(rec *stm.Recorder, opts Options) *Session {
 // Close are ignored in both modes, so a Close verdict is final.
 func (s *Session) Append(ev history.Event) Verdict {
 	s.admit(ev)
-	if s.opts.Mode == Async {
-		return s.appendAsync(ev)
-	}
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return s.Verdict()
-	}
-	s.incMu.Lock()
-	s.mu.Lock()
-	s.events++
-	s.st.events.Add(1)
-	terminal := s.status != StatusOpaque
-	s.mu.Unlock()
 	var v *Violation
-	if !terminal {
-		v = s.check(ev)
+	s.closeMu.RLock()
+	if !s.closed {
+		s.st.events.Add(1)
+		if s.opts.Mode == Async {
+			s.enqueue(ev)
+		} else {
+			v = s.consume(ev)
+		}
 	}
-	s.incMu.Unlock()
 	s.closeMu.RUnlock()
-	if v != nil && s.opts.OnViolation != nil {
-		s.opts.OnViolation(*v)
-	}
+	s.notify(v)
 	return s.Verdict()
 }
 
-func (s *Session) appendAsync(ev history.Event) Verdict {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return s.Verdict()
+// enqueue hands ev to the drain goroutine. A latched session spares the
+// queue; a full queue blocks (Block) or drops ev and latches the session
+// lossy (Drop).
+func (s *Session) enqueue(ev history.Event) {
+	if s.status() != StatusOpaque {
+		return
 	}
-	s.mu.Lock()
-	s.events++
-	s.st.events.Add(1)
-	terminal := s.status != StatusOpaque
-	s.mu.Unlock()
-	if terminal {
-		// The verdict is latched (violated, lossy or failed): count the
-		// event but spare the queue.
-		return s.Verdict()
-	}
-	if s.opts.DropPolicy == Drop {
-		select {
-		case s.ch <- ev:
-		default:
-			s.mu.Lock()
-			s.dropped++
-			s.st.dropped.Add(1)
-			if s.status == StatusOpaque {
-				s.status = StatusLossy
-			}
-			s.st.status.Store(int32(s.status))
-			s.mu.Unlock()
-			s.barrierWake()
-		}
-	} else {
+	if s.opts.DropPolicy == Block {
 		s.ch <- ev
+		return
 	}
-	return s.Verdict()
+	select {
+	case s.ch <- ev:
+	default:
+		s.st.dropped.Add(1)
+		s.raise(StatusLossy)
+	}
+}
+
+// consume checks ev unless the session has latched, so a latched Async
+// session discards the rest of its queue, and returns the violation the
+// check latched, if any.
+func (s *Session) consume(ev history.Event) *Violation {
+	s.incMu.Lock()
+	defer s.incMu.Unlock()
+	if s.status() != StatusOpaque {
+		return nil
+	}
+	return s.check(ev)
+}
+
+// notify runs OnViolation for a violation consume latched, outside the
+// session's locks.
+func (s *Session) notify(v *Violation) {
+	if v != nil && s.opts.OnViolation != nil {
+		s.opts.OnViolation(*v)
+	}
 }
 
 // admit maintains the barrier's appender-side bookkeeping for one
@@ -526,7 +509,7 @@ func (s *Session) AdmissionGate() func() {
 // barBlocking reports whether the barrier may stall: only while the
 // session is live and still certifying. Callers hold barMu.
 func (s *Session) barBlocking() bool {
-	return !s.barClosing && Status(s.st.status.Load()) == StatusOpaque
+	return !s.barClosing && s.status() == StatusOpaque
 }
 
 // barrierRelease wakes stalled appenders after the checker had its
@@ -561,23 +544,13 @@ func (s *Session) barrierWake() {
 func (s *Session) drain() {
 	defer close(s.done)
 	for ev := range s.ch {
-		s.mu.Lock()
-		terminal := s.status != StatusOpaque
-		s.mu.Unlock()
-		if terminal {
-			continue // latched: discard the remaining queue
-		}
-		s.incMu.Lock()
-		v := s.check(ev)
-		s.incMu.Unlock()
-		if v != nil && s.opts.OnViolation != nil {
-			s.opts.OnViolation(*v)
-		}
+		s.notify(s.consume(ev))
 	}
 }
 
 // check feeds one event to the incremental checker and publishes the
-// outcome. Callers hold incMu (but not mu).
+// outcome, latching an error or a violation. Callers hold incMu (but
+// not mu).
 func (s *Session) check(ev history.Event) *Violation {
 	res, err := s.inc.Append(ev)
 	if err == nil && res.Opaque && s.truncateDue() {
@@ -633,23 +606,40 @@ func (s *Session) check(ev history.Event) *Violation {
 	s.st.tblAtoms.Store(int64(cs.Atoms))
 	s.st.tblMemo.Store(int64(cs.MemoEntries))
 	s.st.tblRes.Store(int64(s.inc.Resident()))
-	s.mu.Lock()
-	s.last = res
 	switch {
 	case err != nil:
-		s.status = StatusError
+		s.mu.Lock()
 		s.err = err
+		s.mu.Unlock()
+		s.raise(StatusError)
 	case v != nil:
-		s.status = StatusViolated
+		s.mu.Lock()
 		s.violation = v
-	}
-	latched := s.status != StatusOpaque
-	s.st.status.Store(int32(s.status))
-	s.mu.Unlock()
-	if latched {
-		s.barrierWake()
+		s.mu.Unlock()
+		s.raise(StatusViolated)
 	}
 	return v
+}
+
+// status returns the session's current status.
+func (s *Session) status() Status { return Status(s.st.status.Load()) }
+
+// raise lifts the session's status to t unless it already is t or worse,
+// and then wakes the barrier's waiters, whose wait condition consults
+// the status. A check in flight when an event drops finishes after the
+// session latched lossy, so its violation or error still rises above
+// it.
+func (s *Session) raise(t Status) {
+	for {
+		cur := s.status()
+		if !t.Worse(cur) {
+			return
+		}
+		if s.st.status.CompareAndSwap(int32(cur), int32(t)) {
+			s.barrierWake()
+			return
+		}
+	}
 }
 
 // truncateDue reports whether the live suffix has outgrown the
@@ -662,42 +652,32 @@ func (s *Session) truncateDue() bool {
 	return (ae > 0 && s.inc.LiveLen() >= ae) || (b > 0 && s.inc.LiveLen() >= b)
 }
 
-// Verdict returns a snapshot of the session's state. For Async sessions
-// it may lag events still in the queue; Close first for a final word.
+// Verdict returns the session's Stats plus its checking error. It takes
+// a lock only to read the error, which is stored before the status rises
+// to StatusError. For Async sessions it may lag events still in the
+// queue; Close first for a final word.
 func (s *Session) Verdict() Verdict {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Verdict{
-		Status:          s.status,
-		Events:          s.events,
-		Checked:         s.last.Events,
-		Dropped:         s.dropped,
-		Lossy:           s.dropped > 0,
-		PrefixLen:       s.last.PrefixLen,
-		Nodes:           s.last.Nodes,
-		FastPath:        s.last.FastPath,
-		Searches:        s.last.Searches,
-		Skipped:         s.last.Skipped,
-		Checkpoints:     s.last.Checkpoints,
-		TruncatedEvents: s.last.TruncatedEvents,
-		LiveEvents:      s.last.Events - s.last.TruncatedEvents,
-		Roots:           s.last.Roots,
-		TruncNodes:      s.last.TruncNodes,
-		Err:             s.err,
+	v := Verdict{Stats: s.Stats()}
+	if v.Status == StatusError {
+		s.mu.Lock()
+		v.Err = s.err
+		s.mu.Unlock()
 	}
+	return v
 }
 
 // Stats returns a lock-free snapshot of the session's counters, read
-// entirely from atomics: unlike Verdict it acquires no session lock, so
-// a telemetry scraper can call it at any rate without perturbing the
-// append path or waiting out an in-flight check. See the Stats type for
-// the consistency contract.
+// entirely from atomics, so a telemetry scraper can call it at any rate
+// without perturbing the append path or waiting out an in-flight check.
+// See the Stats type for the consistency contract. Checked is loaded
+// before Events, which counts an event before it is checked, and Status
+// before PrefixLen, which check publishes before the status rises.
 func (s *Session) Stats() Stats {
 	dropped := int(s.st.dropped.Load())
 	checked := int(s.st.checked.Load())
 	truncEvs := int(s.st.truncEvs.Load())
 	st := Stats{
-		Status:           Status(s.st.status.Load()),
+		Status:           s.status(),
 		Events:           int(s.st.events.Load()),
 		Checked:          checked,
 		Dropped:          dropped,

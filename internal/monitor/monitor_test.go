@@ -372,6 +372,20 @@ func TestNamesAndHistorySnapshot(t *testing.T) {
 	}
 }
 
+// TestStatusWorse pins the order a session's status rises along, and
+// the fleet aggregates by: error ≻ violated ≻ lossy ≻ opaque, strict, so
+// no status is worse than itself.
+func TestStatusWorse(t *testing.T) {
+	order := []monitor.Status{monitor.StatusOpaque, monitor.StatusLossy, monitor.StatusViolated, monitor.StatusError}
+	for i, a := range order {
+		for j, b := range order {
+			if got := a.Worse(b); got != (i > j) {
+				t.Errorf("%v.Worse(%v) = %v, want %v", a, b, got, i > j)
+			}
+		}
+	}
+}
+
 // TestVerdictCountersOpaqueRun: on a clean run the bookkeeping adds up —
 // every event checked, fast path carrying repeat work, no drops.
 func TestVerdictCountersOpaqueRun(t *testing.T) {

@@ -39,19 +39,26 @@ func (g *gateState) Step(op string, arg, ret spec.Value) (spec.State, bool) {
 	return &gateState{inner: next, entered: g.entered, release: g.release, once: g.once}, true
 }
 
+// gatedObjects returns objects whose register x parks the first replay
+// of an operation on it until release is closed, signalling entered
+// once it parks.
+func gatedObjects() (objs spec.Objects, entered <-chan struct{}, release chan<- struct{}) {
+	in := make(chan struct{}, 1)
+	out := make(chan struct{})
+	return spec.Objects{"x": &gateState{
+		inner:   spec.NewRegister(0),
+		entered: in,
+		release: out,
+		once:    &sync.Once{},
+	}}, in, out
+}
+
 // TestDroppedCountsExactlyWhenLossy pins the drop-counter contract the
 // control plane's telemetry relies on: Dropped > 0 exactly when the
 // session is Lossy (and exactly when StatusLossy latched), and the
 // count equals the number of events the Drop policy actually discarded.
 func TestDroppedCountsExactlyWhenLossy(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	objs := spec.Objects{"x": &gateState{
-		inner:   spec.NewRegister(0),
-		entered: entered,
-		release: release,
-		once:    &sync.Once{},
-	}}
+	objs, entered, release := gatedObjects()
 	s := monitor.New(monitor.Options{
 		Mode:       monitor.Async,
 		Buffer:     2,
@@ -92,6 +99,38 @@ func TestDroppedCountsExactlyWhenLossy(t *testing.T) {
 	}
 	if v.Events != 6 {
 		t.Errorf("Events = %d, want 6 (post-latch events still counted)", v.Events)
+	}
+}
+
+// TestInFlightViolationOutranksLossy: a check already running when an
+// event drops latches its violation over the lossy status, since
+// violated ranks above lossy. The drain parks inside the check of
+// r1(x)->7 (no transaction wrote 7), the Buffer=2 queue fills, the next
+// event drops, and the released check then finds the violation.
+func TestInFlightViolationOutranksLossy(t *testing.T) {
+	objs, entered, release := gatedObjects()
+	s := monitor.New(monitor.Options{
+		Mode:       monitor.Async,
+		Buffer:     2,
+		DropPolicy: monitor.Drop,
+		Objects:    objs,
+	})
+	s.Append(history.Inv(1, "x", "read", nil))
+	s.Append(history.Ret(1, "x", "read", 7))
+	<-entered
+	s.Append(history.TryC(1))
+	s.Append(history.Commit(1))
+	s.Append(history.Inv(2, "x", "read", nil))
+	if st := s.Stats(); st.Status != monitor.StatusLossy || st.Dropped != 1 {
+		t.Fatalf("mid-run stats %+v, want StatusLossy with Dropped=1", st)
+	}
+	close(release)
+	v := s.Close()
+	if v.Status != monitor.StatusViolated || v.Dropped != 1 || v.PrefixLen != 2 {
+		t.Fatalf("verdict %+v, want StatusViolated at prefix 2 with Dropped=1", v)
+	}
+	if s.Violation() == nil {
+		t.Error("no violation recorded")
 	}
 }
 
@@ -153,9 +192,9 @@ func TestStatsMirrorsVerdict(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentScrape hammers Stats from scraper goroutines while
-// the session checks a live stream — the -race matrix proves the
-// lock-free read path against the append path.
+// TestStatsConcurrentScrape hammers Stats and Verdict from scraper
+// goroutines while the session checks a live stream — the -race matrix
+// proves the lock-free read path against the append path.
 func TestStatsConcurrentScrape(t *testing.T) {
 	b := history.NewBuilder()
 	for i := 1; i <= 200; i++ {
@@ -179,6 +218,10 @@ func TestStatsConcurrentScrape(t *testing.T) {
 				st := s.Stats()
 				if st.Events < 0 || st.Checked > st.Events || st.Dropped != 0 {
 					t.Errorf("implausible stats %+v", st)
+					return
+				}
+				if v := s.Verdict(); v.Checked > v.Events || v.Status != monitor.StatusOpaque || v.Err != nil {
+					t.Errorf("implausible verdict %+v", v)
 					return
 				}
 			}
