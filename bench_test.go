@@ -11,8 +11,8 @@ package otm
 //	BenchmarkThroughput/*      E13 — read-dominated workload comparison.
 //	BenchmarkCheckOpacity/*    E1/E2 — the checkers on the paper's
 //	                                 figures and on random histories.
-//	BenchmarkCheckOpacityBatch/*     — bulk checking of a 1k-history
-//	                                 corpus: sequential vs the checkpool
+//	BenchmarkCheckOpacityBatch/*     — bulk checking of 1k-history
+//	                                 corpora: sequential vs the checkpool
 //	                                 workers vs the un-memoized reference.
 //	BenchmarkCheckLongHistory/*      — one recorded tl2 history of 2,000
 //	                                 or 8,000 transactions.
@@ -257,6 +257,12 @@ func BenchmarkCheckOpacity(b *testing.B) {
 // symmetric/nosym over symmetric/sequential is the measured reduction
 // factor CI asserts on, and on the asymmetric corpora the two variants
 // must agree — the reduction never adds nodes.
+//
+// The "recorded" corpus is 1,000 runs of tl2 recorded through
+// interleave.Run on seeded single-goroutine schedules (stmtest.Recorded:
+// 6 transactions on 3 registers, the shape of perfbench's recorded
+// workload). Every one is opaque, so every check assembles a witness,
+// and a non-opaque verdict fails the benchmark.
 func BenchmarkCheckOpacityBatch(b *testing.B) {
 	memoHitRate := func(s core.Stats) float64 {
 		if s.MemoHits+s.MemoMisses == 0 {
@@ -268,15 +274,31 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	recorded := make([]history.History, 1000)
+	for i := range recorded {
+		recorded[i] = stmtest.Recorded(NewTL2(3), int64(i+1))
+	}
 	for _, corpus := range []struct {
 		name string
 		hs   []history.History
+		// opaque marks a corpus of recorded runs of an opaque engine: a
+		// non-opaque verdict on it fails the benchmark.
+		opaque bool
 	}{
-		{"mixed", gen.Corpus(gen.Config{Txs: 6, Objs: 3, MaxOps: 4, PStaleRead: 0.3}, 1000, 1)},
-		{"commitpending", gen.Corpus(gen.Config{Txs: 6, Objs: 3, MaxOps: 4, PStaleRead: 0.3, PLeaveLive: 0.8}, 1000, 1)},
-		{"symmetric", symSpec.Corpus()},
+		{"mixed", gen.Corpus(gen.Config{Txs: 6, Objs: 3, MaxOps: 4, PStaleRead: 0.3}, 1000, 1), false},
+		{"commitpending", gen.Corpus(gen.Config{Txs: 6, Objs: 3, MaxOps: 4, PStaleRead: 0.3, PLeaveLive: 0.8}, 1000, 1), false},
+		{"symmetric", symSpec.Corpus(), false},
+		{"recorded", recorded, true},
 	} {
 		hs := corpus.hs
+		verdict := func(b *testing.B, r core.Result, err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			if corpus.opaque && !r.Opaque {
+				b.Fatalf("%s: a recorded tl2 history checked non-opaque", corpus.name)
+			}
+		}
 		sequential := func(disableSym bool) func(b *testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
@@ -288,9 +310,7 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 					nodes = 0
 					for _, h := range hs {
 						res, err := core.Check(h, cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
+						verdict(b, res, err)
 						nodes += res.Nodes
 					}
 					stats = ctx.Stats()
@@ -312,9 +332,7 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 				nodes = 0
 				for _, h := range hs {
 					res, err := core.Check(h, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
+					verdict(b, res, err)
 					nodes += res.Nodes
 				}
 			}
@@ -330,9 +348,7 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 					p := checkpool.New(checkpool.Options{Workers: workers, Stats: &stats})
 					nodes = 0
 					for _, v := range p.CheckAll(hs) {
-						if v.Err != nil {
-							b.Fatal(v.Err)
-						}
+						verdict(b, v.Result, v.Err)
 						nodes += v.Result.Nodes
 					}
 				}

@@ -294,10 +294,7 @@ func (f *Fleet) AttachWith(name string, rec *stm.Recorder, mopts monitor.Options
 	if err != nil {
 		return nil, err
 	}
-	if g := m.sess.AdmissionGate(); g != nil {
-		rec.Gate(g)
-	}
-	rec.Tap(func(ev history.Event) { m.sess.Append(ev) })
+	m.sess.Tap(rec)
 	return m, nil
 }
 

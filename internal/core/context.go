@@ -119,10 +119,10 @@ type atomStepVal struct {
 // SearchContext is one goroutine's handle on a set of search tables
 // (SharedTables) — the atom, signature and state-vector interners and
 // the transition cache — plus its own atom step cache, resident searcher
-// and the history.Appender a one-shot check appends to. A fresh context
-// over a fresh table set is created internally for every call that does
-// not supply one; supplying one (Config.Context) reuses the tables
-// across calls, which is what makes the O(n) prefix scan of
+// and the history.Appender a one-shot check loads its history into. A
+// fresh context over a fresh table set is created internally for every
+// call that does not supply one; supplying one (Config.Context) reuses
+// the tables across calls, which is what makes the O(n) prefix scan of
 // FirstNonOpaquePrefix, the per-removed-transaction re-checks of
 // Diagnose, and long batch runs amortize their state exploration.
 //
@@ -167,7 +167,7 @@ type SearchContext struct {
 	vecBuf []int32
 	srch   searcher
 
-	// batch is what a one-shot Check appends its history to (see
+	// batch is what a one-shot Check loads its history into (see
 	// oneShot).
 	batch liveSuffix
 }
@@ -179,18 +179,16 @@ func NewSearchContext() *SearchContext { return NewSharedTables().NewContext() }
 // Stats returns a snapshot of the context's counters.
 func (c *SearchContext) Stats() Stats { return c.stats }
 
-// oneShot returns the live suffix a one-shot check appends its history
-// to: the context's own Appender, emptied, with no cached signature or
-// root state, so nothing carries from one checked history to the next.
-// Reset clears the Appender's maps, which costs their capacity, so an
-// Appender a large history grew is replaced instead (the memo's bound
-// applies).
+// oneShot returns the live suffix a one-shot check loads its history
+// into: the context's own Appender, which Load empties, with no cached
+// signature or root state, so nothing carries from one checked history
+// to the next. Emptying clears the Appender's maps, which costs their
+// capacity, so an Appender a large history grew is replaced instead (the
+// memo's bound applies).
 func (c *SearchContext) oneShot() *liveSuffix {
 	l := &c.batch
 	if l.app == nil || len(l.app.Transactions()) > memoReuseBound || len(l.app.Objects()) > memoReuseBound {
 		l.app = history.NewAppender()
-	} else {
-		l.app.Reset()
 	}
 	l.reset()
 	return l

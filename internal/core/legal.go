@@ -95,10 +95,12 @@ func AllLegal(s history.History, objs spec.Objects) (history.TxID, bool) {
 // buildSequential concatenates the per-transaction projections of hc in
 // the given order, producing the sequential history S of a witness. One
 // counting pass and one fill pass over hc replace the per-transaction
-// H|Ti projections (which made witness assembly quadratic and the
-// dominant allocation source of batch checking once the search itself
-// was interned). Above 32 transactions each event finds its slot through
-// an index map instead of the linear indexOf.
+// H|Ti projections, which made witness assembly quadratic. Above 32
+// transactions each event finds its slot through an index map instead
+// of the linear indexOf. It serves the DisableMemo reference engine,
+// which derives its witness from h alone; the unified engine places
+// events by the transaction indexes its Appender recorded
+// (searcher.witness).
 func buildSequential(hc history.History, order []history.TxID) history.History {
 	n := len(order)
 	ints := make([]int, 2*n) // slot cursor and slot base per transaction
@@ -116,8 +118,8 @@ func buildSequential(hc history.History, order []history.TxID) history.History {
 		}
 		return -1
 	}
-	for _, e := range hc {
-		if i := slot(e.Tx); i >= 0 {
+	for j := range hc {
+		if i := slot(hc[j].Tx); i >= 0 {
 			fill[i]++ // first pass: counts
 		}
 	}
@@ -128,9 +130,9 @@ func buildSequential(hc history.History, order []history.TxID) history.History {
 		fill[i] = 0
 	}
 	s := make(history.History, total)
-	for _, e := range hc {
-		if i := slot(e.Tx); i >= 0 {
-			s[offs[i]+fill[i]] = e
+	for j := range hc {
+		if i := slot(hc[j].Tx); i >= 0 {
+			s[offs[i]+fill[i]] = hc[j]
 			fill[i]++
 		}
 	}

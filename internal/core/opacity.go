@@ -104,11 +104,12 @@ func Check(h history.History, cfg Config) (Result, error) {
 // check is the engine shared by Check and CheckStrong: extraPreds adds
 // ordering constraints on top of the real-time order ≺H.
 //
-// The unified engine reads h once, appending every event to the
-// context's history.Appender: Append rejects an ill-formed history with
-// the same *WellFormedError WellFormed returns, and the Appender's views
-// — transactions, statuses, executions, spans, objects — are what the
-// search setup runs on, as it does for Incremental.
+// The unified engine reads h once, loading it into the context's
+// history.Appender in place: Load rejects an ill-formed history with the
+// same *WellFormedError WellFormed returns, and the Appender's views —
+// transactions, statuses, executions, spans, objects — are what the
+// search setup runs on, as it does for Incremental, and what the witness
+// is assembled from.
 func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result, error) {
 	maxNodes := cfg.MaxNodes
 	if maxNodes == 0 {
@@ -137,13 +138,10 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	s := acquire(ctx)
 	defer s.release()
 	live := ctx.oneShot()
-	for _, ev := range h {
-		if err := live.app.Append(ev); err != nil {
-			return Result{}, err
-		}
+	if err := live.app.Load(h); err != nil {
+		return Result{}, err
 	}
-	txs := live.app.Transactions()
-	if len(txs) == 0 {
+	if len(live.app.Transactions()) == 0 {
 		return Result{Opaque: true, Witness: &Witness{}}, nil
 	}
 
@@ -162,28 +160,65 @@ func check(h history.History, cfg Config, extraPreds [][2]history.TxID) (Result,
 	if !found {
 		return res, nil
 	}
-	order := make([]history.TxID, len(s.pos))
-	for k, i := range s.pos {
-		order[k] = txs[i]
-	}
-	// CompleteWith reads the fates of the commit-pending transactions.
-	var commits map[history.TxID]bool
-	for i, tx := range txs {
-		if s.decide[i] == decideBranch {
-			if commits == nil {
-				commits = make(map[history.TxID]bool)
-			}
-			commits[tx] = s.fate[i]
-		}
-	}
-	hc := h.CompleteWith(commits)
 	res.Opaque = true
-	res.Witness = &Witness{
-		Completion: hc,
-		Order:      order,
-		Sequential: buildSequential(hc, order),
-	}
+	res.Witness = s.witness(h, live.app)
 	return res, nil
+}
+
+// witness assembles Definition 1's certificate from the serialization
+// the search left in s.pos and s.fate and the Appender app, into which
+// h is loaded. The completion is h itself when no transaction is live,
+// and otherwise h followed by each live transaction's completion events
+// in transaction order (Appender.Complete, the events CompleteWith
+// would append for the same fates). S takes one counting pass over each
+// event's transaction index: transaction t's events form the block at
+// its rank in s.pos, in completion order.
+func (s *searcher) witness(h history.History, app *history.Appender) *Witness {
+	txs := app.Transactions()
+	n := s.n
+	w := &Witness{Completion: h, Order: make([]history.TxID, n)}
+	if app.Open() > 0 {
+		w.Completion = app.Complete(s.fate)
+	}
+	hc, tailAt := w.Completion, len(h)
+	// rank[t] is t's position in the order; off[k] is where the block of
+	// rank k starts, then its next free slot; tail[j] is the transaction
+	// of completion event hc[tailAt+j].
+	s.wbuf = grow(s.wbuf, 2*n+1+len(hc)-tailAt)
+	rank, off, tail := s.wbuf[:n], s.wbuf[n:2*n+1], s.wbuf[2*n+1:]
+	clear(off)
+	for k, t := range s.pos {
+		w.Order[k] = txs[t]
+		rank[t] = int32(k)
+	}
+	// The completion events come grouped by transaction, in index order.
+	for j, c := 0, int32(0); j < len(tail); j++ {
+		for txs[c] != hc[tailAt+j].Tx {
+			c++
+		}
+		tail[j] = c
+	}
+	evTx := app.EventTxs()
+	for _, t := range evTx {
+		off[rank[t]+1]++
+	}
+	for _, t := range tail {
+		off[rank[t]+1]++
+	}
+	for k := 1; k <= n; k++ {
+		off[k] += off[k-1]
+	}
+	seq := make(history.History, len(hc))
+	for i, t := range evTx {
+		seq[off[rank[t]]] = h[i]
+		off[rank[t]]++
+	}
+	for j, t := range tail {
+		seq[off[rank[t]]] = hc[tailAt+j]
+		off[rank[t]]++
+	}
+	w.Sequential = seq
+	return w
 }
 
 // checkPerCompletion is the retained reference decision procedure: the

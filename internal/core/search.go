@@ -43,7 +43,7 @@ func decisionOf(st history.Status) decision {
 
 // serializeOptions parameterizes one serialization search. The problem
 // comes from a history.Appender (live): an Incremental checker's live
-// suffix, or the history a one-shot check appended. The transactions,
+// suffix, or the history a one-shot check loaded. The transactions,
 // their executions, objects, spans and statuses are its maintained
 // views, and their replay signatures and the initial state come from the
 // liveSuffix caches (see liveSuffix). Completions only append commit or
@@ -185,6 +185,10 @@ type searcher struct {
 
 	maxNodes int
 	nodes    *int
+
+	// wbuf is witness assembly's scratch: transaction ranks and S's
+	// block offsets.
+	wbuf []int32
 }
 
 // grow returns s resized to n elements, reusing its backing array when
@@ -229,9 +233,9 @@ func (s *searcher) setup(o serializeOptions) {
 	s.sigs = grow(s.sigs, n)
 	s.decide = grow(s.decide, n)
 	s.fate = grow(s.fate, n)
-	for i, tx := range txs {
+	for i := range n {
 		s.sigs[i] = live.sig(ctx, i, s.execs[i])
-		s.decide[i] = decisionOf(live.app.Status(tx))
+		s.decide[i] = decisionOf(live.app.StatusAt(i))
 	}
 
 	// preds, foot, succ and placed share one zeroed word block.

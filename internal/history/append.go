@@ -1,6 +1,9 @@
 package history
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Span is one transaction's extent in a history: the indexes of its
 // first and last events so far, and whether it has completed (its last
@@ -24,44 +27,50 @@ type Span struct {
 // Builder, built for consumers that interleave appends with checks on
 // the growing history — the online opacity monitor taps a live STM run
 // into one Appender and hands every prefix to the incremental checker
-// without ever re-validating from scratch.
+// without ever re-validating from scratch. Load runs the same machine
+// over a whole history in place, for one-shot consumers.
 //
 // Alongside the phase machine the Appender maintains the transaction
-// list (first-event order), per-transaction spans and operation
-// executions, and the object list, so Transactions, Spans, OpExecs and
-// Objects are O(1) views rather than per-call scans — an event changes
-// one transaction's entries and at most appends one object, which is
-// what lets a consumer re-checking every prefix pay per event for what
-// the event changed. It also supports Truncate: dropping a
-// fully-completed prefix and re-basing the remainder, the history-layer
-// half of checkpointed monitor truncation.
+// list (first-event order), per-transaction phases, spans and operation
+// executions, each event's transaction index, and the object list, so
+// Transactions, Spans, OpExecs, EventTxs and Objects are O(1) views
+// rather than per-call scans — an event changes one transaction's
+// entries and at most appends one object, which is what lets a consumer
+// re-checking every prefix pay per event for what the event changed. It
+// also supports Truncate: dropping a fully-completed prefix and
+// re-basing the remainder, the history-layer half of checkpointed
+// monitor truncation.
 //
-// The zero Appender is not ready for use; call NewAppender.
+// The zero Appender is ready for use; NewAppender returns one.
 type Appender struct {
-	h      History
-	phases map[TxID]txPhase
+	h History
+	// loaded records that h is the history Load was given, capped at its
+	// length: nothing may write into its array, so Truncate and Reset drop
+	// it rather than reuse it. The first Append reallocates (the cap
+	// leaves no room) and clears it.
+	loaded bool
 
-	txs     []TxID         // live transactions, in first-event order
-	spanIdx map[TxID]int32 // index into txs/spans/execs
-	spans   []Span
+	txs    []TxID    // live transactions, in first-event order
+	phases []txPhase // indexed like txs
+	spans  []Span    // indexed like txs
 	// execs holds each transaction's operation executions; a pending
 	// invocation is its transaction's last execution. Slices past
 	// len(execs) are kept for reuse by later transactions.
 	execs [][]OpExec
-	open  int // live transactions not yet completed
+	open  int     // live transactions not yet completed
+	evTx  []int32 // each event's index into txs
 
-	objs    []ObjID // objects operated on, in first-appearance order
+	objs []ObjID // objects operated on, in first-appearance order
+
+	// Above linearMax transactions (objects), spanIdx (objSeen) indexes
+	// every one of them; at or below it, lookups scan txs (objs) and the
+	// map is empty.
+	spanIdx map[TxID]int32
 	objSeen map[ObjID]struct{}
 }
 
 // NewAppender returns an empty Appender.
-func NewAppender() *Appender {
-	return &Appender{
-		phases:  make(map[TxID]txPhase),
-		spanIdx: make(map[TxID]int32),
-		objSeen: make(map[ObjID]struct{}),
-	}
-}
+func NewAppender() *Appender { return new(Appender) }
 
 // Append validates ev against the history built so far and appends it.
 // On a well-formedness violation it returns a *WellFormedError (with
@@ -69,104 +78,175 @@ func NewAppender() *Appender {
 // the history unchanged, so a monitor can flag the offending event and
 // keep its previously validated prefix intact.
 func (a *Appender) Append(ev Event) error {
-	i := len(a.h)
-	switch a.phases[ev.Tx] {
+	if err := a.add(&ev, len(a.h)); err != nil {
+		return err
+	}
+	a.h = append(a.h, ev)
+	a.loaded = false
+	return nil
+}
+
+// Load resets the Appender to h: it validates and indexes h's events in
+// order, exactly as appending them one by one would, but without copying
+// them. History then returns h itself, capped at its length, so a later
+// Append reallocates instead of writing into h's array; Truncate and
+// Reset drop it the same way, and nothing the Appender does writes into
+// h. On an ill-formed h Load returns the *WellFormedError the appends
+// would have returned, with the prefix before the offending event
+// loaded.
+func (a *Appender) Load(h History) error {
+	a.Reset()
+	a.loaded = true
+	for i := range h {
+		if err := a.add(&h[i], i); err != nil {
+			a.h = h[:i:i]
+			return err
+		}
+	}
+	a.h = h[:len(h):len(h)]
+	return nil
+}
+
+// add runs the phase machine on ev, the event at position i, and folds
+// it into the transaction list, phases, spans, operation executions,
+// event index and object list; it changes nothing when ev is rejected.
+// The caller records ev itself in a.h.
+func (a *Appender) add(ev *Event, i int) error {
+	t := a.lookup(ev.Tx)
+	ph := phaseIdle
+	if t >= 0 {
+		ph = a.phases[t]
+	}
+	switch ph {
 	case phaseCommitted:
-		return wfErr(i, ev, "event follows commit event")
+		return wfErr(i, *ev, "event follows commit event")
 	case phaseAborted:
-		return wfErr(i, ev, "event follows abort event")
+		return wfErr(i, *ev, "event follows abort event")
 	case phaseIdle:
 		switch ev.Kind {
 		case KindInv:
-			a.phases[ev.Tx] = phaseOpPending
+			ph = phaseOpPending
 		case KindTryCommit:
-			a.phases[ev.Tx] = phaseCommitPending
+			ph = phaseCommitPending
 		case KindTryAbort:
-			a.phases[ev.Tx] = phaseAbortPending
+			ph = phaseAbortPending
 		default:
-			return wfErr(i, ev, "response event with no pending invocation")
+			return wfErr(i, *ev, "response event with no pending invocation")
 		}
 	case phaseOpPending:
 		switch ev.Kind {
 		case KindRet:
-			if inv := a.pending(ev.Tx); !Matches(inv, ev) {
-				return wfErr(i, ev, "response does not match pending invocation "+inv.String())
+			// Matched in place against the pending execution; the
+			// invocation event is rebuilt only for the error text.
+			x := &a.execs[t][len(a.execs[t])-1]
+			if x.Obj != ev.Obj || x.Op != ev.Op {
+				return wfErr(i, *ev, "response does not match pending invocation "+Inv(ev.Tx, x.Obj, x.Op, x.Arg).String())
 			}
-			a.phases[ev.Tx] = phaseIdle
+			x.Ret, x.Pending = ev.Ret, false
+			ph = phaseIdle
 		case KindAbort:
-			a.phases[ev.Tx] = phaseAborted
+			ph = phaseAborted
 		default:
-			return wfErr(i, ev, "invocation while an operation response is pending")
+			return wfErr(i, *ev, "invocation while an operation response is pending")
 		}
 	case phaseCommitPending:
 		switch ev.Kind {
 		case KindCommit:
-			a.phases[ev.Tx] = phaseCommitted
+			ph = phaseCommitted
 		case KindAbort:
-			a.phases[ev.Tx] = phaseAborted
+			ph = phaseAborted
 		default:
-			return wfErr(i, ev, "only commit or abort may follow a commit-try")
+			return wfErr(i, *ev, "only commit or abort may follow a commit-try")
 		}
 	case phaseAbortPending:
 		if ev.Kind != KindAbort {
-			return wfErr(i, ev, "only abort may follow an abort-try")
+			return wfErr(i, *ev, "only abort may follow an abort-try")
 		}
-		a.phases[ev.Tx] = phaseAborted
+		ph = phaseAborted
 	}
-	a.record(ev, i)
-	a.h = append(a.h, ev)
-	return nil
-}
-
-// pending returns the invocation event of tx's pending operation, which
-// is its last execution. Only valid while tx is op-pending.
-func (a *Appender) pending(tx TxID) Event {
-	ex := a.execs[a.spanIdx[tx]]
-	e := ex[len(ex)-1]
-	return Inv(tx, e.Obj, e.Op, e.Arg)
-}
-
-// record folds one accepted event into the transaction list, spans,
-// operation executions and object list.
-func (a *Appender) record(ev Event, i int) {
-	t, ok := a.spanIdx[ev.Tx]
-	if !ok {
-		t = int32(len(a.txs))
-		a.spanIdx[ev.Tx] = t
-		a.txs = append(a.txs, ev.Tx)
-		a.spans = append(a.spans, Span{First: i})
-		if n := len(a.execs); n < cap(a.execs) {
-			a.execs = a.execs[:n+1]
-			a.execs[n] = a.execs[n][:0]
-		} else {
-			a.execs = append(a.execs, nil)
-		}
-		a.open++
+	if t < 0 {
+		t = a.begin(ev.Tx, i)
 	}
-	sp := &a.spans[t]
-	sp.Last = i
+	a.phases[t] = ph
+	a.spans[t].Last = i
 	switch ev.Kind {
 	case KindInv:
 		a.execs[t] = append(a.execs[t], OpExec{Tx: ev.Tx, Obj: ev.Obj, Op: ev.Op, Arg: ev.Arg, Pending: true})
 		a.addObject(ev.Obj)
-	case KindRet:
-		e := &a.execs[t][len(a.execs[t])-1]
-		e.Ret, e.Pending = ev.Ret, false
 	case KindCommit, KindAbort:
 		// An abort in place of an operation response leaves the
 		// invocation pending, as History.OpExecs reports it.
-		sp.Completed = true
+		a.spans[t].Completed = true
 		a.open--
 	}
+	a.evTx = append(a.evTx, t)
+	return nil
+}
+
+// lookup returns the index of tx in the transaction list, or -1. The
+// previous event's transaction is tried first; then the list is scanned
+// up to linearMax transactions, and spanIdx answers above that.
+func (a *Appender) lookup(tx TxID) int32 {
+	if n := len(a.evTx); n > 0 {
+		if t := a.evTx[n-1]; a.txs[t] == tx {
+			return t
+		}
+	}
+	if len(a.txs) > linearMax {
+		if t, ok := a.spanIdx[tx]; ok {
+			return t
+		}
+		return -1
+	}
+	return int32(slices.Index(a.txs, tx))
+}
+
+// begin appends transaction tx, whose first event is at position i, to
+// the transaction list and returns its index.
+func (a *Appender) begin(tx TxID, i int) int32 {
+	t := int32(len(a.txs))
+	a.txs = append(a.txs, tx)
+	a.phases = append(a.phases, phaseIdle)
+	a.spans = append(a.spans, Span{First: i})
+	if n := len(a.execs); n < cap(a.execs) {
+		a.execs = a.execs[:n+1]
+		a.execs[n] = a.execs[n][:0]
+	} else {
+		a.execs = append(a.execs, nil)
+	}
+	a.open++
+	if len(a.txs) > linearMax {
+		if a.spanIdx == nil {
+			a.spanIdx = make(map[TxID]int32)
+		}
+		// spanIdx holds txs[:len(spanIdx)]: all of them once the list
+		// crosses the cutoff, none below it.
+		for j := len(a.spanIdx); j < len(a.txs); j++ {
+			a.spanIdx[a.txs[j]] = int32(j)
+		}
+	}
+	return t
 }
 
 // addObject appends ob to the object list unless it is already there.
 // Invocations suffice: a response is accepted only on its invocation's
 // object.
 func (a *Appender) addObject(ob ObjID) {
-	if _, ok := a.objSeen[ob]; !ok {
-		a.objSeen[ob] = struct{}{}
-		a.objs = append(a.objs, ob)
+	if len(a.objs) > linearMax {
+		if _, ok := a.objSeen[ob]; ok {
+			return
+		}
+	} else if slices.Contains(a.objs, ob) {
+		return
+	}
+	a.objs = append(a.objs, ob)
+	if len(a.objs) > linearMax {
+		if a.objSeen == nil {
+			a.objSeen = make(map[ObjID]struct{})
+		}
+		for _, o := range a.objs[len(a.objSeen):] {
+			a.objSeen[o] = struct{}{}
+		}
 	}
 }
 
@@ -176,7 +256,8 @@ func (a *Appender) Len() int { return len(a.h) }
 // History returns the history built so far as a view: the slice shares
 // the Appender's backing array and stays valid across further Appends
 // (they never write below the returned length) but not across Reset or
-// Truncate. Use Snapshot for an independent copy.
+// Truncate. After Load it is the loaded history itself, capped at its
+// length. Use Snapshot for an independent copy.
 func (a *Appender) History() History { return a.h }
 
 // Snapshot returns an independent copy of the history built so far.
@@ -185,8 +266,8 @@ func (a *Appender) Snapshot() History { return a.h.Clone() }
 // Transactions returns the transactions of the history built so far, in
 // order of their first event, exactly as History.Transactions would —
 // but as an O(1) view of the maintained list instead of an O(events)
-// scan. The slice is valid until the next Append, Truncate or Reset and
-// must not be mutated.
+// scan. The slice is valid until the next Append, Load, Truncate or
+// Reset and must not be mutated.
 func (a *Appender) Transactions() []TxID { return a.txs }
 
 // Spans returns the per-transaction spans, indexed like Transactions.
@@ -199,6 +280,10 @@ func (a *Appender) Spans() []Span { return a.spans }
 // Same view semantics as Transactions; an Append may also complete the
 // last execution of a returned slice in place.
 func (a *Appender) OpExecs() [][]OpExec { return a.execs }
+
+// EventTxs returns, for every event of History, the index of its
+// transaction in Transactions. Same view semantics as Transactions.
+func (a *Appender) EventTxs() []int32 { return a.evTx }
 
 // Objects returns the objects operated on in the history built so far,
 // in order of first appearance, exactly as History().Objects() would.
@@ -214,19 +299,39 @@ func (a *Appender) Objects() []ObjID { return a.objs }
 func (a *Appender) Open() int { return a.open }
 
 // Status returns the status of tx in the history built so far, exactly
-// as History.Status would report it, but in O(1) from the maintained
-// phase instead of a backward scan.
+// as History.Status would report it, from the maintained phase instead
+// of a backward scan.
 func (a *Appender) Status(tx TxID) Status {
-	switch a.phases[tx] {
-	case phaseCommitPending:
-		return StatusCommitPending
-	case phaseCommitted:
-		return StatusCommitted
-	case phaseAborted:
-		return StatusAborted
-	default:
-		return StatusLive
+	if t := a.lookup(tx); t >= 0 {
+		return a.phases[t].status()
 	}
+	return StatusLive
+}
+
+// StatusAt returns the status of the transaction at index i of
+// Transactions.
+func (a *Appender) StatusAt(i int) Status { return a.phases[i].status() }
+
+// Complete returns the member of Complete(H) of the history built so
+// far in which the commit-pending transaction at index i of
+// Transactions commits iff fate[i], and every other live transaction
+// aborts; fate's entries for other transactions are ignored. Its events
+// are History's followed by the completion events of each live
+// transaction, in transaction order — exactly what History.CompleteWith
+// returns for the same fates. When no transaction is live the result is
+// History itself, not a copy.
+func (a *Appender) Complete(fate []bool) History {
+	if a.open == 0 {
+		return a.h
+	}
+	out := make(History, len(a.h), len(a.h)+2*a.open)
+	copy(out, a.h)
+	for t, ph := range a.phases {
+		if ph.status().Live() {
+			out = appendCompletion(out, a.txs[t], ph.lastKind(), ph == phaseCommitPending && fate[t])
+		}
+	}
+	return out
 }
 
 // Truncate drops the first n events and re-bases the remainder as a
@@ -243,7 +348,8 @@ func (a *Appender) Status(tx TxID) Status {
 // ones), so only already-buggy streams can exploit the blind spot.
 //
 // Histories previously returned by History become invalid, as with
-// Reset; Snapshot copies are unaffected.
+// Reset; Snapshot copies are unaffected. A loaded history is never
+// written to: its remainder is copied.
 func (a *Appender) Truncate(n int) error {
 	if n < 0 || n > len(a.h) {
 		return fmt.Errorf("history: truncate %d of %d events", n, len(a.h))
@@ -251,51 +357,75 @@ func (a *Appender) Truncate(n int) error {
 	if n == 0 {
 		return nil
 	}
-	for t, sp := range a.spans {
-		if sp.First < n && (sp.Last >= n || !sp.Completed) {
+	// Transactions are in first-event order, so the ones the cut drops
+	// are a prefix of the list: the d that start before n.
+	d := 0
+	for ; d < len(a.spans) && a.spans[d].First < n; d++ {
+		if sp := a.spans[d]; sp.Last >= n || !sp.Completed {
 			return fmt.Errorf("history: truncation at %d is not a stable cut: T%d spans it or is incomplete",
-				n, int(a.txs[t]))
+				n, int(a.txs[d]))
 		}
 	}
-	a.h = append(a.h[:0], a.h[n:]...)
-	keep := 0
-	for t, sp := range a.spans {
-		tx := a.txs[t]
-		if sp.First < n {
+	if a.loaded {
+		a.h = append(History(nil), a.h[n:]...)
+		a.loaded = false
+	} else {
+		a.h = append(a.h[:0], a.h[n:]...)
+	}
+	kept := len(a.txs) - d
+	if kept > linearMax {
+		for _, tx := range a.txs[:d] {
 			delete(a.spanIdx, tx)
-			delete(a.phases, tx)
-			continue
 		}
-		a.txs[keep] = tx
-		a.spans[keep] = Span{First: sp.First - n, Last: sp.Last - n, Completed: sp.Completed}
-		// Swap rather than overwrite, so the dropped transaction's
-		// slice stays past the new length for reuse.
-		a.execs[keep], a.execs[t] = a.execs[t], a.execs[keep]
-		a.spanIdx[tx] = int32(keep)
-		keep++
+	} else {
+		clear(a.spanIdx)
 	}
-	a.txs = a.txs[:keep]
-	a.spans = a.spans[:keep]
-	a.execs = a.execs[:keep]
+	copy(a.txs, a.txs[d:])
+	copy(a.phases, a.phases[d:])
+	copy(a.spans, a.spans[d:])
+	for t := range kept {
+		a.spans[t].First -= n
+		a.spans[t].Last -= n
+		// Swap rather than overwrite, so the dropped transactions'
+		// slices stay past the new length for reuse.
+		a.execs[t], a.execs[t+d] = a.execs[t+d], a.execs[t]
+		if kept > linearMax {
+			a.spanIdx[a.txs[t]] = int32(t)
+		}
+	}
+	a.txs = a.txs[:kept]
+	a.phases = a.phases[:kept]
+	a.spans = a.spans[:kept]
+	a.execs = a.execs[:kept]
+	a.evTx = a.evTx[:copy(a.evTx, a.evTx[n:])]
+	for i := range a.evTx {
+		a.evTx[i] -= int32(d)
+	}
 	a.objs = a.objs[:0]
 	clear(a.objSeen)
-	for _, ev := range a.h {
-		if ev.Kind == KindInv {
-			a.addObject(ev.Obj)
+	for i := range a.h {
+		if a.h[i].Kind == KindInv {
+			a.addObject(a.h[i].Obj)
 		}
 	}
 	return nil
 }
 
 // Reset discards the history and all transaction state, retaining the
-// allocated capacity for reuse. Histories previously returned by History
-// become invalid; Snapshot copies are unaffected.
+// allocated capacity for reuse — except a loaded history's array, which
+// is dropped. Histories previously returned by History become invalid;
+// Snapshot copies are unaffected.
 func (a *Appender) Reset() {
-	a.h = a.h[:0]
-	clear(a.phases)
+	if a.loaded {
+		a.h, a.loaded = nil, false
+	} else {
+		a.h = a.h[:0]
+	}
 	a.txs = a.txs[:0]
+	a.phases = a.phases[:0]
 	a.spans = a.spans[:0]
 	a.execs = a.execs[:0]
+	a.evTx = a.evTx[:0]
 	clear(a.spanIdx)
 	a.open = 0
 	a.objs = a.objs[:0]

@@ -61,11 +61,11 @@ func appendCompletion(dst []Event, tx TxID, last Kind, commit bool) []Event {
 // a copy — treat it as immutable, per the module's convention.
 //
 // One pass over h finds every transaction's last event, which alone
-// decides its completion; above 32 transactions the pass looks
+// decides its completion; above linearMax transactions the pass looks
 // transactions up through a map, as Transactions does.
 func (h History) CompleteWith(commits map[TxID]bool) History {
 	txs := h.Transactions()
-	var small [32]Kind
+	var small [linearMax]Kind
 	last := small[:]
 	if len(txs) > len(small) {
 		last = make([]Kind, len(txs))
@@ -95,20 +95,20 @@ func (h History) CompleteWith(commits map[TxID]bool) History {
 // lastKinds sets last[i] to the kind of the last event of txs[i] in h,
 // where txs are h's transactions in first-event order.
 func (h History) lastKinds(txs []TxID, last []Kind) {
-	if len(txs) > 32 {
+	if len(txs) > linearMax {
 		idx := make(map[TxID]int, len(txs))
 		for i, tx := range txs {
 			idx[tx] = i
 		}
-		for _, e := range h {
-			last[idx[e.Tx]] = e.Kind
+		for i := range h {
+			last[idx[h[i].Tx]] = h[i].Kind
 		}
 		return
 	}
-	for _, e := range h {
-		for i, tx := range txs {
-			if tx == e.Tx {
-				last[i] = e.Kind
+	for i := range h {
+		for j, tx := range txs {
+			if tx == h[i].Tx {
+				last[j] = h[i].Kind
 				break
 			}
 		}

@@ -179,8 +179,8 @@ func TestManyTransactionsFallbacks(t *testing.T) {
 // over the history must append exactly what the per-transaction rule
 // appends — a status scan and a pending-invocation scan per transaction,
 // the definition it replaced — in first-event order, with every
-// commit-pending transaction committed and then with every one aborted.
-// The corpus runs below the 32-transaction lookup cutoff; concatenating
+// commit-pending transaction committed and then with every one aborted;
+// so must Appender.Complete with the same fates. The corpus runs below the 32-transaction lookup cutoff; concatenating
 // eight of its histories, renumbered apart, runs above it.
 func TestCompleteWithMatchesPerTransactionRule(t *testing.T) {
 	ruleEvents := func(h History, tx TxID, commit bool) []Event {
@@ -209,7 +209,7 @@ func TestCompleteWithMatchesPerTransactionRule(t *testing.T) {
 		}
 		corpus = append(corpus, wide)
 	}
-	wideSeen := false
+	wideSeen, wideLoaded := false, false
 	for hi, h := range corpus {
 		txs := h.Transactions()
 		wideSeen = wideSeen || len(txs) > 32
@@ -229,10 +229,35 @@ func TestCompleteWithMatchesPerTransactionRule(t *testing.T) {
 				t.Fatalf("history %d (%d transactions, commit=%v): CompleteWith\n%s\nthe rule gives\n%s",
 					hi, len(txs), commit, got.Format(), want.Format())
 			}
+			// Appender.Complete reads the same fates by index, and
+			// ignores those of transactions that are not commit-pending.
+			// (Concatenating the concatenations reuses identifiers, so
+			// some of the widest histories are ill-formed: Complete
+			// takes only what an Appender accepts.)
+			var a Appender
+			if a.Load(h) != nil {
+				continue
+			}
+			wideLoaded = wideLoaded || len(txs) > 32
+			fate := make([]bool, len(txs))
+			for i := range fate {
+				fate[i] = commit
+			}
+			got := a.Complete(fate)
+			if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("history %d (%d transactions, commit=%v): Appender.Complete\n%s\nthe rule gives\n%s",
+					hi, len(txs), commit, got.Format(), want.Format())
+			}
+			if len(h) > 0 && (&got[0] == &h[0]) != (len(got) == len(h)) {
+				t.Fatalf("history %d: Appender.Complete shares h's array: %v, h complete: %v", hi, &got[0] == &h[0], len(got) == len(h))
+			}
 		}
 	}
 	if !wideSeen {
 		t.Fatal("no history above the 32-transaction cutoff")
+	}
+	if !wideLoaded {
+		t.Fatal("Appender.Complete never ran above the 32-transaction cutoff")
 	}
 }
 

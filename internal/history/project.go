@@ -24,22 +24,27 @@ func (h History) Obj(ob ObjID) History {
 	return out
 }
 
+// linearMax is the number of transactions (or objects) up to which a
+// lookup scans a list instead of hashing: histories rarely have more
+// than a handful, and below this count the scan costs less than a map.
+const linearMax = 32
+
 // Transactions returns the transactions in h (Ti ∈ H iff H|Ti is
 // non-empty), in order of their first event.
 func (h History) Transactions() []TxID {
-	// Histories rarely have more than a handful of transactions: dedup by
-	// linear scan of the output and fall back to a map only when the
-	// transaction count makes the scan quadratic enough to matter.
+	// Dedup by linear scan of the output and fall back to a map only when
+	// the transaction count makes the scan quadratic enough to matter.
 	out := make([]TxID, 0, 8)
 scan:
-	for _, e := range h {
-		for _, tx := range out {
-			if tx == e.Tx {
+	for i := range h {
+		tx := h[i].Tx
+		for _, x := range out {
+			if x == tx {
 				continue scan
 			}
 		}
-		out = append(out, e.Tx)
-		if len(out) > 32 {
+		out = append(out, tx)
+		if len(out) > linearMax {
 			return h.transactionsMap(out)
 		}
 	}
@@ -54,10 +59,10 @@ func (h History) transactionsMap(out []TxID) []TxID {
 	for _, tx := range out {
 		seen[tx] = true
 	}
-	for _, e := range h {
-		if !seen[e.Tx] {
-			seen[e.Tx] = true
-			out = append(out, e.Tx)
+	for i := range h {
+		if tx := h[i].Tx; !seen[tx] {
+			seen[tx] = true
+			out = append(out, tx)
 		}
 	}
 	return out
@@ -91,7 +96,7 @@ scan:
 			}
 		}
 		out = append(out, e.Obj)
-		if len(out) > 32 {
+		if len(out) > linearMax {
 			return h.objectsMap(out)
 		}
 	}

@@ -32,26 +32,32 @@ func OpSignature(execs []OpExec) string {
 // operation name or value content — however crafted — can forge a field
 // or record boundary and make two different executions render alike.
 func AppendOpSignature(buf []byte, execs []OpExec) []byte {
-	for _, e := range execs {
+	for i := range execs {
+		e := &execs[i]
 		if e.Pending {
 			continue
 		}
-		buf = appendSigFramed(buf, func(b []byte) []byte { return append(b, e.Obj...) })
-		buf = appendSigFramed(buf, func(b []byte) []byte { return append(b, e.Op...) })
-		buf = appendSigFramed(buf, func(b []byte) []byte { return appendSigValue(b, e.Arg) })
-		buf = appendSigFramed(buf, func(b []byte) []byte { return appendSigValue(b, e.Ret) })
+		buf = appendSigLen(buf, len(e.Obj))
+		buf = append(buf, e.Obj...)
+		buf = appendSigLen(buf, len(e.Op))
+		buf = append(buf, e.Op...)
+		buf = appendSigFramedValue(buf, e.Arg)
+		buf = appendSigFramedValue(buf, e.Ret)
 	}
 	return buf
 }
 
-// appendSigFramed appends a 4-byte little-endian length followed by the
-// bytes render produces, making the field self-delimiting regardless of
-// its content.
-func appendSigFramed(buf []byte, render func([]byte) []byte) []byte {
+// appendSigLen appends n as a 4-byte little-endian field length.
+func appendSigLen(buf []byte, n int) []byte {
+	return append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+}
+
+// appendSigFramedValue appends v's rendering preceded by its 4-byte
+// little-endian length, which is known only once it is rendered.
+func appendSigFramedValue(buf []byte, v Value) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = render(buf)
-	n := uint32(len(buf) - start - 4)
+	buf = appendSigValue(append(buf, 0, 0, 0, 0), v)
+	n := len(buf) - start - 4
 	buf[start] = byte(n)
 	buf[start+1] = byte(n >> 8)
 	buf[start+2] = byte(n >> 16)

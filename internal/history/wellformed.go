@@ -6,7 +6,7 @@ import "fmt"
 // well-formedness. For every transaction Ti, H|Ti must be a prefix of
 // O · F where O is a sequence of operation executions and F is one of
 // ⟨inv, A⟩, ⟨tryA, A⟩, ⟨tryC, C⟩ or ⟨tryC, A⟩ (paper, §4).
-type txPhase int
+type txPhase uint8
 
 const (
 	phaseIdle          txPhase = iota // between operation executions
@@ -16,6 +16,28 @@ const (
 	phaseCommitted
 	phaseAborted
 )
+
+// status returns the status of a transaction in phase p.
+func (p txPhase) status() Status {
+	switch p {
+	case phaseCommitPending:
+		return StatusCommitPending
+	case phaseCommitted:
+		return StatusCommitted
+	case phaseAborted:
+		return StatusAborted
+	default:
+		return StatusLive
+	}
+}
+
+// lastKind returns the kind of the last event of a transaction in phase
+// p, the one fact its completion depends on: each phase is entered by
+// exactly one kind (idle by a response, or by no event at all, which
+// completes alike).
+func (p txPhase) lastKind() Kind {
+	return [...]Kind{KindRet, KindInv, KindTryCommit, KindTryAbort, KindCommit, KindAbort}[p]
+}
 
 // WellFormedError describes the first well-formedness violation found in
 // a history.
@@ -44,16 +66,11 @@ func wfErr(i int, e Event, msg string) error {
 //   - only an abort event can follow an abort-try event;
 //   - an abort event may arrive in place of an operation response.
 //
-// The decision is Appender.Append's: h is appended to a fresh Appender,
-// and its first rejection is the error.
+// The decision is the Appender's: h is loaded into a fresh one, and its
+// first rejection is the error.
 func (h History) WellFormed() error {
-	a := NewAppender()
-	for _, e := range h {
-		if err := a.Append(e); err != nil {
-			return err
-		}
-	}
-	return nil
+	var a Appender
+	return a.Load(h)
 }
 
 // MustWellFormed panics if h is not well-formed. It is intended for test

@@ -383,11 +383,21 @@ func New(opts Options) *Session {
 // run ends.
 func Attach(rec *stm.Recorder, opts Options) *Session {
 	s := New(opts)
+	s.Tap(rec)
+	return s
+}
+
+// Tap feeds the session every event rec records from now on, in
+// recording order, and arms rec with the session's admission gate, if
+// it has one (see AdmissionGate). It takes rec's tap, so rec keeps none
+// of the events (see stm.Recorder.Tap). The tap offers each event as
+// Append does, without building a Verdict nobody reads. Detach by
+// rec.Tap(nil).
+func (s *Session) Tap(rec *stm.Recorder) {
 	if g := s.AdmissionGate(); g != nil {
 		rec.Gate(g)
 	}
-	rec.Tap(func(ev history.Event) { s.Append(ev) })
-	return s
+	rec.Tap(s.offer)
 }
 
 // Append offers one event to the session and returns a verdict
@@ -396,6 +406,12 @@ func Attach(rec *stm.Recorder, opts Options) *Session {
 // now — possibly lagging the enqueued event. Events offered after
 // Close are ignored in both modes, so a Close verdict is final.
 func (s *Session) Append(ev history.Event) Verdict {
+	s.offer(ev)
+	return s.Verdict()
+}
+
+// offer is Append without the verdict snapshot.
+func (s *Session) offer(ev history.Event) {
 	s.admit(ev)
 	var v *Violation
 	s.closeMu.RLock()
@@ -409,7 +425,6 @@ func (s *Session) Append(ev history.Event) Verdict {
 	}
 	s.closeMu.RUnlock()
 	s.notify(v)
-	return s.Verdict()
 }
 
 // enqueue hands ev to the drain goroutine. A latched session spares the
