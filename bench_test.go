@@ -250,13 +250,12 @@ func BenchmarkCheckOpacity(b *testing.B) {
 // The "symmetric" corpus — pinned by testdata/corpora/symmetric.json,
 // clone-heavy histories of interchangeable transactions — is the regime
 // the symmetry reduction targets. Sequential runs additionally report
-// sym-prunes/corpus and legal-skips/corpus (candidate placements skipped
-// by the symmetry reduction and the incremental legality watch), and the
-// nosym variant reruns the sequential configuration with the symmetry
-// reduction disabled (core.Config.DisableSym): nodes/corpus of
-// symmetric/nosym over symmetric/sequential is the measured reduction
-// factor CI asserts on, and on the asymmetric corpora the two variants
-// must agree — the reduction never adds nodes.
+// sym-prunes/corpus (candidate placements skipped by the symmetry
+// reduction), and the nosym variant reruns the sequential configuration
+// with the symmetry reduction disabled (core.Config.DisableSym):
+// nodes/corpus of symmetric/nosym over symmetric/sequential is the
+// measured reduction factor CI asserts on, and on the asymmetric corpora
+// the two variants must agree — the reduction never adds nodes.
 //
 // The "recorded" corpus is 1,000 runs of tl2 recorded through
 // interleave.Run on seeded single-goroutine schedules (stmtest.Recorded:
@@ -319,7 +318,6 @@ func BenchmarkCheckOpacityBatch(b *testing.B) {
 				b.ReportMetric(float64(stats.States), "states-interned")
 				b.ReportMetric(memoHitRate(stats), "memo-hit-rate")
 				b.ReportMetric(float64(stats.SymPrunes), "sym-prunes/corpus")
-				b.ReportMetric(float64(stats.LegalSkips), "legal-skips/corpus")
 			}
 		}
 		b.Run(corpus.name+"/sequential", sequential(false))

@@ -62,10 +62,9 @@
 //
 // A summary goes to stderr: the totals and node count, then the search
 // tables' counters and the reductions — the symmetry classes the
-// searches detected and the candidate placements skipped by the
-// symmetry and incremental-legality reductions — or, under -reference,
-// which runs without search tables, an explicit "no context counters"
-// note. The exit status is 1 if any line
+// searches detected and the candidate placements the symmetry reduction
+// skipped — or, under -reference, which runs without search tables, an
+// explicit "no context counters" note. The exit status is 1 if any line
 // errored (parse failure, malformed history, search-budget exhaustion),
 // else 0; non-opaque is a verdict, not an error. SIGINT/SIGTERM cancel
 // the batch gracefully: already-admitted histories still get their

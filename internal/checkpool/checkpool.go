@@ -387,7 +387,7 @@ func (t Tally) String() string {
 // run as the one summary line `opacheck -parallel` and every otmd
 // worker print after their totals.
 func Summary(s core.Stats) string {
-	return fmt.Sprintf("search tables: %d states interned (%d object atoms), %d memo entries (%d hits, %d misses), %d transitions cached (%d hits), %d rebuilds; reductions: %d symmetry classes, %d sym prunes, %d legality skips",
+	return fmt.Sprintf("search tables: %d states interned (%d object atoms), %d memo entries (%d hits, %d misses), %d transitions cached (%d hits), %d rebuilds; reductions: %d symmetry classes, %d sym prunes",
 		s.States, s.Atoms, s.MemoEntries, s.MemoHits, s.MemoMisses, s.TransMisses, s.TransHits, s.Flushes,
-		s.SymClasses, s.SymPrunes, s.LegalSkips)
+		s.SymClasses, s.SymPrunes)
 }

@@ -52,13 +52,12 @@ type Stats struct {
 	// placements the search canonicalizes), only in calls that search or
 	// enumerate — a call whose hint validates (the Incremental fast path)
 	// counts none; SymPrunes counts candidate placements skipped because
-	// an earlier member of the candidate's class was still unplaced;
-	// LegalSkips counts candidate placements skipped by the incremental
-	// legality watch without probing the transition cache (the candidate
-	// was known-illegal on the current states of every object it
-	// touches).
+	// an earlier member of the candidate's class was still unplaced.
 	SymClasses int
 	SymPrunes  int
+	// LegalSkips always reads 0: the search decides every candidate's
+	// legality through the transition cache and skips none. The field
+	// stays only because perfbench reports it.
 	LegalSkips int
 }
 
@@ -75,7 +74,6 @@ func (s *Stats) Add(o Stats) {
 	s.Flushes += o.Flushes
 	s.SymClasses += o.SymClasses
 	s.SymPrunes += o.SymPrunes
-	s.LegalSkips += o.LegalSkips
 }
 
 // transKey keys the transition cache: replaying the transaction with
@@ -236,10 +234,10 @@ func (c *SearchContext) resident() int { return int(c.gen.size()) }
 // registerObjects ensures ids are in the generation's registry and
 // syncs the context's mirror (objIdx/objs) up to at least every id it
 // needs. The mirror is always an exact prefix of the registry, so local
-// index lookups agree with every other context's and footprint bitsets
-// sized by the mirror cover all of this call's objects. Registry growth
-// invalidates nothing: interned vectors are stored canonical (see
-// internVec), independent of the registry's size.
+// index lookups agree with every other context's and cover all of this
+// call's objects. Registry growth invalidates nothing: interned vectors
+// are stored canonical (see internVec), independent of the registry's
+// size.
 func (c *SearchContext) registerObjects(ids []history.ObjID) {
 	missing := false
 	for _, id := range ids {

@@ -111,12 +111,13 @@ const (
 // tables that live in the SearchContext and persist across calls: object
 // states are interned to stateIDs (vector comparison is word equality,
 // not string building) and each transaction's replay is cached per
-// distinct state. The failure memo is the searcher's own and lives for
-// one search: failed states are recorded under a fixed-size comparable
-// key of (placed bitset, stateID), so isomorphic search prefixes —
-// different placement orders and different commit/abort fate
-// assignments reaching the same placed set and object states — are
-// explored once.
+// distinct state, so every node decides each candidate's legality with
+// one transition-cache probe (a replay only at a state the cache has not
+// seen). The failure memo is the searcher's own and lives for one
+// search: failed states are recorded under a fixed-size comparable key
+// of (placed bitset, stateID), so isomorphic search prefixes — different
+// placement orders and different commit/abort fate assignments reaching
+// the same placed set and object states — are explored once.
 type searcher struct {
 	ctx    *SearchContext
 	active bool
@@ -127,8 +128,7 @@ type searcher struct {
 	decide []decision
 	fate   []bool // chosen fate per placed transaction
 	preds  []bitset
-	foot   []bitset // per-transaction object footprint (bit per object)
-	words  []uint64 // shared backing store of preds, foot, succ and placed
+	words  []uint64 // shared backing store of preds, succ and placed
 	placed bitset
 	pos    []int32 // the placed transactions, in placement order
 	init   stateID
@@ -162,26 +162,6 @@ type searcher struct {
 	// state.
 	classPrev []int32
 	succ      []bitset // scratch: per-transaction successor bitsets
-
-	// The incremental legality watch: legality of candidate i depends
-	// only on the current states of the objects in foot[i], so a computed
-	// verdict stays valid until one of those objects changes. ver is the
-	// per-call version clock, bumped on every state change — placements
-	// of state-changing transactions and their backtracks alike — and
-	// objVer[o] records the clock at object o's last possible change.
-	// legalVal[i]/legalVer[i] cache candidate i's last verdict and the
-	// clock it was computed at; the cached verdict is fresh while no
-	// watched object's version exceeds it. Only illegal verdicts are
-	// consumed from the cache (a legal placement still needs the
-	// successor state from the transition cache), which is exactly the
-	// hot case: an illegal candidate is re-scanned at every node of the
-	// enclosing subtree, and the watch answers those scans with an array
-	// probe instead of a transition-cache probe (or a replay, at states
-	// the cache has never seen).
-	ver      int32
-	objVer   []int32
-	legalVal []bool
-	legalVer []int32
 
 	maxNodes int
 	nodes    *int
@@ -238,22 +218,16 @@ func (s *searcher) setup(o serializeOptions) {
 		s.decide[i] = decisionOf(live.app.StatusAt(i))
 	}
 
-	// preds, foot, succ and placed share one zeroed word block.
+	// preds, succ and placed share one zeroed word block.
 	tw := (n + 63) / 64
-	ow := (len(ctx.objs) + 63) / 64
-	s.words = grow(s.words, 2*n*tw+n*ow+tw)
+	s.words = grow(s.words, 2*n*tw+tw)
 	clear(s.words)
 	s.preds = grow(s.preds, n)
-	s.foot = grow(s.foot, n)
 	s.succ = grow(s.succ, n)
 	off := 0
 	for i := 0; i < n; i++ {
 		s.preds[i] = bitset(s.words[off : off+tw])
 		off += tw
-	}
-	for i := 0; i < n; i++ {
-		s.foot[i] = bitset(s.words[off : off+ow])
-		off += ow
 	}
 	for i := 0; i < n; i++ {
 		s.succ[i] = bitset(s.words[off : off+tw])
@@ -280,33 +254,12 @@ func (s *searcher) setup(o serializeOptions) {
 	s.init = live.initial(ctx, o.objects)
 }
 
-// prepare completes setup for a search: footprints, symmetry classes,
-// the legality watch, an empty memo and the leaf sink (nil to find a
-// witness). A call whose hint validates never needs them, so
-// findSerialization derives them only once it has to search.
+// prepare completes setup for a search: symmetry classes, an empty
+// memo and the leaf sink (nil to find a witness). A call whose hint
+// validates never needs them, so findSerialization derives them only
+// once it has to search.
 func (s *searcher) prepare(disableSym bool, sink func(stateID)) {
-	ctx := s.ctx
-	for i := 0; i < s.n; i++ {
-		for _, e := range s.execs[i] {
-			if !e.Pending {
-				s.foot[i].set(int(ctx.objIdx[e.Obj]))
-			}
-		}
-	}
-
 	s.computeClasses(disableSym)
-
-	// The legality watch starts every call cold: version clock at zero,
-	// every object version at zero, every cached verdict invalid.
-	s.ver = 0
-	s.objVer = grow(s.objVer, len(ctx.objs))
-	clear(s.objVer)
-	s.legalVal = grow(s.legalVal, s.n)
-	s.legalVer = grow(s.legalVer, s.n)
-	for i := range s.legalVer {
-		s.legalVer[i] = -1
-	}
-
 	s.memo = emptied(s.memo)
 	s.memoWide = emptied(s.memoWide)
 	s.sink = sink
@@ -459,13 +412,15 @@ func (s *searcher) keep(ser *serialization) {
 // search tries to extend the partial serialization. placed is mutated in
 // place (set before recursing, cleared on backtrack); count is the number
 // of placed transactions; vid is the interned object-state vector
-// produced by the committed transactions placed so far. On outFound the
-// winning bits stay set and s.pos / s.fate hold the full serialization
-// and fate assignment. A state is memoized as failed only when its whole
-// subtree was explored within the node budget; a truncated subtree
-// yields outTruncated, which propagates without memoization. With a sink
-// set, every leaf is sunk and fails, so the search never returns
-// outFound.
+// produced by the committed transactions placed so far. Each candidate
+// whose predecessors are placed is stepped from vid through the
+// transition cache, which yields its legality and successor state. On
+// outFound the winning bits stay set and s.pos / s.fate hold the full
+// serialization and fate assignment. A state is memoized as failed only
+// when its whole subtree was explored within the node budget; a
+// truncated subtree yields outTruncated, which propagates without
+// memoization. With a sink set, every leaf is sunk and fails, so the
+// search never returns outFound.
 //
 // The memo is sound because nothing below a node depends on the path
 // that reached it: which candidates are placeable, their legality and
@@ -492,7 +447,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 		if placed.has(i) || !placed.covers(s.preds[i]) || s.symBlocked(i, placed) {
 			continue
 		}
-		next, legal := s.stepCand(i, vid)
+		next, legal := s.ctx.step(vid, s.sigs[i], s.execs[i])
 		if !legal {
 			continue
 		}
@@ -502,7 +457,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 		switch s.decide[i] {
 		case decideCommitted:
 			s.fate[i] = true
-			out = s.searchCommitted(placed, count, vid, next, i)
+			out = s.search(placed, count+1, next)
 		case decideAborted:
 			s.fate[i] = false
 			out = s.search(placed, count+1, vid)
@@ -514,7 +469,7 @@ func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 			out = s.search(placed, count+1, vid)
 			if out == outFailed {
 				s.fate[i] = true
-				out = s.searchCommitted(placed, count, vid, next, i)
+				out = s.search(placed, count+1, next)
 			}
 		}
 		if out == outFound {
@@ -530,21 +485,6 @@ func (s *searcher) search(placed bitset, count int, vid stateID) outcome {
 	}
 	s.memoInsert(placed, vid)
 	return outFailed
-}
-
-// searchCommitted recurses below the committed placement of transaction
-// i, keeping the legality watch honest: when the placement actually
-// changes the object states (next != vid), i's footprint objects are
-// stamped before descending and again after returning, since the
-// backtrack reverts them (see legality.go).
-func (s *searcher) searchCommitted(placed bitset, count int, vid, next stateID, i int) outcome {
-	if next == vid {
-		return s.search(placed, count+1, vid)
-	}
-	s.touch(i)
-	out := s.search(placed, count+1, next)
-	s.touch(i)
-	return out
 }
 
 // findSerialization searches for an order of the history's transactions

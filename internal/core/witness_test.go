@@ -16,17 +16,22 @@ import (
 // opaque verdict, Completion is h.CompleteWith of the fates it chose,
 // event for event, Sequential is buildSequential(Completion, Order), and
 // the two form Definition 1's certificate. Completion shares h's array
-// exactly when h is complete. The corpora
-// leave transactions commit-pending and live (PLeaveLive 0.4 and 0.8),
-// clone them (the pinned symmetric corpus), or record them from tl2,
-// one run of 100 transactions among them, over the 32-transaction
-// lookup cutoff.
+// exactly when h is complete. The corpora leave transactions
+// commit-pending and live (PLeaveLive 0.4 and 0.8), clone them (the
+// pinned symmetric corpus), or record them from tl2, among them runs of
+// 100 and 1,000 transactions, over the 32-transaction lookup cutoff.
+// The 1,000-transaction run is the one opacheck's
+// TestSingleModeLongRecordedHistory checks: a certificate check that
+// scans the history once per pair of transactions takes minutes on it.
 func TestWitnessMatchesDerivation(t *testing.T) {
 	symSpec, err := gen.LoadSpec("../../testdata/corpora/symmetric.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := []history.History{stmtest.Interleaved(tl2.New(16), 100)}
+	recorded := []history.History{
+		stmtest.Interleaved(tl2.New(16), 100),
+		stmtest.Interleaved(tl2.New(16), 1000),
+	}
 	for seed := int64(1); seed <= 300; seed++ {
 		recorded = append(recorded, stmtest.Recorded(tl2.New(3), seed))
 	}

@@ -1,36 +1,43 @@
 package history
 
 // txSpan records the index of the first and last event of a transaction
-// within a history.
+// within a history, and whether that last event completes it (C or A).
 type txSpan struct {
 	first, last int
+	completed   bool
 }
 
+// spans maps every transaction of h to its span, in one pass.
 func (h History) spans() map[TxID]txSpan {
 	out := make(map[TxID]txSpan)
 	for i, e := range h {
 		s, ok := out[e.Tx]
 		if !ok {
-			out[e.Tx] = txSpan{first: i, last: i}
-			continue
+			s.first = i
 		}
 		s.last = i
+		s.completed = completes(e.Kind)
 		out[e.Tx] = s
 	}
 	return out
+}
+
+// completes reports whether an event of kind k completes its
+// transaction: it is C or A.
+func completes(k Kind) bool { return k == KindCommit || k == KindAbort }
+
+// precedes is Precedes on a history's spans.
+func precedes(sp map[TxID]txSpan, ti, tj TxID) bool {
+	si, oki := sp[ti]
+	sj, okj := sp[tj]
+	return oki && okj && si.completed && si.last < sj.first
 }
 
 // Precedes reports whether Ti ≺H Tj: Ti is completed in h and the first
 // event of Tj follows the last event of Ti. ≺H is the real-time order of
 // transactions in h (paper, §4).
 func (h History) Precedes(ti, tj TxID) bool {
-	if !h.Completed(ti) {
-		return false
-	}
-	sp := h.spans()
-	si, oki := sp[ti]
-	sj, okj := sp[tj]
-	return oki && okj && si.last < sj.first
+	return precedes(h.spans(), ti, tj)
 }
 
 // Concurrent reports whether ti and tj are concurrent in h: neither
@@ -39,7 +46,8 @@ func (h History) Concurrent(ti, tj TxID) bool {
 	if ti == tj {
 		return false
 	}
-	return !h.Precedes(ti, tj) && !h.Precedes(tj, ti)
+	sp := h.spans()
+	return !precedes(sp, ti, tj) && !precedes(sp, tj, ti)
 }
 
 // RealTimeOrder returns ≺H as an explicit list of ordered pairs, useful
@@ -50,11 +58,12 @@ func (h History) RealTimeOrder() [][2]TxID {
 	sp := h.spans()
 	var out [][2]TxID
 	for _, ti := range txs {
-		if !h.Completed(ti) {
+		si := sp[ti]
+		if !si.completed {
 			continue
 		}
 		for _, tj := range txs {
-			if sp[tj].first > sp[ti].last {
+			if sp[tj].first > si.last {
 				out = append(out, [2]TxID{ti, tj})
 			}
 		}
@@ -66,8 +75,9 @@ func (h History) RealTimeOrder() [][2]TxID {
 // of h: ≺H ⊆ ≺H2, i.e. whenever Ti ≺H Tj then Ti ≺H2 Tj. Transactions of
 // h missing from h2 make the check fail only if they participate in ≺H.
 func PreservesRealTimeOrder(h, h2 History) bool {
+	sp2 := h2.spans()
 	for _, p := range h.RealTimeOrder() {
-		if !h2.Precedes(p[0], p[1]) {
+		if !precedes(sp2, p[0], p[1]) {
 			return false
 		}
 	}
@@ -77,14 +87,17 @@ func PreservesRealTimeOrder(h, h2 History) bool {
 // Sequential reports whether h is a sequential history: no two
 // transactions in h are concurrent. Equivalently, the events of each
 // transaction form a contiguous block and every block except possibly the
-// last belongs to a completed transaction.
+// last belongs to a completed transaction, which is what the one walk
+// checks: a block ends where the transaction changes, and must end in C
+// or A and be followed by a transaction not seen before.
 func (h History) Sequential() bool {
-	txs := h.Transactions()
-	for i, ti := range txs {
-		for _, tj := range txs[i+1:] {
-			if h.Concurrent(ti, tj) {
+	seen := make(map[TxID]bool)
+	for i, e := range h {
+		if i == 0 || e.Tx != h[i-1].Tx {
+			if seen[e.Tx] || i > 0 && !completes(h[i-1].Kind) {
 				return false
 			}
+			seen[e.Tx] = true
 		}
 	}
 	return true
