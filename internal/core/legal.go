@@ -72,6 +72,9 @@ func TxLegal(s history.History, tx history.TxID, objs spec.Objects) bool {
 // AllLegal reports whether every transaction in the complete sequential
 // history s is legal in s — condition (2) of Definition 1. It returns the
 // first illegal transaction when the check fails.
+//
+// s is sequential, so each transaction's events form one block; AllLegal
+// walks the blocks once and takes each one's status from its last event.
 func AllLegal(s history.History, objs spec.Objects) (history.TxID, bool) {
 	if !s.Sequential() {
 		panic("core: AllLegal requires a sequential history")
@@ -80,14 +83,19 @@ func AllLegal(s history.History, objs spec.Objects) (history.TxID, bool) {
 	if states == nil {
 		states = spec.Objects{}
 	}
-	for _, tx := range s.Transactions() {
-		next, ok := replayTx(states, s.OpExecs(tx))
+	for i := 0; i < len(s); {
+		tx, j := s[i].Tx, i+1
+		for j < len(s) && s[j].Tx == tx {
+			j++
+		}
+		next, ok := replayTx(states, s[i:j].OpExecs(tx))
 		if !ok {
 			return tx, false
 		}
-		if s.Committed(tx) {
+		if s[j-1].Kind == history.KindCommit {
 			states = next
 		}
+		i = j
 	}
 	return 0, true
 }

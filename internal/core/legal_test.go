@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"otm/internal/gen"
 	"otm/internal/history"
 	"otm/internal/spec"
 )
@@ -95,6 +96,91 @@ func TestAllLegal(t *testing.T) {
 		MustHistory()
 	if _, ok := AllLegal(good, objs); !ok {
 		t.Error("sequential read-your-committed-predecessor history is legal")
+	}
+}
+
+// allLegalRef is the per-transaction AllLegal, which scans s for each
+// transaction's executions and for its status, kept as the reference the
+// one-pass version is pinned to.
+func allLegalRef(s history.History, objs spec.Objects) (history.TxID, bool) {
+	states := objs
+	if states == nil {
+		states = spec.Objects{}
+	}
+	for _, tx := range s.Transactions() {
+		next, ok := replayTx(states, s.OpExecs(tx))
+		if !ok {
+			return tx, false
+		}
+		if s.Committed(tx) {
+			states = next
+		}
+	}
+	return 0, true
+}
+
+// TestAllLegalMatchesReference pins AllLegal to allLegalRef, requiring
+// the same (tx, ok), on the witnesses of opaque generated histories
+// (committed and aborted blocks), on each with its last event dropped
+// (a live or commit-pending last block), and on each with the first read
+// of one block corrupted, for every block that reads: the first, the
+// middle ones and the last, committed, aborted or live.
+func TestAllLegalMatchesReference(t *testing.T) {
+	var seqs []history.History
+	for _, cfg := range []gen.Config{
+		{Txs: 5, Objs: 3, MaxOps: 3, PStaleRead: 0.3, PLeaveLive: 0.5},
+		{Txs: 8, Objs: 2, MaxOps: 4, PCommit: 0.5},
+	} {
+		for _, h := range gen.Corpus(cfg, 150, 0) {
+			res, err := Check(h, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Opaque {
+				s := res.Witness.Sequential
+				seqs = append(seqs, s, s[:len(s)-1])
+			}
+		}
+	}
+	var legal, illegal, abortedBad, liveBad int
+	check := func(s history.History) {
+		t.Helper()
+		tx, ok := AllLegal(s, nil)
+		wantTx, wantOK := allLegalRef(s, nil)
+		if tx != wantTx || ok != wantOK {
+			t.Fatalf("AllLegal = (T%d, %v), reference (T%d, %v) on\n%s", int(tx), ok, int(wantTx), wantOK, s.Format())
+		}
+		if ok {
+			legal++
+		} else {
+			illegal++
+		}
+	}
+	for _, s := range seqs {
+		check(s)
+		for i := 0; i < len(s); {
+			tx, j, read := s[i].Tx, i, -1
+			for ; j < len(s) && s[j].Tx == tx; j++ {
+				if read < 0 && s[j].Kind == history.KindRet && s[j].Op == "read" {
+					read = j
+				}
+			}
+			if read >= 0 {
+				bad := s.Clone()
+				bad[read].Ret = -1
+				switch {
+				case bad.Aborted(tx):
+					abortedBad++
+				case bad.Live(tx):
+					liveBad++
+				}
+				check(bad)
+			}
+			i = j
+		}
+	}
+	if legal == 0 || illegal == 0 || abortedBad == 0 || liveBad == 0 {
+		t.Errorf("%d legal, %d illegal, %d with an aborted and %d with a live block corrupted: the inputs lost a case", legal, illegal, abortedBad, liveBad)
 	}
 }
 

@@ -78,7 +78,12 @@ func cloneHistory(cfg Config, seed int64) history.History {
 		return history.TxID(1 + t*cfg.Clones + c)
 	}
 
-	var h history.History
+	n := initEvents(cfg)
+	for _, tpl := range templates {
+		n += (2*len(tpl.ops) + fateEvents[tpl.fate]) * cfg.Clones
+	}
+	h := make(history.History, 0, n)
+	h = appendInit(h, cfg)
 	for o := 0; o < maxLen; o++ {
 		for t, tpl := range templates {
 			if o >= len(tpl.ops) {
@@ -113,16 +118,8 @@ func cloneHistory(cfg Config, seed int64) history.History {
 			}
 		}
 	}
-
-	if cfg.WithInit {
-		var init history.History
-		for i := 0; i < cfg.Objs; i++ {
-			init = append(init,
-				history.Inv(0, objName(i), "write", 0),
-				history.Ret(0, objName(i), "write", history.OK))
-		}
-		init = append(init, history.TryC(0), history.Commit(0))
-		h = init.Concat(h)
-	}
 	return h
 }
+
+// fateEvents is the number of termination events of each template fate.
+var fateEvents = [...]int{2, 2, 2, 1, 0}

@@ -85,7 +85,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// objNames holds objName's first hundred names, so a generated operation
+// builds no string.
+var objNames = func() (names [100]history.ObjID) {
+	for i := range names {
+		names[i] = objNameOf(i)
+	}
+	return names
+}()
+
 func objName(i int) history.ObjID {
+	if i < len(objNames) {
+		return objNames[i]
+	}
+	return objNameOf(i)
+}
+
+func objNameOf(i int) history.ObjID {
 	return history.ObjID("x" + string(rune('0'+i%10)) + suffix(i/10))
 }
 
@@ -111,7 +127,10 @@ func History(cfg Config, seed int64) history.History {
 		phase   int // 0 running, 1 commit-pending, 2 done
 	}
 
-	var h history.History
+	// Every transaction emits at most MaxOps operation executions and two
+	// termination events.
+	h := make(history.History, 0, initEvents(cfg)+cfg.Txs*(2*cfg.MaxOps+2))
+	h = appendInit(h, cfg)
 	// committed[ob] tracks a plausible "current committed value" — the
 	// generator's approximation used for non-stale reads.
 	committed := make(map[history.ObjID]history.Value)
@@ -191,19 +210,31 @@ func History(cfg Config, seed int64) history.History {
 		}
 	}
 
-	if cfg.WithInit {
-		// Prepend T0 writing 0 to every register (including unused ones,
-		// so the read value 0 is always attributable).
-		var init history.History
-		for i := 0; i < cfg.Objs; i++ {
-			init = append(init,
-				history.Inv(0, objName(i), "write", 0),
-				history.Ret(0, objName(i), "write", history.OK))
-		}
-		init = append(init, history.TryC(0), history.Commit(0))
-		h = init.Concat(h)
-	}
 	return h
+}
+
+// initEvents is the number of events appendInit appends.
+func initEvents(cfg Config) int {
+	if !cfg.WithInit {
+		return 0
+	}
+	return 2*cfg.Objs + 2
+}
+
+// appendInit appends, if cfg.WithInit is set, the initializing
+// transaction T0 writing 0 to every register (including unused ones, so
+// the read value 0 is always attributable). It draws nothing from the
+// generator's rng, so the generators emit it first.
+func appendInit(h history.History, cfg Config) history.History {
+	if !cfg.WithInit {
+		return h
+	}
+	for i := 0; i < cfg.Objs; i++ {
+		h = append(h,
+			history.Inv(0, objName(i), "write", 0),
+			history.Ret(0, objName(i), "write", history.OK))
+	}
+	return append(h, history.TryC(0), history.Commit(0))
 }
 
 // Corpus generates n histories from cfg with consecutive seeds starting

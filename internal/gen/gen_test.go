@@ -74,6 +74,42 @@ func TestHistoryWithInit(t *testing.T) {
 	}
 }
 
+// TestHistorySizedOnce pins the generators' one allocation: the plain
+// generator's events fit the bound its slice is made with, and the
+// symmetric generator's slice is made at exactly its length.
+func TestHistorySizedOnce(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		for _, cfg := range []Config{
+			{Txs: 6, Objs: 3, MaxOps: 4, PLeaveLive: 0.8},
+			{Txs: 5, Objs: 2, MaxOps: 1, WithInit: true},
+			{Txs: 3, Objs: 2, MaxOps: 3, Clones: 3},
+			{Txs: 2, Objs: 4, MaxOps: 5, Clones: 2, WithInit: true},
+		} {
+			h := History(cfg, seed)
+			want := len(h)
+			if cfg.Clones <= 1 {
+				want = cfg.Txs * (2*cfg.MaxOps + 2)
+				if cfg.WithInit {
+					want += 2*cfg.Objs + 2
+				}
+			}
+			if cap(h) != want {
+				t.Fatalf("%+v seed %d: %d events in a slice of capacity %d, want %d", cfg, seed, len(h), cap(h), want)
+			}
+		}
+	}
+}
+
+// TestObjName pins the register names, including past the table of the
+// first hundred.
+func TestObjName(t *testing.T) {
+	for i, want := range map[int]history.ObjID{0: "x0", 9: "x9", 10: "x01", 57: "x75", 99: "x99", 100: "x00", 123: "x32"} {
+		if got := objName(i); got != want {
+			t.Errorf("objName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestHistoryUniqueWrites(t *testing.T) {
 	type wk struct {
 		ob history.ObjID

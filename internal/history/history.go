@@ -180,17 +180,3 @@ type OpExec struct {
 	Ret     Value
 	Pending bool
 }
-
-// String renders the operation execution in the paper's notation, e.g.
-// "read_2(x) -> 1" or "write_1(x, 5) -> ok".
-func (e OpExec) String() string {
-	s := fmt.Sprintf("%s_%d(%s", e.Op, int(e.Tx), e.Obj)
-	if e.Arg != nil {
-		s += fmt.Sprintf(", %v", e.Arg)
-	}
-	s += ")"
-	if e.Pending {
-		return s + " -> ?"
-	}
-	return s + fmt.Sprintf(" -> %v", e.Ret)
-}

@@ -184,12 +184,10 @@ var parseEdges = []string{
 	"r1(x)->1)->2",
 }
 
-// FuzzParseMatchesReference pins the one-pass Parse to refParse: on any
-// input both return the same events, nil-ness and error text. Besides
-// the edges, it is seeded with generated histories one per input and
-// joined into one multi-line input with histgen's "# seed=N" comments,
-// the shape opacheck's files have.
-func FuzzParseMatchesReference(f *testing.F) {
+// addParseCorpus seeds f with parseSeeds, parseEdges and generated
+// histories, one per input and joined into one multi-line input with
+// histgen's "# seed=N" comments, the shape opacheck's files have.
+func addParseCorpus(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
 	}
@@ -202,6 +200,13 @@ func FuzzParseMatchesReference(f *testing.F) {
 		fmt.Fprintf(&file, "%s # seed=%d\n", h, i)
 	}
 	f.Add(file.String())
+}
+
+// FuzzParseMatchesReference pins the one-pass Parse to refParse: on any
+// input both return the same events, nil-ness and error text. It is
+// seeded by addParseCorpus.
+func FuzzParseMatchesReference(f *testing.F) {
+	addParseCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := history.Parse(src)
 		want, wantErr := refParse(src)

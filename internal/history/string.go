@@ -1,34 +1,74 @@
 package history
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 )
+
+// The renderers below append into one buffer instead of formatting each
+// token with fmt: every history opacheck, otmd, histgen and the violation
+// artifacts exchange passes through History.String, and Format's output
+// grows with transactions × events. string_ref_test.go keeps the
+// fmt-based renderers they are pinned to.
 
 // String renders a single event in a compact, paper-like notation:
 // read/write on registers use the shorthand r2(x)->1 / w1(x,1)->ok; other
 // operations use op2(obj,args)->ret; control events use tryC1, C1, tryA1,
 // A1.
 func (e Event) String() string {
+	var buf [48]byte
+	return string(e.appendTo(buf[:0]))
+}
+
+// appendTo appends e's String rendering to b.
+func (e Event) appendTo(b []byte) []byte {
 	switch e.Kind {
 	case KindInv:
+		b = appendTx(append(b, "inv"...), e.Tx)
+		b = append(append(append(append(b, '('), e.Obj...), '.'), e.Op...)
 		if e.Arg != nil {
-			return fmt.Sprintf("inv%d(%s.%s,%v)", int(e.Tx), e.Obj, e.Op, e.Arg)
+			b = appendValue(append(b, ','), e.Arg)
 		}
-		return fmt.Sprintf("inv%d(%s.%s)", int(e.Tx), e.Obj, e.Op)
+		return append(b, ')')
 	case KindRet:
-		return fmt.Sprintf("ret%d(%s.%s)->%v", int(e.Tx), e.Obj, e.Op, e.Ret)
+		b = appendTx(append(b, "ret"...), e.Tx)
+		b = append(append(append(append(b, '('), e.Obj...), '.'), e.Op...)
+		return appendValue(append(b, ")->"...), e.Ret)
 	case KindTryCommit:
-		return fmt.Sprintf("tryC%d", int(e.Tx))
+		return appendTx(append(b, "tryC"...), e.Tx)
 	case KindTryAbort:
-		return fmt.Sprintf("tryA%d", int(e.Tx))
+		return appendTx(append(b, "tryA"...), e.Tx)
 	case KindCommit:
-		return fmt.Sprintf("C%d", int(e.Tx))
+		return appendTx(append(b, 'C'), e.Tx)
 	case KindAbort:
-		return fmt.Sprintf("A%d", int(e.Tx))
+		return appendTx(append(b, 'A'), e.Tx)
 	default:
-		return fmt.Sprintf("?%d", int(e.Tx))
+		return appendTx(append(b, '?'), e.Tx)
 	}
+}
+
+// appendTx appends a transaction number in decimal.
+func appendTx(b []byte, tx TxID) []byte {
+	return strconv.AppendInt(b, int64(tx), 10)
+}
+
+// appendValue appends v as the verb %v prints it. The dynamic types
+// Parse produces take a strconv path; anything else (named types,
+// Stringers, structs such as spec.CASArg) goes through fmt.
+func appendValue(b []byte, v Value) []byte {
+	switch v := v.(type) {
+	case nil:
+		return append(b, "<nil>"...)
+	case int:
+		return strconv.AppendInt(b, int64(v), 10)
+	case string:
+		return append(b, v...)
+	case bool:
+		return strconv.AppendBool(b, v)
+	}
+	return fmt.Append(b, v)
 }
 
 // String renders the history as a single line of events separated by
@@ -37,24 +77,25 @@ func (e Event) String() string {
 // so do pairs whose operation name the merged token cannot carry — see
 // mergeable).
 func (h History) String() string {
-	var parts []string
-	i := 0
-	for i < len(h) {
+	b := make([]byte, 0, 10*len(h))
+	for i := 0; i < len(h); i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		e := h[i]
 		if e.Kind == KindInv && i+1 < len(h) && h[i+1].Kind == KindRet && Matches(e, h[i+1]) && mergeable(e.Op) {
-			r := h[i+1]
+			b = appendTx(append(b, e.Op...), e.Tx)
+			b = append(append(b, '('), e.Obj...)
 			if e.Arg != nil {
-				parts = append(parts, fmt.Sprintf("%s%d(%s,%v)->%v", e.Op, int(e.Tx), e.Obj, e.Arg, r.Ret))
-			} else {
-				parts = append(parts, fmt.Sprintf("%s%d(%s)->%v", e.Op, int(e.Tx), e.Obj, r.Ret))
+				b = appendValue(append(b, ','), e.Arg)
 			}
-			i += 2
+			b = appendValue(append(b, ")->"...), h[i+1].Ret)
+			i++
 			continue
 		}
-		parts = append(parts, e.String())
-		i++
+		b = e.appendTo(b)
 	}
-	return strings.Join(parts, " ")
+	return string(b)
 }
 
 // mergeable reports whether an operation named op survives the merged
@@ -72,29 +113,108 @@ func mergeable(op string) bool {
 	return op[0] != '#' && (last < '0' || last > '9') && !strings.Contains(op, "(")
 }
 
+// String renders the operation execution in the paper's notation, e.g.
+// "read_2(x) -> 1" or "write_1(x, 5) -> ok".
+func (e OpExec) String() string {
+	var buf [48]byte
+	b := appendTx(append(append(buf[:0], e.Op...), '_'), e.Tx)
+	b = append(append(b, '('), e.Obj...)
+	if e.Arg != nil {
+		b = appendValue(append(b, ", "...), e.Arg)
+	}
+	b = append(b, ')')
+	if e.Pending {
+		return string(append(b, " -> ?"...))
+	}
+	return string(appendValue(append(b, " -> "...), e.Ret))
+}
+
 // Format renders the history as a per-transaction timeline, one line per
 // transaction, with events placed in global order — a textual analogue of
 // the paper's Figures 1 and 2. Useful for debugging opacity violations.
 func (h History) Format() string {
 	txs := h.Transactions()
-	col := make(map[TxID]int, len(txs))
+	row := make(map[TxID]int, len(txs))
 	for i, tx := range txs {
-		col[tx] = i
+		row[tx] = i
 	}
-	lines := make([][]string, len(txs))
-	for _, e := range h {
-		c := col[e.Tx]
-		for i := range lines {
-			if i == c {
-				lines[i] = append(lines[i], e.String())
-			} else {
-				lines[i] = append(lines[i], strings.Repeat(" ", len(e.String())))
-			}
+	// Every event is rendered once, into text: event k is
+	// text[end[k-1]:end[k]], and its cell starts at column end[k-1]+k, one
+	// separating space after each earlier cell. next chains each row's
+	// events from first to last.
+	text := make([]byte, 0, 12*len(h))
+	ints := make([]int, 2*len(h)+2*len(txs))
+	end, next := ints[:len(h)], ints[len(h):2*len(h)]
+	first, last := ints[2*len(h):2*len(h)+len(txs)], ints[2*len(h)+len(txs):]
+	for r := range first {
+		first[r] = -1
+	}
+	for k, e := range h {
+		text = e.appendTo(text)
+		end[k] = len(text)
+		r := row[e.Tx]
+		if first[r] < 0 {
+			first[r] = k
+		} else {
+			next[last[r]] = k
 		}
+		last[r] = k
+	}
+	cell := func(k int) (col int, s []byte) {
+		from := 0
+		if k > 0 {
+			from = end[k-1]
+		}
+		return from + k, text[from:end[k]]
+	}
+	// A row ends with its last event, trailing spaces trimmed (a string
+	// value may end in some): every later cell would be blank.
+	width := func(r int) int {
+		col, s := cell(last[r])
+		return col + len(bytes.TrimRight(s, " "))
+	}
+	var head [32]byte
+	size := 0
+	for r, tx := range txs {
+		size += len(rowHead(head[:0], tx)) + width(r) + 1
 	}
 	var b strings.Builder
-	for i, tx := range txs {
-		fmt.Fprintf(&b, "T%-3d | %s\n", int(tx), strings.TrimRight(strings.Join(lines[i], " "), " "))
+	b.Grow(size)
+	for r, tx := range txs {
+		b.Write(rowHead(head[:0], tx))
+		at := 0
+		for k := first[r]; ; k = next[k] {
+			col, s := cell(k)
+			writeSpaces(&b, col-at)
+			if k == last[r] {
+				b.Write(bytes.TrimRight(s, " "))
+				break
+			}
+			b.Write(s)
+			at = col + len(s)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// rowHead appends the head of tx's Format row, "T%-3d | ".
+func rowHead(b []byte, tx TxID) []byte {
+	b = appendTx(append(b, 'T'), tx)
+	for len(b) < 4 {
+		b = append(b, ' ')
+	}
+	return append(b, " | "...)
+}
+
+// spaces is the run writeSpaces copies from.
+const spaces = "                                                                "
+
+// writeSpaces writes n spaces to b.
+func writeSpaces(b *strings.Builder, n int) {
+	for n > 0 {
+		m := min(n, len(spaces))
+		b.WriteString(spaces[:m])
+		n -= m
+	}
 }

@@ -2,7 +2,7 @@ package stm
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -12,7 +12,23 @@ import (
 // ObjName maps object index i to the history object identifier used by
 // the recorder ("r0", "r1", ...).
 func ObjName(i int) history.ObjID {
-	return history.ObjID(fmt.Sprintf("r%d", i))
+	if 0 <= i && i < len(objNames) {
+		return objNames[i]
+	}
+	return objNameOf(i)
+}
+
+// objNames holds ObjName's names for small indexes, so recording a read
+// or a write formats nothing.
+var objNames = func() (names [256]history.ObjID) {
+	for i := range names {
+		names[i] = objNameOf(i)
+	}
+	return names
+}()
+
+func objNameOf(i int) history.ObjID {
+	return history.ObjID("r" + strconv.Itoa(i))
 }
 
 // Recorder wraps a TM and logs every transactional event of every

@@ -168,6 +168,13 @@ func TestObjName(t *testing.T) {
 	if ObjName(0) != "r0" || ObjName(17) != "r17" {
 		t.Errorf("ObjName: %s %s", ObjName(0), ObjName(17))
 	}
+	// Inside the table, at its edge and past it, the names are the
+	// formatted ones.
+	for i := -2; i <= len(objNames)+2; i++ {
+		if got, want := ObjName(i), history.ObjID(fmt.Sprintf("r%d", i)); got != want {
+			t.Errorf("ObjName(%d) = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestRecorderHappyPath(t *testing.T) {
