@@ -1,8 +1,8 @@
 package otm
 
-// Benchmarks regenerating the paper's quantitative content (see
-// DESIGN.md's per-experiment index and EXPERIMENTS.md for recorded
-// outputs):
+// Benchmarks regenerating the paper's quantitative content; cmd/tmbench
+// prints the same experiments as tables (tmbench -sweep, -scan,
+// -throughput):
 //
 //	BenchmarkStepsPerOp/*      E9  — Theorem 3 sweep: steps of the
 //	                                 decisive read vs k, per engine.

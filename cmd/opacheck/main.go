@@ -45,13 +45,17 @@
 // nodes= is the number of search nodes the completion-aware engine
 // explored for that history; the per-history -maxnodes budget meters one
 // unified search covering every completion (default 4,000,000 nodes).
-// Interned state ids are int32: a history whose search interns about
-// 2^31 distinct states panics. The search tables swap generations at
-// 2^20 entries only between histories, so the limit is per history, far
-// beyond what the default budget reaches. -reference switches the
-// batch to the retained per-completion engine (an un-memoized search per
-// completion, no symmetry reduction), so the node-count reduction
-// of the unified engine is directly measurable on any corpus:
+// A negative -maxnodes is a usage error. Every id the search tables
+// intern (object states, atoms, objects, replay signatures) is int32: a
+// history that makes one table mint 2^31−1 ids panics with "core:
+// interner overflow" instead of wrapping. The search tables swap
+// generations at 2^20 entries only between histories, so the limit is
+// per history, far beyond what the default budget reaches.
+//
+// -reference switches the batch to the retained per-completion engine
+// (an un-memoized search per completion, no symmetry reduction), so the
+// node-count reduction of the unified engine is directly measurable on
+// any corpus:
 //
 //	opacheck -parallel 8 corpus.txt            # nodes= from the unified engine
 //	opacheck -parallel 8 -reference corpus.txt # nodes= from the reference
@@ -128,6 +132,10 @@ func run() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	flag.Parse()
+	if *maxNodes < 0 {
+		fmt.Fprintf(os.Stderr, "opacheck: -maxnodes %d: the budget must be 0 (the checker default) or positive\n", *maxNodes)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

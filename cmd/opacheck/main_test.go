@@ -53,6 +53,34 @@ func TestUnknownDemoKeepsProfile(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxNodesIsUsageError runs the command in each mode with a
+// negative -maxnodes: it must exit 2 before checking anything. The
+// budget used to reach the checker, which reported every history, opaque
+// ones included, as out of nodes.
+func TestNegativeMaxNodesIsUsageError(t *testing.T) {
+	if args := os.Getenv("OPACHECK_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"opacheck"}, strings.Fields(args)...)
+		os.Exit(run())
+	}
+	for _, args := range []string{
+		"-maxnodes -5",
+		"-parallel 1 -maxnodes -5 -",
+		"-replay mem://absent/artifact.json -maxnodes -5",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeMaxNodesIsUsageError$")
+		cmd.Env = append(os.Environ(), "OPACHECK_TEST_ARGS="+args)
+		cmd.Stdin = strings.NewReader("w1(x,1) tryC1 C1 r2(x)->1 tryC2 C2\n")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() > 0 || !strings.Contains(stderr.String(), "-maxnodes -5") {
+			t.Errorf("opacheck %s: err=%v, want exit status 2 naming the budget and no output; stdout:\n%s\nstderr:\n%s",
+				args, err, stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestDemosParseAndVerdicts pins every built-in demo to its expected
 // opacity verdict, so the CLI's showcase inputs cannot rot.
 func TestDemosParseAndVerdicts(t *testing.T) {

@@ -25,10 +25,12 @@
 // same corpus — to stdout (or -o). Planning flags mirror cmd/histgen
 // (-gen/-seed/-txs/-objs/-ops/-stale/-init) and cmd/opacheck
 // (-counter/-maxnodes). -maxnodes bounds each history's search (default
-// 4,000,000 nodes); interned state ids are int32, so a history whose
-// search interns about 2^31 distinct states panics its worker. The
-// search tables swap generations at 2^20 entries only between
-// histories, so the limit is per history.
+// 4,000,000 nodes; a negative budget fails the plan). Every id the
+// search tables intern (object states, atoms, objects, replay
+// signatures) is int32, so a history that makes one table mint 2^31−1
+// ids panics its worker with "core: interner overflow" instead of
+// wrapping. The search tables swap generations at 2^20 entries only
+// between histories, so the limit is per history.
 //
 // # Work
 //

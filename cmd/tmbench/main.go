@@ -1,6 +1,7 @@
-// Command tmbench regenerates the quantitative tables of EXPERIMENTS.md:
-// the Theorem 3 step-complexity sweep (E9), the Θ(k²) tightness table
-// (E10) and the throughput comparison (E13).
+// Command tmbench prints the paper's quantitative tables: the Theorem 3
+// step-complexity sweep (E9, pinned by bench.TestTheorem3Shape), the
+// Θ(k²) tightness table (E10, pinned by bench.TestTightnessQuadratic)
+// and the throughput comparison (E13, BenchmarkThroughput).
 //
 // Usage:
 //

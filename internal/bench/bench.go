@@ -1,8 +1,11 @@
 // Package bench implements the measurement scenarios behind the paper's
-// §6 complexity claims (experiments E9–E11, E13 of DESIGN.md). The same
-// code drives both the testing.B benchmarks at the repository root and
-// the cmd/tmbench table generator, so the numbers in EXPERIMENTS.md are
-// regenerated by exactly the code that is unit-benchmarked.
+// §6 complexity claims: the Theorem 3 sweep (E9, `tmbench -sweep`,
+// TestTheorem3Shape), the tightness table (E10, `tmbench -scan`,
+// TestTightnessQuadratic) and the throughput comparison (E13, `tmbench
+// -throughput`). The same code drives both the testing.B benchmarks at
+// the repository root and the cmd/tmbench table generator, so the
+// tables tmbench prints are regenerated by exactly the code that is
+// unit-benchmarked.
 package bench
 
 import (
@@ -172,9 +175,8 @@ func (r ThroughputResult) AbortRate() float64 {
 }
 
 // ManagedEngine builds a progressive engine (dstm or vstm) with an
-// explicit contention manager — the ablation axis of the DESIGN.md
-// "design choices" list: the same engine under Aggressive, Polite,
-// Karma and Greedy policies.
+// explicit contention manager — the ablation axis of `tmbench -cm`: the
+// same engine under Aggressive, Polite, Karma and Greedy policies.
 func ManagedEngine(engine string, mgr cm.Manager) (Engine, error) {
 	switch engine {
 	case "dstm":

@@ -25,6 +25,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -215,8 +216,8 @@ func rootKey(objs spec.Objects) string {
 	var buf []byte
 	for _, id := range ids {
 		key := objs[history.ObjID(id)].Key()
-		buf = appendFramed(buf, func(b []byte) []byte { return append(b, id...) })
-		buf = appendFramed(buf, func(b []byte) []byte { return append(b, key...) })
+		buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(id))), id...)
+		buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(key))), key...)
 	}
 	return string(buf)
 }

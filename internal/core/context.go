@@ -115,14 +115,15 @@ type atomStepVal struct {
 }
 
 // SearchContext is one goroutine's handle on a set of search tables
-// (SharedTables) — the atom, signature and state-vector interners and
-// the transition cache — plus its own atom step cache, resident searcher
-// and the history.Appender a one-shot check loads its history into. A
-// fresh context over a fresh table set is created internally for every
-// call that does not supply one; supplying one (Config.Context) reuses
-// the tables across calls, which is what makes the O(n) prefix scan of
-// FirstNonOpaquePrefix, the per-removed-transaction re-checks of
-// Diagnose, and long batch runs amortize their state exploration.
+// (SharedTables) — the interning tables of atoms, objects, signatures
+// and state vectors, and the transition cache — plus its own atom step
+// cache, registry mirror, resident searcher and the history.Appender a
+// one-shot check loads its history into. A fresh context over a fresh
+// table set is created internally for every call that does not supply
+// one; supplying one (Config.Context) reuses the tables across calls,
+// which is what makes the O(n) prefix scan of FirstNonOpaquePrefix, the
+// per-removed-transaction re-checks of Diagnose, and long batch runs
+// amortize their state exploration.
 //
 // Reuse is sound because every table is keyed by what it depends on:
 // atoms, signatures and state vectors are pure values, and transitions
@@ -149,7 +150,7 @@ type SearchContext struct {
 	defReg int32 // interned default object state (register 0)
 
 	// objIdx/objs mirror a prefix of the generation's object registry,
-	// so hot-path index lookups never touch the registry lock.
+	// so replay's index lookups are a local map probe.
 	objIdx map[history.ObjID]int32
 	objs   []history.ObjID
 
@@ -229,40 +230,33 @@ func (c *SearchContext) rotate() {
 // pinned to holds: state vectors, replay signatures, transitions and
 // atoms. Unlike Stats, which counts every insert since the context
 // began, it falls when a generation is retired.
-func (c *SearchContext) resident() int { return int(c.gen.size()) }
+func (c *SearchContext) resident() int { return int(c.gen.entries.Load()) }
 
 // registerObjects ensures ids are in the generation's registry and
-// syncs the context's mirror (objIdx/objs) up to at least every id it
-// needs. The mirror is always an exact prefix of the registry, so local
-// index lookups agree with every other context's and cover all of this
-// call's objects. Registry growth invalidates nothing: interned vectors
-// are stored canonical (see internVec), independent of the registry's
-// size.
+// syncs the context's mirror (objIdx/objs) up to the registry store's
+// length, which covers every id it needs. The mirror is always an exact
+// prefix of the registry, so local index lookups agree with every other
+// context's and cover all of this call's objects. Registry growth
+// invalidates nothing: interned vectors are stored canonical (see
+// internVec), independent of the registry's size.
 func (c *SearchContext) registerObjects(ids []history.ObjID) {
+	reg := &c.gen.objs
 	missing := false
 	for _, id := range ids {
 		if _, ok := c.objIdx[id]; !ok {
+			c.keyBuf = append(c.keyBuf[:0], id...)
+			reg.intern(c.keyBuf, struct{}{})
 			missing = true
-			break
 		}
 	}
 	if !missing {
 		return
 	}
-	g := c.gen
-	g.objMu.Lock()
-	for _, id := range ids {
-		if _, ok := g.objIdx[id]; !ok {
-			g.objIdx[id] = int32(len(g.objs))
-			g.objs = append(g.objs, id)
-		}
-	}
-	for j := len(c.objs); j < len(g.objs); j++ {
-		id := g.objs[j]
-		c.objIdx[id] = int32(j)
+	for j := int32(len(c.objs)); j < reg.store.len(); j++ {
+		id := history.ObjID(reg.key(j))
+		c.objIdx[id] = j
 		c.objs = append(c.objs, id)
 	}
-	g.objMu.Unlock()
 }
 
 // maxTableEntries bounds the size of one generation of a table set —
@@ -274,11 +268,13 @@ func (c *SearchContext) registerObjects(ids []history.ObjID) {
 // the tables cached — and starts re-filling it.
 const maxTableEntries = 1 << 20
 
-// internAtom interns one single-object state.
+// internAtom interns one single-object state by its spec.State.Key.
 func (c *SearchContext) internAtom(st spec.State) int32 {
-	id, fresh := c.gen.atoms.Intern(st)
+	c.keyBuf = append(c.keyBuf[:0], st.Key()...)
+	id, fresh := c.gen.atoms.intern(c.keyBuf, st)
 	if fresh {
 		c.stats.Atoms++
+		c.gen.entries.Add(1)
 	}
 	return id
 }
@@ -299,7 +295,7 @@ func (c *SearchContext) internVec() stateID {
 		buf = append(buf, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
 	}
 	c.keyBuf = buf
-	id, fresh := c.gen.vecIdx.intern(buf)
+	id, fresh := c.gen.vecIdx.intern(buf, struct{}{})
 	if fresh {
 		c.stats.States++
 		c.gen.entries.Add(1)
@@ -354,27 +350,12 @@ func (c *SearchContext) initialState(objs spec.Objects) stateID {
 func (c *SearchContext) sigOf(execs []history.OpExec) int32 {
 	buf := history.AppendOpSignature(c.keyBuf[:0], execs)
 	c.keyBuf = buf
-	id, fresh := c.gen.sigIdx.intern(buf)
+	id, fresh := c.gen.sigIdx.intern(buf, struct{}{})
 	if fresh {
 		c.stats.TxSigs++
 		c.gen.entries.Add(1)
 	}
 	return id
-}
-
-// appendFramed appends a 4-byte little-endian length followed by the
-// bytes render produces, making the field self-delimiting regardless of
-// its content.
-func appendFramed(buf []byte, render func([]byte) []byte) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = render(buf)
-	n := uint32(len(buf) - start - 4)
-	buf[start] = byte(n)
-	buf[start+1] = byte(n >> 8)
-	buf[start+2] = byte(n >> 16)
-	buf[start+3] = byte(n >> 24)
-	return buf
 }
 
 // step replays the transaction with the given signature on state vid,
@@ -447,7 +428,7 @@ func (c *SearchContext) stepAtom(atom int32, e history.OpExec) (int32, bool) {
 	if v, ok := c.steps[k]; ok {
 		return v.next, v.legal
 	}
-	next, legal := c.gen.atoms.State(atom).Step(e.Op, e.Arg, e.Ret)
+	next, legal := c.gen.atoms.val(atom).Step(e.Op, e.Arg, e.Ret)
 	v := atomStepVal{next: -1, legal: legal}
 	if legal {
 		v.next = c.internAtom(next)
@@ -470,7 +451,7 @@ func (c *SearchContext) materialize(vid stateID) spec.Objects {
 		if j < len(vec) {
 			a = vec[j]
 		}
-		out[id] = c.gen.atoms.State(a)
+		out[id] = c.gen.atoms.val(a)
 	}
 	return out
 }

@@ -30,7 +30,7 @@
 //
 //     The engine's hot path runs entirely on interned state
 //     (SearchContext). Per-object states are interned to small integers
-//     by their spec.State.Key fingerprint, and each search node's full
+//     (atoms) by their spec.State.Key, and each search node's full
 //     object configuration is a dense vector of those atoms, itself
 //     interned to a stateID — so comparing or hashing a search state is
 //     word arithmetic, never string building. Replaying a transaction is
@@ -53,7 +53,11 @@
 //     from NewSearchContext runs on a fresh set of its own, and
 //     internal/checkpool gives every worker of a run a context over one
 //     common set (SharedTables.NewContext), so a batch interns each
-//     distinct state once. Subtrees truncated by the node budget
+//     distinct state once. Every interning index — atoms, the object
+//     registry, replay signatures and state vectors — is one kind of
+//     lock-free insert-only table minting dense int32 ids; a table that
+//     has minted 2^31−1 ids panics ("core: interner overflow") rather
+//     than wrap. Subtrees truncated by the node budget
 //     propagate a distinct status, so a budget-starved search stops at
 //     once and never records them as failures.
 //

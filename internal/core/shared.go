@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"hash/maphash"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,29 +12,29 @@ import (
 	"otm/internal/spec"
 )
 
-// SharedTables is the one implementation of the search tables: a set of
-// state atoms, replay signatures, interned state vectors and cached
-// transitions that any number of goroutines read and populate at once.
-// Each goroutine owns a SearchContext (NewContext) for its scratch
-// buffers and searcher, while every table probe and insert lands in the
-// set, so N workers on one set intern each distinct state once instead
-// of up to N times and every worker benefits from every other worker's
-// transition entries. A context from NewSearchContext is the one-user
-// case: a fresh set behind a single context. The failure memo is not a
-// table: it belongs to one search (see searcher), and the atom step
-// cache stays private to each context.
+// SharedTables is the one implementation of the search tables: the
+// interned state atoms, object registry, replay signatures and state
+// vectors, and the cached transitions, which any number of goroutines
+// read and populate at once. Each goroutine owns a SearchContext
+// (NewContext) for its scratch buffers and searcher, while every table
+// probe and insert lands in the set, so N workers on one set intern each
+// distinct state once instead of up to N times and every worker benefits
+// from every other worker's transition entries. A context from
+// NewSearchContext is the one-user case: a fresh set behind a single
+// context. The failure memo is not a table: it belongs to one search
+// (see searcher), and the atom step cache stays private to each context.
 //
-// Concurrency design: the hot tables — transitions (transTable) and the
-// string-keyed interning indexes (keyTable) — are lock-free open-addressed
-// hash tables whose probes are plain atomic loads; inserts CAS-claim a
-// slot and publish the value with a second store, and growth doubles the
-// slot array under a mutex that readers never touch. Tables start small
-// and grow with use, so a short-lived set costs little. keyTable inserts
-// mint ids exactly once (the CAS winner appends the key), which is what
-// lets contexts agree on every id. The id-indexed stores (state atoms,
-// state vectors, interned keys) are append-only paged arrays read
-// without locks. All cached values are pure functions of their keys, so
-// racing inserts always agree and first-writer-wins is sound.
+// Concurrency design: every table is a lock-free open-addressed hash
+// table whose probes are plain atomic loads; inserts CAS-claim a slot
+// and publish the value with a second store, and growth doubles the slot
+// array under a mutex that readers never touch. Tables start small and
+// grow with use, so a short-lived set costs little. The transition
+// cache (transTable) stores its values in the slots; every other index
+// is a keyTable, whose dense int32 ids are minted exactly once — the CAS
+// winner appends the key to an append-only store read without locks —
+// which is what lets contexts agree on every id. All cached values are
+// pure functions of their keys, so racing inserts always agree and
+// first-writer-wins is sound.
 //
 // Two rules keep the set flush-free while calls are in flight:
 //
@@ -90,7 +92,7 @@ func (s *SharedTables) NewContext() *SearchContext {
 // whether this call swapped.
 func (s *SharedTables) pin() (*sharedGen, bool) {
 	g := s.gen.Load()
-	if g.size() <= s.maxEntries {
+	if g.entries.Load() <= s.maxEntries {
 		return g, false
 	}
 	return s.swap(g)
@@ -114,43 +116,38 @@ func (s *SharedTables) swap(old *sharedGen) (*sharedGen, bool) {
 }
 
 // sharedGen is one generation of a table set. Everything a stateID,
-// atom id or signature id can refer to lives in one generation; a
-// generation is immutable in structure (append-only registry,
-// insert-only tables) until it is retired wholesale.
+// atom id, object index or signature id can refer to lives in one
+// generation; a generation only grows (insert-only tables) until it is
+// retired wholesale.
 type sharedGen struct {
-	atoms *spec.SharedInterner
-
-	// Object registry: append-only, under its own lock. Contexts mirror
-	// a prefix of it locally so hot-path index lookups stay lock-free
-	// (see SearchContext.registerObjects).
-	objMu  sync.Mutex
-	objIdx map[history.ObjID]int32
-	objs   []history.ObjID
-
-	// The interning indexes: an id is its key's position in the table's
-	// store, and a state vector's key is its canonical atom rendering,
-	// so vecIdx is also the store of the vectors themselves.
-	sigIdx keyTable
-	vecIdx keyTable
+	// atoms interns single-object states by spec.State.Key; the first
+	// state interned under a key is its canonical representative.
+	atoms keyTable[spec.State]
+	// objs is the object registry: an object's id is its index in every
+	// state vector. Contexts mirror a prefix of its store so hot-path
+	// index lookups stay local (see SearchContext.registerObjects).
+	objs keyTable[struct{}]
+	// sigIdx interns replay signatures and vecIdx state vectors. A
+	// vector's key is its canonical atom rendering, so vecIdx's store is
+	// also the store of the vectors themselves.
+	sigIdx keyTable[struct{}]
+	vecIdx keyTable[struct{}]
 	trans  transTable
 
-	// entries approximates the generation's total size (all non-atom
-	// inserts) for the swap bound.
+	// entries is the generation's size for the swap bound: every insert
+	// but the registry's.
 	entries atomic.Int64
 }
 
 func newSharedGen() *sharedGen {
-	g := &sharedGen{
-		atoms:  spec.NewSharedInterner(),
-		objIdx: make(map[history.ObjID]int32),
-	}
+	g := new(sharedGen)
+	g.atoms.init()
+	g.objs.init()
 	g.sigIdx.init()
 	g.vecIdx.init()
 	g.trans.init()
 	return g
 }
-
-func (g *sharedGen) size() int64 { return g.entries.Load() + int64(g.atoms.Len()) }
 
 // hashSeed seeds every maphash fingerprint of the tables. Fingerprints
 // never leave the process, so one random seed per process serves all
@@ -353,20 +350,33 @@ func (t *transTable) put(k transKey, v transVal) bool {
 	}
 }
 
-// keyTable is the lock-free string→id table behind the signature and
-// state-vector indexes, probed with []byte keys.
-// Like transTable it is insert-only and open-addressed, but keys are
+// keyTable is the lock-free interning table behind every id a
+// generation mints: it maps byte-string keys to dense int32 ids and
+// keeps beside each key the value it was first interned with. Like
+// transTable it is insert-only and open-addressed, but keys are
 // arbitrary byte strings, so a slot holds a 64-bit maphash fingerprint
-// plus the key's id — its position in an append-only key store — and
-// every fingerprint match is verified against the stored bytes: a false
+// plus the key's id — its position in an append-only store — and every
+// fingerprint match is verified against the stored bytes: a false
 // positive degrades to a longer probe, never a wrong id. Interns mint
 // ids, so exactly one goroutine may append a new key: the slot-claiming
 // CAS provides that exclusion, and racing interns of the same key spin
 // for the claimant's publication instead of appending twice.
-type keyTable struct {
-	openTable // keys = fingerprint, vals = id+1
-	store     pagedKeys
+type keyTable[V any] struct {
+	openTable // keys = fingerprint, vals = id+1 or refused
+	store     paged[keyEntry[V]]
 }
+
+// keyEntry is what a keyTable stores under an id. val comes first: a
+// trailing zero-size field (V = struct{}) would be padded.
+type keyEntry[V any] struct {
+	val V
+	key string
+}
+
+// refused is the value word an intern publishes into the slot it
+// claimed when the id space is exhausted, so that no probe waits on the
+// slot. It is never id+1 for an id below maxIDs.
+const refused = ^uint32(0)
 
 // fingerprint hashes a key, biased away from the empty and frozen slot
 // markers.
@@ -379,12 +389,16 @@ func fingerprint(key []byte) uint64 {
 }
 
 // key returns the key interned under id.
-func (t *keyTable) key(id int32) string { return t.store.get(id) }
+func (t *keyTable[V]) key(id int32) string { return t.store.get(id).key }
 
-// intern returns the id of key, appending the key to the store if it is
-// new, and reports whether it did. The claiming CAS ties the append to
-// key publication: racing interns of one key can never append twice.
-func (t *keyTable) intern(key []byte) (int32, bool) {
+// val returns the value id was first interned with.
+func (t *keyTable[V]) val(id int32) V { return t.store.get(id).val }
+
+// intern returns the id of key, appending key and val to the store if
+// the key is new, and reports whether it did. The claiming CAS ties the
+// append to key publication: racing interns of one key can never append
+// twice. It panics once the table has minted maxIDs ids.
+func (t *keyTable[V]) intern(key []byte, val V) (int32, bool) {
 	fp := fingerprint(key)
 	for {
 		s := t.slots.Load()
@@ -396,16 +410,21 @@ func (t *keyTable) intern(key []byte) (int32, bool) {
 			j := i & s.mask
 			kk := s.keys[j].Load()
 			if kk == 0 && s.keys[j].CompareAndSwap(0, fp) {
-				id := t.store.append(string(key))
+				id, ok := t.store.append(keyEntry[V]{val, string(key)})
+				if !ok {
+					s.vals[j].Store(refused)
+					t.count.Add(1)
+					panic(fmt.Sprintf("core: interner overflow: a table has minted all %d ids of the int32 id space; "+
+						"lower the per-history node budget (-maxnodes)", maxIDs))
+				}
 				s.vals[j].Store(uint32(id) + 1)
 				t.count.Add(1)
 				return id, true
 			}
 			kk = s.keys[j].Load()
 			if kk == fp {
-				id := int32(loadEntry(s, j) - 1)
-				if t.store.get(id) == string(key) {
-					return id, false
+				if ev := loadEntry(s, j); ev != refused && t.key(int32(ev-1)) == string(key) {
+					return int32(ev - 1), false
 				}
 			}
 			if kk == frozen {
@@ -416,45 +435,56 @@ func (t *keyTable) intern(key []byte) (int32, bool) {
 	}
 }
 
-// pagedKeys is the append-only key store of a keyTable, indexed by id:
-// appends are serialized, reads are lock-free loads through an
-// atomically published page table. A reader only ever asks for an id it
-// learned from a published slot, which happens-after the key was
-// written. Pages hold 256 keys, so a short-lived table set allocates a
-// few KiB per store.
+// maxIDs caps the ids one keyTable mints: ids are int32 and must never
+// wrap. A variable so tests can reach the limit without minting 2^31
+// ids.
+var maxIDs int32 = math.MaxInt32
+
+// paged is the append-only store of a keyTable, indexed by id: appends
+// are serialized, reads are lock-free loads through an atomically
+// published page table. A reader only ever asks for an id it learned
+// from a published slot, or below a length it loaded, either of which
+// happens-after the entry was written. Pages hold 256 entries, so a
+// short-lived table set allocates a few KiB per store.
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
 )
 
-type keyPage [pageSize]string
-
-type pagedKeys struct {
+type paged[T any] struct {
 	mu    sync.Mutex
-	pages atomic.Pointer[[]*keyPage]
-	n     int32
+	pages atomic.Pointer[[]*[pageSize]T]
+	n     atomic.Int32
 }
 
-func (p *pagedKeys) append(key string) int32 {
+// append stores v under the next id and returns it, or reports false
+// when maxIDs ids are taken.
+func (p *paged[T]) append(v T) (int32, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.n
-	var pages []*keyPage
+	n := p.n.Load()
+	if n >= maxIDs {
+		return 0, false
+	}
+	var pages []*[pageSize]T
 	if t := p.pages.Load(); t != nil {
 		pages = *t
 	}
 	if int(n>>pageShift) == len(pages) {
-		grown := make([]*keyPage, len(pages)+1)
+		grown := make([]*[pageSize]T, len(pages)+1)
 		copy(grown, pages)
-		grown[len(pages)] = new(keyPage)
+		grown[len(pages)] = new([pageSize]T)
 		p.pages.Store(&grown)
 		pages = grown
 	}
-	pages[n>>pageShift][n&(pageSize-1)] = key
-	p.n = n + 1
-	return n
+	pages[n>>pageShift][n&(pageSize-1)] = v
+	p.n.Store(n + 1)
+	return n, true
 }
 
-func (p *pagedKeys) get(id int32) string {
+func (p *paged[T]) get(id int32) T {
 	return (*p.pages.Load())[id>>pageShift][id&(pageSize-1)]
 }
+
+// len returns the number of entries stored.
+func (p *paged[T]) len() int32 { return p.n.Load() }

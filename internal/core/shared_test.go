@@ -379,7 +379,7 @@ func TestSharedTablesEnumEpochsUnique(t *testing.T) {
 func TestSharedTablesConcurrentGrowth(t *testing.T) {
 	const goroutines = 8
 	const keys = 5000
-	var kt keyTable
+	var kt keyTable[struct{}]
 	var tt transTable
 	kt.init()
 	tt.init()
@@ -404,7 +404,7 @@ func TestSharedTablesConcurrentGrowth(t *testing.T) {
 			ids[g] = make([]int32, keys)
 			for n := 0; n < keys; n++ {
 				i := (n + g*keys/goroutines) % keys
-				id, fresh := kt.intern(key(i))
+				id, fresh := kt.intern(key(i), struct{}{})
 				if fresh {
 					minted[g]++
 				}
@@ -437,7 +437,7 @@ func TestSharedTablesConcurrentGrowth(t *testing.T) {
 		if got := kt.key(id); got != string(key(i)) {
 			t.Fatalf("id %d holds key %q, want %q", id, got, key(i))
 		}
-		if got, fresh := kt.intern(key(i)); fresh || got != id {
+		if got, fresh := kt.intern(key(i), struct{}{}); fresh || got != id {
 			t.Fatalf("intern(key %d) again = %d, fresh=%v; want %d, not fresh", i, got, fresh, id)
 		}
 		v, ok := tt.get(transKey{state: stateID(i), sig: int32(i * 7)})

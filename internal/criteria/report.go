@@ -10,7 +10,8 @@ import (
 )
 
 // Report collects the verdict of every criterion for one history — the
-// rows of the comparison tables in EXPERIMENTS.md and cmd/opacheck.
+// rows of cmd/opacheck's criteria table (for the paper's Figure 1,
+// `opacheck -demo fig1`, pinned by TestFigure1Verdicts).
 type Report struct {
 	Opaque               bool
 	Serializable         bool

@@ -112,6 +112,7 @@ type PlanOptions struct {
 	// (generator) per shard; default 256.
 	ShardSize int
 	// CounterObjs and MaxNodes are recorded in the manifest for workers.
+	// MaxNodes must not be negative; 0 means the checker default.
 	CounterObjs string
 	MaxNodes    int
 	// RunID names the plan; default "run".
@@ -131,6 +132,9 @@ func Plan(store storage.FS, opts PlanOptions) (*Manifest, error) {
 	}
 	if (opts.CorpusURI == "") == (opts.Gen == nil) {
 		return nil, fmt.Errorf("dist: exactly one of CorpusURI and Gen must be set")
+	}
+	if opts.MaxNodes < 0 {
+		return nil, fmt.Errorf("dist: MaxNodes %d: the budget must be 0 (the checker default) or positive", opts.MaxNodes)
 	}
 	if opts.ShardSize < 1 {
 		opts.ShardSize = 256

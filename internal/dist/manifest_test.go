@@ -40,6 +40,9 @@ func TestPlanErrors(t *testing.T) {
 		{"BothSources", PlanOptions{CorpusURI: "x.txt", Gen: &GenSpec{N: 10}}},
 		{"MissingCorpus", PlanOptions{CorpusURI: "mem://test-plan-errors/absent.txt"}},
 		{"EmptyGen", PlanOptions{Gen: &GenSpec{N: 0}}},
+		// A negative budget used to reach the manifest and turn every
+		// verdict into a budget error.
+		{"NegativeMaxNodes", PlanOptions{Gen: &GenSpec{N: 3}, MaxNodes: -5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,7 +9,8 @@
 // (the §2 zombie schedule, the H4 commit-pending/old-snapshot schedule,
 // the Theorem 3 scenario, write skew) and a classifier that maps each
 // engine's reaction to a behaviour class, producing the cross-engine
-// matrix of EXPERIMENTS.md.
+// matrix that `tmbench -matrix` prints and TestZombieBehaviourMatrix and
+// TestWriteSkewMatrix pin.
 package interleave
 
 import (

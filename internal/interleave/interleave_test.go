@@ -10,9 +10,10 @@ import (
 )
 
 // TestZombieBehaviourMatrix replays the §2 schedule against every
-// engine and pins each to its behaviour class — the cross-engine matrix
-// of EXPERIMENTS.md. Single-version opaque engines abort the probe;
-// multi-version engines serve the old snapshot; gatm alone zombies.
+// engine and pins each to its behaviour class — the zombie-probe column
+// of the matrix `tmbench -matrix` prints. Single-version opaque engines
+// abort the probe; multi-version engines serve the old snapshot; gatm
+// alone zombies.
 func TestZombieBehaviourMatrix(t *testing.T) {
 	want := map[string]Behaviour{
 		"dstm":  BehaviourAbort,
