@@ -93,7 +93,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"otm/internal/checkpool"
@@ -272,13 +271,7 @@ func runReplay(uri, counterObjs string, maxNodes int) int {
 }
 
 // txids renders a transaction set in the T<n> form of verdict lines.
-func txids(txs []history.TxID) string {
-	parts := make([]string, len(txs))
-	for i, tx := range txs {
-		parts[i] = fmt.Sprintf("T%d", int(tx))
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
+func txids(txs []history.TxID) string { return "[" + history.TxList(txs) + "]" }
 
 // runBatch is the -parallel mode: stream histories from the given files
 // (paths or storage URIs; "-" or no arguments reads stdin), check them

@@ -79,17 +79,9 @@ func (a *Artifact) Encode() []byte {
 	fmt.Fprintf(&b, "# status: non-opaque\n")
 	fmt.Fprintf(&b, "# replayable: %v\n", a.Replayable)
 	fmt.Fprintf(&b, "# diagnosed: %v\n", a.Diagnosed)
-	fmt.Fprintf(&b, "# culprits: %s\n", txList(a.Culprits))
+	fmt.Fprintf(&b, "# culprits: %s\n", history.TxList(a.Culprits))
 	fmt.Fprintf(&b, "%s\n", a.History.String())
 	return b.Bytes()
-}
-
-func txList(txs []history.TxID) string {
-	parts := make([]string, len(txs))
-	for i, tx := range txs {
-		parts[i] = fmt.Sprintf("T%d", int(tx))
-	}
-	return strings.Join(parts, " ")
 }
 
 // ParseArtifact decodes an artifact produced by Encode.

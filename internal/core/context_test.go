@@ -337,18 +337,6 @@ func TestSigOfResistsSeparatorInjection(t *testing.T) {
 	}
 }
 
-// TestIndexOfMiss covers the not-found path of the linear transaction
-// lookup shared by the searcher and witness assembly.
-func TestIndexOfMiss(t *testing.T) {
-	txs := []history.TxID{3, 1, 2}
-	if got := indexOf(txs, 2); got != 2 {
-		t.Errorf("indexOf(2) = %d, want 2", got)
-	}
-	if got := indexOf(txs, 9); got != -1 {
-		t.Errorf("indexOf(9) = %d, want -1", got)
-	}
-}
-
 // TestStatsAdd pins the aggregation used by checkpool's per-worker
 // accounting.
 func TestStatsAdd(t *testing.T) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"otm/internal/history"
 	"otm/internal/spec"
 )
@@ -102,32 +100,19 @@ func AllLegal(s history.History, objs spec.Objects) (history.TxID, bool) {
 
 // buildSequential concatenates the per-transaction projections of hc in
 // the given order, producing the sequential history S of a witness. One
-// counting pass and one fill pass over hc replace the per-transaction
-// H|Ti projections, which made witness assembly quadratic. Above 32
-// transactions each event finds its slot through an index map instead
-// of the linear indexOf. It serves the DisableMemo reference engine,
-// which derives its witness from h alone; the unified engine places
-// events by the transaction indexes its Appender recorded
+// counting pass and one fill pass over hc, each event finding its slot
+// through an index map, replace the per-transaction H|Ti projections,
+// which made witness assembly quadratic. It serves the DisableMemo
+// reference engine, which derives its witness from h alone; the unified
+// engine places events by the transaction indexes its Appender recorded
 // (searcher.witness).
 func buildSequential(hc history.History, order []history.TxID) history.History {
 	n := len(order)
 	ints := make([]int, 2*n) // slot cursor and slot base per transaction
 	offs, fill := ints[:n], ints[n:]
-	var idx map[history.TxID]int
-	if n > 32 {
-		idx = txIndex(order)
-	}
-	slot := func(tx history.TxID) int {
-		if idx == nil {
-			return indexOf(order, tx)
-		}
-		if i, ok := idx[tx]; ok {
-			return i
-		}
-		return -1
-	}
+	idx := txIndex(order)
 	for j := range hc {
-		if i := slot(hc[j].Tx); i >= 0 {
+		if i, ok := idx[hc[j].Tx]; ok {
 			fill[i]++ // first pass: counts
 		}
 	}
@@ -139,24 +124,12 @@ func buildSequential(hc history.History, order []history.TxID) history.History {
 	}
 	s := make(history.History, total)
 	for j := range hc {
-		if i := slot(hc[j].Tx); i >= 0 {
+		if i, ok := idx[hc[j].Tx]; ok {
 			s[offs[i]+fill[i]] = hc[j]
 			fill[i]++
 		}
 	}
 	return s
-}
-
-// indexOf returns the position of tx in txs, or -1 — the checker-side
-// twin of history's linear transaction lookup (transaction counts on the
-// hot path are small; maps cost more than the scan).
-func indexOf(txs []history.TxID, tx history.TxID) int {
-	for i, t := range txs {
-		if t == tx {
-			return i
-		}
-	}
-	return -1
 }
 
 func txIndex(txs []history.TxID) map[history.TxID]int {
@@ -165,17 +138,4 @@ func txIndex(txs []history.TxID) map[history.TxID]int {
 		idx[tx] = i
 	}
 	return idx
-}
-
-// fmtOrder renders a serialization order as "T2 T1 T3".
-func fmtOrder(order []history.TxID) string {
-	b := make([]byte, 0, 4*len(order))
-	for i, tx := range order {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, 'T')
-		b = strconv.AppendInt(b, int64(tx), 10)
-	}
-	return string(b)
 }

@@ -25,7 +25,7 @@ type Witness struct {
 }
 
 // String renders the witness serialization order, e.g. "T2 T1 T3".
-func (w *Witness) String() string { return fmtOrder(w.Order) }
+func (w *Witness) String() string { return history.TxList(w.Order) }
 
 // Result is the outcome of an opacity check.
 type Result struct {

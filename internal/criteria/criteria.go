@@ -24,10 +24,8 @@ import (
 // criteria, which say nothing about live or aborted transactions.
 func CommittedProjection(h history.History) history.History {
 	committed := make(map[history.TxID]bool)
-	for _, tx := range h.Transactions() {
-		if h.Committed(tx) {
-			committed[tx] = true
-		}
+	for _, tx := range h.CommittedTxs() {
+		committed[tx] = true
 	}
 	var out history.History
 	for _, e := range h {

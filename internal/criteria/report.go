@@ -83,11 +83,11 @@ func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %s", "opacity", mark(r.Opaque))
 	if r.Opaque {
-		fmt.Fprintf(&b, "  (witness:")
-		for _, tx := range r.OpacityWitness {
-			fmt.Fprintf(&b, " T%d", int(tx))
+		b.WriteString("  (witness:")
+		if len(r.OpacityWitness) > 0 {
+			b.WriteString(" " + history.TxList(r.OpacityWitness))
 		}
-		fmt.Fprintf(&b, ")")
+		b.WriteString(")")
 	}
 	fmt.Fprintln(&b)
 	fmt.Fprintf(&b, "%-24s %s\n", "serializability", mark(r.Serializable))

@@ -133,8 +133,8 @@ func Plan(store storage.FS, opts PlanOptions) (*Manifest, error) {
 	if (opts.CorpusURI == "") == (opts.Gen == nil) {
 		return nil, fmt.Errorf("dist: exactly one of CorpusURI and Gen must be set")
 	}
-	if opts.MaxNodes < 0 {
-		return nil, fmt.Errorf("dist: MaxNodes %d: the budget must be 0 (the checker default) or positive", opts.MaxNodes)
+	if err := checkMaxNodes(opts.MaxNodes); err != nil {
+		return nil, err
 	}
 	if opts.ShardSize < 1 {
 		opts.ShardSize = 256
@@ -251,13 +251,27 @@ func planFileShards(store storage.FS, man *Manifest, opts PlanOptions) error {
 	return nil
 }
 
+// checkMaxNodes refuses a negative node budget, which would turn every
+// verdict of the run into a budget error.
+func checkMaxNodes(n int) error {
+	if n < 0 {
+		return fmt.Errorf("dist: MaxNodes %d: the budget must be 0 (the checker default) or positive", n)
+	}
+	return nil
+}
+
 // LoadManifest reads the committed manifest of store, or ErrNoManifest.
+// It refuses a manifest whose node budget Plan would have refused, as a
+// build that predates that check or a hand edit may have left one.
 func LoadManifest(store storage.FS) (*Manifest, error) {
 	var man Manifest
 	if err := readJSON(store, manifestName, &man); err != nil {
 		if errors.Is(err, storage.ErrNotExist) {
 			return nil, ErrNoManifest
 		}
+		return nil, err
+	}
+	if err := checkMaxNodes(man.MaxNodes); err != nil {
 		return nil, err
 	}
 	return &man, nil

@@ -177,6 +177,27 @@ func TestLoadManifestMissing(t *testing.T) {
 	}
 }
 
+// TestLoadManifestRejectsNegativeMaxNodes: a committed manifest with a
+// negative node budget, which Plan refuses but an older build or a hand
+// edit can leave behind, does not resume: the coordinator would lease
+// that budget to every worker, and every verdict would be a budget
+// error.
+func TestLoadManifestRejectsNegativeMaxNodes(t *testing.T) {
+	store := storage.NewMem()
+	man, err := Plan(store, PlanOptions{Gen: &GenSpec{N: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.MaxNodes = -5
+	if err := writeJSON(store, manifestName, man); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadManifest(store)
+	if err == nil || !strings.Contains(err.Error(), "MaxNodes -5") {
+		t.Errorf("LoadManifest of a manifest with max_nodes -5 = %+v, %v; want the MaxNodes error", got, err)
+	}
+}
+
 // TestCheckpointRoundTrip is the marshal→crash→reload property, in the
 // gopter style on testing/quick: for any shard count and any completed
 // subset, dropping every in-memory structure and reloading from the

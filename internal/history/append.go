@@ -1,9 +1,6 @@
 package history
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Span is one transaction's extent in a history: the indexes of its
 // first and last events so far, and whether it has completed (its last
@@ -12,7 +9,8 @@ import (
 // whose first event follows its last — which is why the Appender
 // maintains them: consumers that re-check every growing prefix derive
 // the ≺H constraints from the maintained spans instead of re-scanning
-// the whole event sequence per check.
+// the whole event sequence per check. History's ≺H helpers read them
+// off a transaction table built in one pass.
 type Span struct {
 	First, Last int
 	Completed   bool
@@ -30,16 +28,19 @@ type Span struct {
 // without ever re-validating from scratch. Load runs the same machine
 // over a whole history in place, for one-shot consumers.
 //
-// Alongside the phase machine the Appender maintains the transaction
-// list (first-event order), per-transaction phases, spans and operation
-// executions, each event's transaction index, and the object list, so
+// The machine's state is a transaction table — the transactions in
+// first-event order, each with its span and the kind of its last event —
+// beside which the Appender keeps each transaction's operation
+// executions, each event's transaction index and the object list, so
 // Transactions, Spans, OpExecs, EventTxs and Objects are O(1) views
 // rather than per-call scans — an event changes one transaction's
 // entries and at most appends one object, which is what lets a consumer
-// re-checking every prefix pay per event for what the event changed. It
-// also supports Truncate: dropping a fully-completed prefix and
-// re-basing the remainder, the history-layer half of checkpointed
-// monitor truncation.
+// re-checking every prefix pay per event for what the event changed.
+// Both lists are numberings, so an event finds its transaction (after
+// trying the previous event's) and its object by a short scan, and
+// through a map only in long lists. The Appender also supports
+// Truncate: dropping a fully-completed prefix and re-basing the
+// remainder, the history-layer half of checkpointed monitor truncation.
 //
 // The zero Appender is ready for use; NewAppender returns one.
 type Appender struct {
@@ -50,9 +51,10 @@ type Appender struct {
 	// leaves no room) and clears it.
 	loaded bool
 
-	txs    []TxID    // live transactions, in first-event order
-	phases []txPhase // indexed like txs
-	spans  []Span    // indexed like txs
+	// txTable holds the live transactions in first-event order, with
+	// each one's span and the kind of its last event, which is its state
+	// in the well-formedness machine.
+	txTable
 	// execs holds each transaction's operation executions; a pending
 	// invocation is its transaction's last execution. Slices past
 	// len(execs) are kept for reuse by later transactions.
@@ -60,13 +62,7 @@ type Appender struct {
 	open  int     // live transactions not yet completed
 	evTx  []int32 // each event's index into txs
 
-	objs []ObjID // objects operated on, in first-appearance order
-
-	// Above linearMax transactions (objects), spanIdx (objSeen) indexes
-	// every one of them; at or below it, lookups scan txs (objs) and the
-	// map is empty.
-	spanIdx map[TxID]int32
-	objSeen map[ObjID]struct{}
+	objs numbering[ObjID] // objects operated on, in first-appearance order
 }
 
 // NewAppender returns an empty Appender.
@@ -107,33 +103,38 @@ func (a *Appender) Load(h History) error {
 	return nil
 }
 
-// add runs the phase machine on ev, the event at position i, and folds
-// it into the transaction list, phases, spans, operation executions,
-// event index and object list; it changes nothing when ev is rejected.
-// The caller records ev itself in a.h.
+// add runs the well-formedness machine on ev, the event at position i,
+// and folds it into the transaction table, operation executions, event
+// index and object list; it changes nothing when ev is rejected. The
+// caller records ev itself in a.h.
+//
+// The machine's state for a transaction Ti is the kind of its last
+// event. H|Ti must be a prefix of O · F, where O is a sequence of
+// operation executions and F is one of ⟨inv, A⟩, ⟨tryA, A⟩, ⟨tryC, C⟩
+// or ⟨tryC, A⟩ (paper, §4), so that kind alone decides which events may
+// follow. A transaction with no events yet is between operation
+// executions, as after a response.
 func (a *Appender) add(ev *Event, i int) error {
-	t := a.lookup(ev.Tx)
-	ph := phaseIdle
-	if t >= 0 {
-		ph = a.phases[t]
+	var t int32
+	if n := len(a.evTx); n > 0 && a.txs.keys[a.evTx[n-1]] == ev.Tx {
+		t = a.evTx[n-1]
+	} else {
+		t = a.txs.find(ev.Tx)
 	}
-	switch ph {
-	case phaseCommitted:
+	last := KindRet
+	if t >= 0 {
+		last = a.last[t]
+	}
+	switch last {
+	case KindCommit:
 		return wfErr(i, *ev, "event follows commit event")
-	case phaseAborted:
+	case KindAbort:
 		return wfErr(i, *ev, "event follows abort event")
-	case phaseIdle:
-		switch ev.Kind {
-		case KindInv:
-			ph = phaseOpPending
-		case KindTryCommit:
-			ph = phaseCommitPending
-		case KindTryAbort:
-			ph = phaseAbortPending
-		default:
+	case KindRet: // between operation executions
+		if !ev.Kind.Invocation() {
 			return wfErr(i, *ev, "response event with no pending invocation")
 		}
-	case phaseOpPending:
+	case KindInv: // an operation response is pending
 		switch ev.Kind {
 		case KindRet:
 			// Matched in place against the pending execution; the
@@ -143,71 +144,43 @@ func (a *Appender) add(ev *Event, i int) error {
 				return wfErr(i, *ev, "response does not match pending invocation "+Inv(ev.Tx, x.Obj, x.Op, x.Arg).String())
 			}
 			x.Ret, x.Pending = ev.Ret, false
-			ph = phaseIdle
-		case KindAbort:
-			ph = phaseAborted
+		case KindAbort: // in place of the response
 		default:
 			return wfErr(i, *ev, "invocation while an operation response is pending")
 		}
-	case phaseCommitPending:
-		switch ev.Kind {
-		case KindCommit:
-			ph = phaseCommitted
-		case KindAbort:
-			ph = phaseAborted
-		default:
+	case KindTryCommit:
+		if ev.Kind != KindCommit && ev.Kind != KindAbort {
 			return wfErr(i, *ev, "only commit or abort may follow a commit-try")
 		}
-	case phaseAbortPending:
+	case KindTryAbort:
 		if ev.Kind != KindAbort {
 			return wfErr(i, *ev, "only abort may follow an abort-try")
 		}
-		ph = phaseAborted
 	}
 	if t < 0 {
 		t = a.begin(ev.Tx, i)
 	}
-	a.phases[t] = ph
-	a.spans[t].Last = i
+	a.record(t, i, ev.Kind)
 	switch ev.Kind {
 	case KindInv:
 		a.execs[t] = append(a.execs[t], OpExec{Tx: ev.Tx, Obj: ev.Obj, Op: ev.Op, Arg: ev.Arg, Pending: true})
-		a.addObject(ev.Obj)
+		// Invocations suffice: a response is accepted only on its
+		// invocation's object.
+		if a.objs.find(ev.Obj) < 0 {
+			a.objs.push(ev.Obj)
+		}
 	case KindCommit, KindAbort:
 		// An abort in place of an operation response leaves the
 		// invocation pending, as History.OpExecs reports it.
-		a.spans[t].Completed = true
 		a.open--
 	}
 	a.evTx = append(a.evTx, t)
 	return nil
 }
 
-// lookup returns the index of tx in the transaction list, or -1. The
-// previous event's transaction is tried first; then the list is scanned
-// up to linearMax transactions, and spanIdx answers above that.
-func (a *Appender) lookup(tx TxID) int32 {
-	if n := len(a.evTx); n > 0 {
-		if t := a.evTx[n-1]; a.txs[t] == tx {
-			return t
-		}
-	}
-	if len(a.txs) > linearMax {
-		if t, ok := a.spanIdx[tx]; ok {
-			return t
-		}
-		return -1
-	}
-	return int32(slices.Index(a.txs, tx))
-}
-
 // begin appends transaction tx, whose first event is at position i, to
-// the transaction list and returns its index.
+// the transaction table and returns its index.
 func (a *Appender) begin(tx TxID, i int) int32 {
-	t := int32(len(a.txs))
-	a.txs = append(a.txs, tx)
-	a.phases = append(a.phases, phaseIdle)
-	a.spans = append(a.spans, Span{First: i})
 	if n := len(a.execs); n < cap(a.execs) {
 		a.execs = a.execs[:n+1]
 		a.execs[n] = a.execs[n][:0]
@@ -215,39 +188,7 @@ func (a *Appender) begin(tx TxID, i int) int32 {
 		a.execs = append(a.execs, nil)
 	}
 	a.open++
-	if len(a.txs) > linearMax {
-		if a.spanIdx == nil {
-			a.spanIdx = make(map[TxID]int32)
-		}
-		// spanIdx holds txs[:len(spanIdx)]: all of them once the list
-		// crosses the cutoff, none below it.
-		for j := len(a.spanIdx); j < len(a.txs); j++ {
-			a.spanIdx[a.txs[j]] = int32(j)
-		}
-	}
-	return t
-}
-
-// addObject appends ob to the object list unless it is already there.
-// Invocations suffice: a response is accepted only on its invocation's
-// object.
-func (a *Appender) addObject(ob ObjID) {
-	if len(a.objs) > linearMax {
-		if _, ok := a.objSeen[ob]; ok {
-			return
-		}
-	} else if slices.Contains(a.objs, ob) {
-		return
-	}
-	a.objs = append(a.objs, ob)
-	if len(a.objs) > linearMax {
-		if a.objSeen == nil {
-			a.objSeen = make(map[ObjID]struct{})
-		}
-		for _, o := range a.objs[len(a.objSeen):] {
-			a.objSeen[o] = struct{}{}
-		}
-	}
+	return a.txTable.begin(tx, i)
 }
 
 // Len returns the number of events appended so far.
@@ -268,7 +209,7 @@ func (a *Appender) Snapshot() History { return a.h.Clone() }
 // but as an O(1) view of the maintained list instead of an O(events)
 // scan. The slice is valid until the next Append, Load, Truncate or
 // Reset and must not be mutated.
-func (a *Appender) Transactions() []TxID { return a.txs }
+func (a *Appender) Transactions() []TxID { return a.txs.keys }
 
 // Spans returns the per-transaction spans, indexed like Transactions.
 // Same view semantics as Transactions.
@@ -288,7 +229,7 @@ func (a *Appender) EventTxs() []int32 { return a.evTx }
 // Objects returns the objects operated on in the history built so far,
 // in order of first appearance, exactly as History().Objects() would.
 // Same view semantics as Transactions.
-func (a *Appender) Objects() []ObjID { return a.objs }
+func (a *Appender) Objects() []ObjID { return a.objs.keys }
 
 // Open returns the number of transactions that have started but not yet
 // completed (no commit or abort event). A history with Open() == 0 is a
@@ -299,18 +240,21 @@ func (a *Appender) Objects() []ObjID { return a.objs }
 func (a *Appender) Open() int { return a.open }
 
 // Status returns the status of tx in the history built so far, exactly
-// as History.Status would report it, from the maintained phase instead
-// of a backward scan.
+// as History.Status would report it, from the maintained last-event kind
+// instead of a backward scan.
 func (a *Appender) Status(tx TxID) Status {
-	if t := a.lookup(tx); t >= 0 {
-		return a.phases[t].status()
+	if n := len(a.evTx); n > 0 && a.txs.keys[a.evTx[n-1]] == tx {
+		return kindStatus(a.last[a.evTx[n-1]])
+	}
+	if t := a.txs.find(tx); t >= 0 {
+		return kindStatus(a.last[t])
 	}
 	return StatusLive
 }
 
 // StatusAt returns the status of the transaction at index i of
 // Transactions.
-func (a *Appender) StatusAt(i int) Status { return a.phases[i].status() }
+func (a *Appender) StatusAt(i int) Status { return kindStatus(a.last[i]) }
 
 // Complete returns the member of Complete(H) of the history built so
 // far in which the commit-pending transaction at index i of
@@ -326,9 +270,9 @@ func (a *Appender) Complete(fate []bool) History {
 	}
 	out := make(History, len(a.h), len(a.h)+2*a.open)
 	copy(out, a.h)
-	for t, ph := range a.phases {
-		if ph.status().Live() {
-			out = appendCompletion(out, a.txs[t], ph.lastKind(), ph == phaseCommitPending && fate[t])
+	for t, k := range a.last {
+		if !completes(k) {
+			out = appendCompletion(out, a.txs.keys[t], k, k == KindTryCommit && fate[t])
 		}
 	}
 	return out
@@ -340,8 +284,8 @@ func (a *Appender) Complete(fate []bool) History {
 // every transaction entirely inside the dropped prefix must have
 // completed — Truncate returns an error (and changes nothing) otherwise.
 //
-// Dropped transactions are forgotten entirely, including their terminal
-// phases: a later event reusing a dropped transaction's identifier is
+// Dropped transactions are forgotten entirely, including their commit
+// or abort events: a later event reusing a dropped transaction's identifier is
 // treated as a fresh transaction rather than rejected as following a
 // commit/abort. Bounding monitor state requires forgetting; a correct TM
 // never reuses transaction identifiers (the model gives retries fresh
@@ -363,7 +307,7 @@ func (a *Appender) Truncate(n int) error {
 	for ; d < len(a.spans) && a.spans[d].First < n; d++ {
 		if sp := a.spans[d]; sp.Last >= n || !sp.Completed {
 			return fmt.Errorf("history: truncation at %d is not a stable cut: T%d spans it or is incomplete",
-				n, int(a.txs[d]))
+				n, int(a.txs.keys[d]))
 		}
 	}
 	if a.loaded {
@@ -372,16 +316,9 @@ func (a *Appender) Truncate(n int) error {
 	} else {
 		a.h = append(a.h[:0], a.h[n:]...)
 	}
-	kept := len(a.txs) - d
-	if kept > linearMax {
-		for _, tx := range a.txs[:d] {
-			delete(a.spanIdx, tx)
-		}
-	} else {
-		clear(a.spanIdx)
-	}
-	copy(a.txs, a.txs[d:])
-	copy(a.phases, a.phases[d:])
+	a.txs.dropFirst(d)
+	kept := len(a.txs.keys)
+	copy(a.last, a.last[d:])
 	copy(a.spans, a.spans[d:])
 	for t := range kept {
 		a.spans[t].First -= n
@@ -389,23 +326,18 @@ func (a *Appender) Truncate(n int) error {
 		// Swap rather than overwrite, so the dropped transactions'
 		// slices stay past the new length for reuse.
 		a.execs[t], a.execs[t+d] = a.execs[t+d], a.execs[t]
-		if kept > linearMax {
-			a.spanIdx[a.txs[t]] = int32(t)
-		}
 	}
-	a.txs = a.txs[:kept]
-	a.phases = a.phases[:kept]
+	a.last = a.last[:kept]
 	a.spans = a.spans[:kept]
 	a.execs = a.execs[:kept]
 	a.evTx = a.evTx[:copy(a.evTx, a.evTx[n:])]
 	for i := range a.evTx {
 		a.evTx[i] -= int32(d)
 	}
-	a.objs = a.objs[:0]
-	clear(a.objSeen)
+	a.objs.reset()
 	for i := range a.h {
 		if a.h[i].Kind == KindInv {
-			a.addObject(a.h[i].Obj)
+			a.objs.add(a.h[i].Obj)
 		}
 	}
 	return nil
@@ -421,13 +353,11 @@ func (a *Appender) Reset() {
 	} else {
 		a.h = a.h[:0]
 	}
-	a.txs = a.txs[:0]
-	a.phases = a.phases[:0]
+	a.txs.reset()
+	a.last = a.last[:0]
 	a.spans = a.spans[:0]
 	a.execs = a.execs[:0]
 	a.evTx = a.evTx[:0]
-	clear(a.spanIdx)
 	a.open = 0
-	a.objs = a.objs[:0]
-	clear(a.objSeen)
+	a.objs.reset()
 }

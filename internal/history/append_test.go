@@ -7,6 +7,23 @@ import (
 	"testing"
 )
 
+// txPhase is a transaction's state in wellFormedRef's machine, which
+// names each phase instead of keying the machine by the transaction's
+// last event kind as the Appender does. For every transaction Ti, H|Ti
+// must be a prefix of O · F where O is a sequence of operation
+// executions and F is one of ⟨inv, A⟩, ⟨tryA, A⟩, ⟨tryC, C⟩ or ⟨tryC, A⟩
+// (paper, §4). The history generators walk the same phases.
+type txPhase uint8
+
+const (
+	phaseIdle          txPhase = iota // between operation executions
+	phaseOpPending                    // operation invoked, response pending
+	phaseCommitPending                // tryC issued, C/A pending
+	phaseAbortPending                 // tryA issued, A pending
+	phaseCommitted
+	phaseAborted
+)
+
 // wellFormedRef decides well-formedness independently of the Appender —
 // one pass over the history, per-transaction phases and pending
 // invocation events in maps — as the reference the Appender's state

@@ -53,28 +53,22 @@ func appendCompletion(dst []Event, tx TxID, last Kind, commit bool) []Event {
 	return append(dst, TryC(tx), Abort(tx))
 }
 
-// CompleteWith returns the member of Complete(h) in which every
-// commit-pending transaction listed in commits is committed, every other
-// commit-pending transaction is aborted, and every other live transaction
-// is aborted. Transactions in commits that are not commit-pending in h
-// cause a panic. When h is already complete the result is h itself, not
-// a copy — treat it as immutable, per the module's convention.
+// CompleteWith returns the member of Complete(h) in which each
+// commit-pending transaction commits iff commits maps it to true, and
+// every other live transaction aborts. Mapping a live transaction that
+// is not commit-pending to true panics, since a completion can only
+// abort it; every other entry of commits is ignored, whether it names a
+// committed or aborted transaction or one not in h. When h is complete
+// the result is h itself, whatever commits holds, not a copy — treat it
+// as immutable, per the module's convention.
 //
-// One pass over h finds every transaction's last event, which alone
-// decides its completion; above linearMax transactions the pass looks
-// transactions up through a map, as Transactions does.
+// One pass over h builds its transaction table, whose last-event kinds
+// alone decide each transaction's completion.
 func (h History) CompleteWith(commits map[TxID]bool) History {
-	txs := h.Transactions()
-	var small [linearMax]Kind
-	last := small[:]
-	if len(txs) > len(small) {
-		last = make([]Kind, len(txs))
-	}
-	last = last[:len(txs)]
-	h.lastKinds(txs, last)
+	tab := h.table()
 	extra := 0
-	for _, k := range last {
-		if k != KindCommit && k != KindAbort {
+	for _, k := range tab.last {
+		if !completes(k) {
 			extra += 2 // at most ⟨tryC, A⟩ per live transaction
 		}
 	}
@@ -86,33 +80,10 @@ func (h History) CompleteWith(commits map[TxID]bool) History {
 	}
 	out := make(History, len(h), len(h)+extra)
 	copy(out, h)
-	for i, tx := range txs {
-		out = appendCompletion(out, tx, last[i], commits[tx])
+	for t, tx := range tab.txs.keys {
+		out = appendCompletion(out, tx, tab.last[t], commits[tx])
 	}
 	return out
-}
-
-// lastKinds sets last[i] to the kind of the last event of txs[i] in h,
-// where txs are h's transactions in first-event order.
-func (h History) lastKinds(txs []TxID, last []Kind) {
-	if len(txs) > linearMax {
-		idx := make(map[TxID]int, len(txs))
-		for i, tx := range txs {
-			idx[tx] = i
-		}
-		for i := range h {
-			last[idx[h[i].Tx]] = h[i].Kind
-		}
-		return
-	}
-	for i := range h {
-		for j, tx := range txs {
-			if tx == h[i].Tx {
-				last[j] = h[i].Kind
-				break
-			}
-		}
-	}
 }
 
 // EachCompletion invokes fn on every history in Complete(h), i.e. on

@@ -8,9 +8,9 @@ import (
 )
 
 // The functions under test here compute their answers differently from
-// the model's definitions (linear-scan dedup, a span map shared by every
-// pair, a backward status scan); each is pinned against its
-// straightforward per-item counterpart on a corpus of random event
+// the model's definitions (a numbering's dedup, one transaction table
+// shared by every pair, a backward status scan); each is pinned against
+// its straightforward per-item counterpart on a corpus of random event
 // sequences. The corpus is generated locally (internal/gen
 // depends on this package, so it cannot supply it) and deliberately
 // includes pending invocations, interleavings, aborts in place of

@@ -7,9 +7,10 @@ import (
 	"testing/quick"
 )
 
-// The pairwise definitions of §4, kept as references for the span-map
-// versions in order.go: each call rescans h for the spans and statuses it
-// needs, so checking a whole history costs O(n²·|h|).
+// The pairwise definitions of §4, kept as references for the
+// transaction-table versions in order.go: each call rescans h for the
+// spans and statuses it needs, so checking a whole history costs
+// O(n²·|h|).
 
 func spanRef(h History, tx TxID) (first, last int, ok bool) {
 	first = -1

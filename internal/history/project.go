@@ -24,48 +24,14 @@ func (h History) Obj(ob ObjID) History {
 	return out
 }
 
-// linearMax is the number of transactions (or objects) up to which a
-// lookup scans a list instead of hashing: histories rarely have more
-// than a handful, and below this count the scan costs less than a map.
-const linearMax = 32
-
 // Transactions returns the transactions in h (Ti ∈ H iff H|Ti is
 // non-empty), in order of their first event.
 func (h History) Transactions() []TxID {
-	// Dedup by linear scan of the output and fall back to a map only when
-	// the transaction count makes the scan quadratic enough to matter.
-	out := make([]TxID, 0, 8)
-scan:
+	txs := newNumbering[TxID](8)
 	for i := range h {
-		tx := h[i].Tx
-		for _, x := range out {
-			if x == tx {
-				continue scan
-			}
-		}
-		out = append(out, tx)
-		if len(out) > linearMax {
-			return h.transactionsMap(out)
-		}
+		txs.add(h[i].Tx)
 	}
-	return out
-}
-
-// transactionsMap finishes Transactions with a map once the linear-scan
-// dedup stops being cheap; out holds the distinct transactions found so
-// far, in first-event order.
-func (h History) transactionsMap(out []TxID) []TxID {
-	seen := make(map[TxID]bool, len(out))
-	for _, tx := range out {
-		seen[tx] = true
-	}
-	for i := range h {
-		if tx := h[i].Tx; !seen[tx] {
-			seen[tx] = true
-			out = append(out, tx)
-		}
-	}
-	return out
+	return txs.keys
 }
 
 // Contains reports whether Ti ∈ H, i.e. whether h has at least one event
@@ -82,44 +48,13 @@ func (h History) Contains(tx TxID) bool {
 // Objects returns the shared objects on which at least one operation
 // invocation or response appears in h, in order of first appearance.
 func (h History) Objects() []ObjID {
-	// Same linear-scan dedup rationale as Transactions: object counts are
-	// small.
-	out := make([]ObjID, 0, 8)
-scan:
-	for _, e := range h {
-		if e.Kind != KindInv && e.Kind != KindRet {
-			continue
-		}
-		for _, ob := range out {
-			if ob == e.Obj {
-				continue scan
-			}
-		}
-		out = append(out, e.Obj)
-		if len(out) > linearMax {
-			return h.objectsMap(out)
+	objs := newNumbering[ObjID](8)
+	for i := range h {
+		if e := &h[i]; e.Kind == KindInv || e.Kind == KindRet {
+			objs.add(e.Obj)
 		}
 	}
-	return out
-}
-
-// objectsMap finishes Objects with a map once the linear-scan dedup
-// stops being cheap.
-func (h History) objectsMap(out []ObjID) []ObjID {
-	seen := make(map[ObjID]bool, len(out))
-	for _, ob := range out {
-		seen[ob] = true
-	}
-	for _, e := range h {
-		if e.Kind != KindInv && e.Kind != KindRet {
-			continue
-		}
-		if !seen[e.Obj] {
-			seen[e.Obj] = true
-			out = append(out, e.Obj)
-		}
-	}
-	return out
+	return objs.keys
 }
 
 // PendingInv returns the pending invocation event of tx in h, if any: an

@@ -44,21 +44,26 @@ func (s Status) Live() bool { return !s.Completed() }
 // allocates nothing.
 func (h History) Status(tx TxID) Status {
 	for i := len(h) - 1; i >= 0; i-- {
-		if h[i].Tx != tx {
-			continue
-		}
-		switch h[i].Kind {
-		case KindCommit:
-			return StatusCommitted
-		case KindAbort:
-			return StatusAborted
-		case KindTryCommit:
-			return StatusCommitPending
-		default:
-			return StatusLive
+		if h[i].Tx == tx {
+			return kindStatus(h[i].Kind)
 		}
 	}
 	return StatusLive
+}
+
+// kindStatus returns the status of a transaction whose last event has
+// kind k.
+func kindStatus(k Kind) Status {
+	switch k {
+	case KindCommit:
+		return StatusCommitted
+	case KindAbort:
+		return StatusAborted
+	case KindTryCommit:
+		return StatusCommitPending
+	default:
+		return StatusLive
+	}
 }
 
 // Committed reports whether tx is committed in h.
@@ -94,35 +99,20 @@ func (h History) ForcefullyAborted(tx TxID) bool {
 // CommittedTxs returns the committed transactions of h in order of first
 // event.
 func (h History) CommittedTxs() []TxID {
-	var out []TxID
-	for _, tx := range h.Transactions() {
-		if h.Committed(tx) {
-			out = append(out, tx)
-		}
-	}
-	return out
+	tab := h.table()
+	return tab.where(func(s Status) bool { return s == StatusCommitted })
 }
 
 // LiveTxs returns the live transactions of h (including commit-pending
 // ones) in order of first event.
 func (h History) LiveTxs() []TxID {
-	var out []TxID
-	for _, tx := range h.Transactions() {
-		if h.Live(tx) {
-			out = append(out, tx)
-		}
-	}
-	return out
+	tab := h.table()
+	return tab.where(Status.Live)
 }
 
 // CommitPendingTxs returns the commit-pending transactions of h in order
 // of first event.
 func (h History) CommitPendingTxs() []TxID {
-	var out []TxID
-	for _, tx := range h.Transactions() {
-		if h.CommitPending(tx) {
-			out = append(out, tx)
-		}
-	}
-	return out
+	tab := h.table()
+	return tab.where(func(s Status) bool { return s == StatusCommitPending })
 }

@@ -54,6 +54,20 @@ func appendTx(b []byte, tx TxID) []byte {
 	return strconv.AppendInt(b, int64(tx), 10)
 }
 
+// TxList renders a list of transactions as "T2 T1 T3", in the given
+// order: the form of a witness order in verdict lines and reports, and of
+// a culprit list in violation artifacts.
+func TxList(txs []TxID) string {
+	b := make([]byte, 0, 4*len(txs))
+	for i, tx := range txs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendTx(append(b, 'T'), tx)
+	}
+	return string(b)
+}
+
 // appendValue appends v as the verb %v prints it. The dynamic types
 // Parse produces take a strconv path; anything else (named types,
 // Stringers, structs such as spec.CASArg) goes through fmt.
@@ -133,32 +147,24 @@ func (e OpExec) String() string {
 // transaction, with events placed in global order — a textual analogue of
 // the paper's Figures 1 and 2. Useful for debugging opacity violations.
 func (h History) Format() string {
-	txs := h.Transactions()
-	row := make(map[TxID]int, len(txs))
-	for i, tx := range txs {
-		row[tx] = i
-	}
+	// Row r is transaction r of h's table, and its span bounds the row.
+	tab := h.table()
+	txs, spans := tab.txs.keys, tab.spans
 	// Every event is rendered once, into text: event k is
 	// text[end[k-1]:end[k]], and its cell starts at column end[k-1]+k, one
 	// separating space after each earlier cell. next chains each row's
-	// events from first to last.
+	// events from first to last; tail[r] is where row r's chain has got to.
 	text := make([]byte, 0, 12*len(h))
-	ints := make([]int, 2*len(h)+2*len(txs))
-	end, next := ints[:len(h)], ints[len(h):2*len(h)]
-	first, last := ints[2*len(h):2*len(h)+len(txs)], ints[2*len(h)+len(txs):]
-	for r := range first {
-		first[r] = -1
-	}
+	ints := make([]int, 2*len(h)+len(txs))
+	end, next, tail := ints[:len(h)], ints[len(h):2*len(h)], ints[2*len(h):]
 	for k, e := range h {
 		text = e.appendTo(text)
 		end[k] = len(text)
-		r := row[e.Tx]
-		if first[r] < 0 {
-			first[r] = k
-		} else {
-			next[last[r]] = k
+		r := tab.txs.find(e.Tx)
+		if k > spans[r].First {
+			next[tail[r]] = k
 		}
-		last[r] = k
+		tail[r] = k
 	}
 	cell := func(k int) (col int, s []byte) {
 		from := 0
@@ -170,7 +176,7 @@ func (h History) Format() string {
 	// A row ends with its last event, trailing spaces trimmed (a string
 	// value may end in some): every later cell would be blank.
 	width := func(r int) int {
-		col, s := cell(last[r])
+		col, s := cell(spans[r].Last)
 		return col + len(bytes.TrimRight(s, " "))
 	}
 	var head [32]byte
@@ -183,10 +189,10 @@ func (h History) Format() string {
 	for r, tx := range txs {
 		b.Write(rowHead(head[:0], tx))
 		at := 0
-		for k := first[r]; ; k = next[k] {
+		for k := spans[r].First; ; k = next[k] {
 			col, s := cell(k)
 			writeSpaces(&b, col-at)
-			if k == last[r] {
+			if k == spans[r].Last {
 				b.Write(bytes.TrimRight(s, " "))
 				break
 			}

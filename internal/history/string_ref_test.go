@@ -187,3 +187,19 @@ func TestStringValueKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestTxListMatchesReference pins TxList to the fmt-based join that
+// verdict lines, violation artifacts, opacheck's -replay lines and the
+// criteria report each used to render transaction lists with: empty,
+// single and unsorted lists, and negative and wide numbers.
+func TestTxListMatchesReference(t *testing.T) {
+	for _, txs := range [][]history.TxID{nil, {1}, {2, 1, 3}, {-5, 0, 1234, 1 << 40}} {
+		parts := make([]string, len(txs))
+		for i, tx := range txs {
+			parts[i] = fmt.Sprintf("T%d", int(tx))
+		}
+		if got, want := history.TxList(txs), strings.Join(parts, " "); got != want {
+			t.Errorf("TxList(%v) = %q, reference %q", txs, got, want)
+		}
+	}
+}

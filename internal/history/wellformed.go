@@ -2,43 +2,6 @@ package history
 
 import "fmt"
 
-// txPhase is the per-transaction state machine used to decide
-// well-formedness. For every transaction Ti, H|Ti must be a prefix of
-// O · F where O is a sequence of operation executions and F is one of
-// ⟨inv, A⟩, ⟨tryA, A⟩, ⟨tryC, C⟩ or ⟨tryC, A⟩ (paper, §4).
-type txPhase uint8
-
-const (
-	phaseIdle          txPhase = iota // between operation executions
-	phaseOpPending                    // operation invoked, response pending
-	phaseCommitPending                // tryC issued, C/A pending
-	phaseAbortPending                 // tryA issued, A pending
-	phaseCommitted
-	phaseAborted
-)
-
-// status returns the status of a transaction in phase p.
-func (p txPhase) status() Status {
-	switch p {
-	case phaseCommitPending:
-		return StatusCommitPending
-	case phaseCommitted:
-		return StatusCommitted
-	case phaseAborted:
-		return StatusAborted
-	default:
-		return StatusLive
-	}
-}
-
-// lastKind returns the kind of the last event of a transaction in phase
-// p, the one fact its completion depends on: each phase is entered by
-// exactly one kind (idle by a response, or by no event at all, which
-// completes alike).
-func (p txPhase) lastKind() Kind {
-	return [...]Kind{KindRet, KindInv, KindTryCommit, KindTryAbort, KindCommit, KindAbort}[p]
-}
-
 // WellFormedError describes the first well-formedness violation found in
 // a history.
 type WellFormedError struct {
